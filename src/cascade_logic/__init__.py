@@ -20,14 +20,14 @@ from .circuit import (Basis, CompiledCircuit, GateAssignment, GateKind,
                       truth_table)
 from .engine import (CascadeResult, Configuration, ExplicitOrder, RandomSweep,
                      ScheduleMode, Topological, count_fires, fires, is_global,
-                     neighbor_fraction, run_cascade, tlu_fires,
-                     topological_order)
+                     run_cascade, tlu_fires, topological_order)
 from .experiments import (GlobalFraction, MedianExceedance, SweepRow,
                           SweepSpec, cascade_sizes, emit_csv, parse_csv,
-                          reference_sizes, rows_from_sizes, run_sweep)
+                          reference_sizes, rows_from_sizes, run_sweep,
+                          sweep_sizes)
 from .net import (Network, NetworkBundle, NetworkFormatError, NetworkStats,
-                  NodeSpec, Rule, UNIFORM, assign_thresholds, generate_er,
-                  load_bundle, load_network, save_network, stats)
+                  NodeSpec, Rule, UNIFORM, assign_thresholds, cutoff,
+                  generate_er, load_bundle, load_network, save_network, stats)
 from .parser import ParseError, parse_expr, variables
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Deterministic seed derivation.
+"""Deterministic seed derivation and task fan-out.
 
 Bulk randomness comes from numpy's PCG64 bit generator; sub-seeds for
 realizations, trials, and worker tasks are derived from a master seed with
@@ -8,6 +8,10 @@ carry run metadata record the generator under ``GENERATOR_NAME``.
 """
 
 from __future__ import annotations
+
+import os
+from concurrent.futures import ProcessPoolExecutor
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -46,3 +50,20 @@ def mix_seed(master: int, *parts) -> int:
 def make_rng(seed: int) -> np.random.Generator:
     """A PCG64-backed generator for the given 64-bit seed."""
     return np.random.Generator(np.random.PCG64(int(seed) & _MASK64))
+
+
+def worker_count(jobs: Optional[int], tasks: int) -> int:
+    """Worker processes worth starting: `jobs`, capped at the CPU count and
+    at the number of tasks, and at least 1."""
+    return max(1, min(jobs or 1, os.cpu_count() or 1, tasks))
+
+
+def map_tasks(fn: Callable, tasks: Sequence, jobs: Optional[int]) -> list:
+    """``[fn(t) for t in tasks]``, spread over worker processes when
+    :func:`worker_count` allows more than one. Results keep task order."""
+    workers = worker_count(jobs, len(tasks))
+    if workers == 1:
+        return [fn(t) for t in tasks]
+    chunk = max(1, len(tasks) // (workers * 4))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks, chunksize=chunk))

@@ -9,15 +9,14 @@ outcome depends on examination order.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Optional, Sequence
 
-from ._seeds import make_rng, mix_seed
+from ._seeds import make_rng, map_tasks, mix_seed
 from .circuit import CompiledCircuit, evaluate, input_seeds
-from .engine import RandomSweep, count_fires, run_cascade
-from .net import Network, Rule, assign_thresholds, generate_er, UNIFORM
+from .engine import RandomSweep, run_cascade
+from .net import Network, Rule, assign_thresholds, generate_er, seed_ids, UNIFORM
 
 DEFAULT_STATE_CAP = 1 << 22
 
@@ -47,14 +46,10 @@ def enumerate_fixpoints(network: Network, seeds: Optional[Iterable[int]] = None,
     if child_order not in ("ascending", "descending"):
         raise ValueError(f"unknown child_order {child_order!r}")
     n = network.n
-    seed_set = network.seeds if seeds is None else frozenset(int(s) for s in seeds)
-    for s in seed_set:
-        if not 0 <= s < n:
-            raise ValueError(f"seed {s} is not a node id")
+    seed_set = network.seeds if seeds is None else seed_ids(seeds, n)
 
-    rules = [spec.rule for spec in network.nodes]
-    phis = [spec.phi for spec in network.nodes]
-    degs = network.in_degrees
+    cut = network.cutoff.tolist()
+    anti = network.antagonistic.tolist()
     nbr_mask = [0] * n
     for u in range(n):
         for v in network.in_neighbors[u]:
@@ -77,10 +72,11 @@ def enumerate_fixpoints(network: Network, seeds: Optional[Iterable[int]] = None,
             truncated = True
             break
         visited.add(cfg)
+        # MONOTONE fires at count >= cutoff, ANTAGONISTIC below it
         fireable = [
             u for u in range(n)
             if not (cfg >> u) & 1
-            and count_fires(rules[u], (cfg & nbr_mask[u]).bit_count(), degs[u], phis[u])
+            and ((cfg & nbr_mask[u]).bit_count() >= cut[u]) != anti[u]
         ]
         if not fireable:
             fixpoints.add(cfg)
@@ -186,11 +182,7 @@ def verify_gcm_determinism(n: int, z: float, instances: int, rng_seed: int,
     if n > 1 and not 0 < z < n - 1:
         raise ValueError(f"z must lie in (0, n-1), got {z}")
     tasks = [(n, z, rule, mix_seed(rng_seed, i), state_cap) for i in range(instances)]
-    if jobs and jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_instance_fixpoints, tasks, chunksize=8))
-    else:
-        outcomes = [_instance_fixpoints(t) for t in tasks]
+    outcomes = map_tasks(_instance_fixpoints, tasks, jobs)
     if any(count > 1 for count, _ in outcomes):
         return Verdict.NON_UNIQUE
     if any(truncated for _, truncated in outcomes):

@@ -21,7 +21,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .engine import Topological, count_fires, run_cascade, topological_order
+from .engine import Topological, run_cascade, topological_order
 from .net import (Network, NetworkFormatError, NodeSpec, Rule, load_bundle,
                   save_network)
 from .parser import And, Expr, Nand, Nor, Not, Or, Var, Xor, parse_expr
@@ -172,9 +172,7 @@ class _Builder:
         return nid
 
     def network(self) -> Network:
-        return Network(nodes=tuple(self.nodes), directed=True,
-                       edges=tuple(self.edges), seeds=frozenset(),
-                       thresholds_assigned=True)
+        return Network(nodes=self.nodes, directed=True, edges=self.edges)
 
 
 def _xor_as_nands(a: Expr, b: Expr) -> Expr:
@@ -279,8 +277,7 @@ def build_gate(kind: GateKind, fan_in: int, phi=None,
     nodes += (NodeSpec(gate_id, assign.rule if rule is None else rule,
                        assign.phi if phi is None else phi),)
     network = Network(nodes=nodes, directed=True,
-                      edges=tuple((i, gate_id) for i in range(fan_in)),
-                      seeds=frozenset(), thresholds_assigned=True)
+                      edges=[(i, gate_id) for i in range(fan_in)])
     return CompiledCircuit(network=network,
                            inputs={f"x{i}": i for i in range(fan_in)},
                            outputs={"out": gate_id})
@@ -361,7 +358,7 @@ def truth_table(circuit: CompiledCircuit) -> TruthTable:
     """Evaluate all 2^m input assignments in binary counting order.
 
     Rows are computed in one vectorized pass per node along the same
-    topological schedule `evaluate` uses, with exact threshold comparisons;
+    topological schedule `evaluate` uses, with the same integer cutoff test;
     the result equals calling `evaluate` row by row.
     """
     m = len(circuit.inputs)
@@ -376,25 +373,12 @@ def truth_table(circuit: CompiledCircuit) -> TruthTable:
     for j, name in enumerate(names):
         values[:, circuit.inputs[name]] = (row_ids >> (m - 1 - j)) & 1
     input_ids = set(circuit.inputs.values())
+    indptr, indices = net.graph.indptr, net.graph.indices
     for u in topological_order(net):
         if u in input_ids:
             continue
-        spec = net.nodes[u]
-        nbrs = net.in_neighbors[u]
-        deg = len(nbrs)
-        if deg == 0:
-            values[:, u] = count_fires(spec.rule, 0, 0, spec.phi)
-            continue
-        counts = values[:, list(nbrs)].sum(axis=1)
-        phi = spec.phi
-        if isinstance(phi, Fraction):
-            lhs = counts * phi.denominator
-            rhs = phi.numerator * deg
-            col = lhs >= rhs if spec.rule is Rule.MONOTONE else lhs < rhs
-        else:
-            nu = counts / deg
-            col = nu >= phi if spec.rule is Rule.MONOTONE else nu < phi
-        values[:, u] = col
+        counts = values[:, indices[indptr[u]:indptr[u + 1]]].sum(axis=1)
+        values[:, u] = (counts >= net.cutoff[u]) != net.antagonistic[u]
     out_names = tuple(circuit.outputs)
     out_ids = [circuit.outputs[name] for name in out_names]
     rows = tuple(tuple(int(b) for b in row) for row in values[:, out_ids])

@@ -24,8 +24,7 @@ from .circuit import (Basis, compile_expr, load_circuit, save_circuit,
                       truth_table, evaluate)
 from .engine import ExplicitOrder, RandomSweep, Topological, is_global, run_cascade
 from .experiments import (GlobalFraction, MedianExceedance, SweepSpec,
-                          cascade_sizes, emit_csv, reference_sizes,
-                          rows_from_sizes)
+                          emit_csv, rows_from_sizes, sweep_sizes)
 from .net import (NetworkFormatError, Rule, UNIFORM, assign_thresholds,
                   generate_er, load_network, save_network, stats)
 from .parser import ParseError
@@ -292,9 +291,7 @@ def _cmd_sweep(args) -> int:
         seeds_per_run=args.seeds_per_run,
         metric=_parse_metric(args.metric),
     )
-    sizes = cascade_sizes(spec, jobs=args.jobs)
-    reference = (reference_sizes(spec, jobs=args.jobs)
-                 if isinstance(spec.metric, MedianExceedance) else None)
+    sizes, reference = sweep_sizes(spec, jobs=args.jobs)
     rows = rows_from_sizes(spec, sizes, reference)
     if args.dump_sizes is not None:
         dump = [{"z": z, "sizes": sizes[zi].tolist()}

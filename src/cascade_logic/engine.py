@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from ._seeds import make_rng
-from .net import Network, Rule
+from .net import Network, Rule, cutoff, seed_ids
 
 # A configuration is just the set of currently labeled node ids.
 Configuration = frozenset
@@ -69,18 +68,6 @@ class CascadeResult:
     passes: int
 
 
-def neighbor_fraction(network: Network, config, u: int) -> float:
-    """Fraction of u's neighbors (in-neighbors when directed) in `config`.
-
-    Degree-0 nodes have fraction 0 by convention.
-    """
-    nbrs = network.in_neighbors[u]
-    if not nbrs:
-        return 0.0
-    labeled = sum(1 for v in nbrs if v in config)
-    return labeled / len(nbrs)
-
-
 def fires(rule: Rule, nu, phi) -> bool:
     """The labeling predicate: MONOTONE fires at nu >= phi, ANTAGONISTIC at nu < phi.
 
@@ -94,15 +81,8 @@ def fires(rule: Rule, nu, phi) -> bool:
 
 
 def count_fires(rule: Rule, labeled: int, degree: int, phi) -> bool:
-    """`fires` on the (labeled count, degree) pair, exact for Fraction phi."""
-    if degree == 0:
-        return (phi <= 0) if rule is Rule.MONOTONE else (phi > 0)
-    if isinstance(phi, Fraction):
-        lhs = labeled * phi.denominator
-        rhs = phi.numerator * degree
-        return lhs >= rhs if rule is Rule.MONOTONE else lhs < rhs
-    nu = labeled / degree
-    return nu >= phi if rule is Rule.MONOTONE else nu < phi
+    """`fires` on the (labeled count, degree) pair, through the integer cutoff."""
+    return (labeled >= cutoff(phi, degree)) != (rule is Rule.ANTAGONISTIC)
 
 
 def tlu_fires(weights: Sequence[float], inputs: Sequence, degree: int, phi) -> bool:
@@ -128,7 +108,7 @@ def topological_order(network: Network) -> tuple[int, ...]:
     if not network.directed:
         raise ValueError("topological order requires a directed network")
     n = network.n
-    indeg = list(network.in_degrees)
+    indeg = network.graph.degrees.tolist()
     ready = [u for u in range(n) if indeg[u] == 0]
     heapq.heapify(ready)
     out = network.out_neighbors
@@ -156,83 +136,63 @@ def run_cascade(network: Network, seeds: Optional[Iterable[int]],
     if not network.thresholds_assigned:
         raise ValueError("thresholds not assigned; call assign_thresholds first")
     n = network.n
-    seed_set = network.seeds if seeds is None else frozenset(int(s) for s in seeds)
-    for s in seed_set:
-        if not 0 <= s < n:
-            raise ValueError(f"seed {s} is not a node id")
-
-    mono = Rule.MONOTONE
-    rules = [spec.rule for spec in network.nodes]
-    phis = [spec.phi for spec in network.nodes]
-    out = network.out_neighbors
-    in_deg = network.in_degrees
-    labels = [False] * n
-    counts = [0] * n  # labeled in-neighbors, maintained incrementally
-    labeling_order: list[int] = []
-
-    for s in seed_set:
-        labels[s] = True
-    for s in seed_set:
-        for v in out[s]:
-            counts[v] += 1
-
-    def examine(u: int) -> bool:
-        deg = in_deg[u]
-        phi = phis[u]
-        if deg == 0:
-            hit = (phi <= 0) if rules[u] is mono else (phi > 0)
-        elif isinstance(phi, Fraction):
-            lhs = counts[u] * phi.denominator
-            rhs = phi.numerator * deg
-            hit = (lhs >= rhs) if rules[u] is mono else (lhs < rhs)
-        else:
-            nu = counts[u] / deg
-            hit = (nu >= phi) if rules[u] is mono else (nu < phi)
-        if hit:
-            labels[u] = True
-            for v in out[u]:
-                counts[v] += 1
-            labeling_order.append(u)
-        return hit
-
-    passes = 0
+    seed_set = network.seeds if seeds is None else seed_ids(seeds, n)
+    repeat = True  # pass until one labels nothing
     if isinstance(mode, RandomSweep):
         rng = make_rng(mode.rng_seed)
-        while True:
-            passes += 1
-            pending = [u for u in range(n) if not labels[u]]
-            changed = 0
-            if pending:
-                for u in rng.permutation(np.asarray(pending, dtype=np.int64)).tolist():
-                    changed += examine(u)
-            if changed == 0:
-                break
+
+        def next_pass():
+            pending = np.flatnonzero(np.frombuffer(labels, dtype=np.uint8) == 0)
+            return rng.permutation(pending).tolist()
     elif isinstance(mode, ExplicitOrder):
         missing = set(range(n)) - seed_set - set(mode.order)
         if missing:
             raise ValueError(
                 f"explicit order must mention every non-seed node; missing {sorted(missing)}"
             )
-        while True:
-            passes += 1
-            changed = 0
-            for u in mode.order:
-                if not 0 <= u < n:
-                    raise ValueError(f"order entry {u} is not a node id")
-                if labels[u]:
-                    continue
-                changed += examine(u)
-            if changed == 0:
-                break
+        for u in mode.order:
+            if not 0 <= u < n:
+                raise ValueError(f"order entry {u} is not a node id")
+
+        def next_pass():
+            return mode.order
     elif isinstance(mode, Topological):
-        passes = 1
-        for u in topological_order(network):
-            if not labels[u]:
-                examine(u)
+        repeat = False
+        single_pass = topological_order(network)
+
+        def next_pass():
+            return single_pass
     else:
         raise TypeError(f"unknown schedule mode {mode!r}")
 
-    final = frozenset(u for u in range(n) if labels[u])
+    cut = network.cutoff.tolist()
+    anti = network.antagonistic.tolist()
+    out = network.out_neighbors
+    labels = bytearray(n)
+    counts = [0] * n  # labeled in-neighbors, maintained incrementally
+    labeling_order: list[int] = []
+    for s in seed_set:
+        labels[s] = 1
+        for v in out[s]:
+            counts[v] += 1
+
+    passes = 0
+    while True:
+        passes += 1
+        changed = False
+        for u in next_pass():
+            # MONOTONE fires at count >= cutoff, ANTAGONISTIC below it
+            if labels[u] or (counts[u] >= cut[u]) == anti[u]:
+                continue
+            labels[u] = 1
+            changed = True
+            labeling_order.append(u)
+            for v in out[u]:
+                counts[v] += 1
+        if not changed or not repeat:
+            break
+
+    final = seed_set.union(labeling_order)
     return CascadeResult(
         final=final,
         size_fraction=len(final) / n,

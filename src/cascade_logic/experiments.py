@@ -12,14 +12,13 @@ SplitMix64 mixing, so results are byte-identical for any worker count.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ._seeds import GENERATOR_NAME, make_rng, mix_seed
+from ._seeds import GENERATOR_NAME, make_rng, map_tasks, mix_seed
 from .engine import RandomSweep, run_cascade
 from .net import Rule, assign_thresholds, generate_er
 
@@ -87,45 +86,55 @@ class SweepRow:
     realizations: int
 
 
-def _realization_size(spec: SweepSpec, zi: int, r: int) -> float:
+def _realization_sizes(args) -> tuple[float, ...]:
+    """One realization's graph and seed nodes, and the cascade size under
+    each of the given rules."""
+    spec, rules, zi, r = args
     base = mix_seed(spec.master_seed, zi, r)
     p = spec.z_values[zi] / (spec.n - 1)
     graph = generate_er(spec.n, p, mix_seed(base, 0))
-    network = assign_thresholds(graph, spec.phi_star, spec.rule)
-    seed_nodes = make_rng(mix_seed(base, 1)).permutation(spec.n)[: spec.seeds_per_run]
-    result = run_cascade(network, (int(s) for s in seed_nodes),
-                         RandomSweep(mix_seed(base, 2)))
-    return result.size_fraction
+    seed_nodes = [int(s) for s in
+                  make_rng(mix_seed(base, 1)).permutation(spec.n)[: spec.seeds_per_run]]
+    return tuple(run_cascade(assign_thresholds(graph, spec.phi_star, rule), seed_nodes,
+                             RandomSweep(mix_seed(base, 2))).size_fraction
+                 for rule in rules)
 
 
-def _size_task(args) -> float:
-    spec, zi, r = args
-    return _realization_size(spec, zi, r)
+def _sizes_by_rule(spec: SweepSpec, rules: Sequence[Rule],
+                   jobs: Optional[int]) -> list[list[np.ndarray]]:
+    """Per rule, per z value, the cascade size of every realization, in
+    realization order; every rule runs on the same graphs and seed nodes."""
+    tasks = [(spec, tuple(rules), zi, r)
+             for zi in range(len(spec.z_values))
+             for r in range(spec.realizations)]
+    # copied, so each per-z row is contiguous like a freshly built array
+    by_rule = np.array(map_tasks(_realization_sizes, tasks, jobs)).T.copy()
+    return [list(sizes.reshape(len(spec.z_values), spec.realizations)) for sizes in by_rule]
 
 
 def cascade_sizes(spec: SweepSpec, jobs: Optional[int] = None) -> list[np.ndarray]:
     """Per z value, the cascade size of every realization, in realization order."""
-    tasks = [(spec, zi, r)
-             for zi in range(len(spec.z_values))
-             for r in range(spec.realizations)]
-    if jobs and jobs > 1:
-        chunk = max(1, len(tasks) // (jobs * 4))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            flat = list(pool.map(_size_task, tasks, chunksize=chunk))
-    else:
-        flat = [_size_task(t) for t in tasks]
-    per_z = []
-    for zi in range(len(spec.z_values)):
-        start = zi * spec.realizations
-        per_z.append(np.asarray(flat[start:start + spec.realizations]))
-    return per_z
+    return _sizes_by_rule(spec, (spec.rule,), jobs)[0]
 
 
 def reference_sizes(spec: SweepSpec, jobs: Optional[int] = None) -> list[np.ndarray]:
     """Sizes of the MONOTONE-rule reference sweep on the same graphs and seeds."""
-    if spec.rule is Rule.MONOTONE:
-        return cascade_sizes(spec, jobs)
-    return cascade_sizes(replace(spec, rule=Rule.MONOTONE), jobs)
+    return _sizes_by_rule(spec, (Rule.MONOTONE,), jobs)[0]
+
+
+def sweep_sizes(spec: SweepSpec, jobs: Optional[int] = None
+                ) -> tuple[list[np.ndarray], Optional[list[np.ndarray]]]:
+    """The sweep's sizes and, for MedianExceedance, its reference sizes.
+
+    Each realization's graph is built once and runs every rule the metric
+    needs; a MONOTONE sweep is its own reference.
+    """
+    median = isinstance(spec.metric, MedianExceedance)
+    rules = [spec.rule]
+    if median and spec.rule is not Rule.MONOTONE:
+        rules.append(Rule.MONOTONE)
+    per_rule = _sizes_by_rule(spec, rules, jobs)
+    return per_rule[0], per_rule[-1] if median else None
 
 
 def rows_from_sizes(spec: SweepSpec, sizes: Sequence[np.ndarray],
@@ -133,7 +142,7 @@ def rows_from_sizes(spec: SweepSpec, sizes: Sequence[np.ndarray],
     """Aggregate raw sizes into per-z rows, ordered by ascending z.
 
     MedianExceedance needs the reference sweep's sizes (see
-    :func:`reference_sizes`); GlobalFraction ignores them.
+    :func:`sweep_sizes`); GlobalFraction ignores them.
     """
     if isinstance(spec.metric, MedianExceedance) and reference is None:
         raise ValueError("MedianExceedance needs the reference sweep's sizes")
@@ -152,10 +161,7 @@ def rows_from_sizes(spec: SweepSpec, sizes: Sequence[np.ndarray],
 
 def run_sweep(spec: SweepSpec, jobs: Optional[int] = None) -> list[SweepRow]:
     """Run the whole sweep; identical output for any `jobs` value."""
-    sizes = cascade_sizes(spec, jobs)
-    if isinstance(spec.metric, MedianExceedance):
-        return rows_from_sizes(spec, sizes, reference_sizes(spec, jobs))
-    return rows_from_sizes(spec, sizes)
+    return rows_from_sizes(spec, *sweep_sizes(spec, jobs))
 
 
 def metric_name(metric: Metric) -> str:

@@ -1,22 +1,24 @@
 """Cascade networks: random and hand-built graphs, thresholds, statistics, files.
 
-Networks are immutable simple graphs. Each node carries a labeling rule and
-a threshold ``phi``; thresholds may be floats (random or constant draws) or
-exact ``Fraction`` values (compiler-assigned), and the engine compares them
-exactly in either case.
+A :class:`Network` is a :class:`Graph` held as compressed sparse rows, plus a
+per-node rule mask and threshold ``phi``. Each threshold, float or exact
+``Fraction``, becomes an integer :func:`cutoff` on the labeled in-neighbor
+count: a monotone node fires iff the count reaches it, an antagonistic node
+iff the count stays below it. Assigning thresholds shares the graph and its
+cached adjacency views.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Union
 
 import numpy as np
 
@@ -51,84 +53,193 @@ class NodeSpec:
             raise ValueError(f"phi must lie in [0, 1], got {self.phi}")
 
 
-@dataclass(frozen=True)
+def cutoff(phi: PhiValue, degree: int) -> int:
+    """The least labeled count c with c / degree >= phi; 0 if phi <= 0 else 1
+    at degree 0, where the fraction is 0 by convention.
+
+    Float thresholds compare with the float quotient, which is monotone in c
+    because division is correctly rounded; Fraction thresholds compare exactly.
+    """
+    if degree == 0:
+        return 0 if phi <= 0 else 1
+    if isinstance(phi, Fraction):
+        return -(-phi.numerator * degree // phi.denominator)
+    # the rounded ceil(phi * degree) is at most one above the answer
+    c = max(0, math.ceil(phi * degree) - 1)
+    while c / degree < phi:
+        c += 1
+    return c
+
+
+def seed_ids(seeds: Iterable[int], n: int) -> frozenset[int]:
+    """`seeds` as a set of node ids, each checked to lie in 0..n-1."""
+    ids = frozenset(int(s) for s in seeds)
+    for s in ids:
+        if not 0 <= s < n:
+            raise ValueError(f"seed {s} is not a node id")
+    return ids
+
+
+def _frozen(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
+
+
+def _csr(n: int, heads: np.ndarray, tails: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group `tails` by `heads`, keeping input order within each group."""
+    # integer sorts of 16 bits or less are radix sorts: linear time
+    order = np.argsort(heads.astype(np.min_scalar_type(n)), kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(heads, minlength=n), out=indptr[1:])
+    return indptr, tails[order]
+
+
+def _rows(indptr: np.ndarray, indices: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    flat, ptr = indices.tolist(), indptr.tolist()
+    return tuple([tuple(flat[a:b]) for a, b in zip(ptr, ptr[1:])])
+
+
+@dataclass(frozen=True, eq=False)
+class Graph:
+    """A simple graph on nodes 0..n-1 in compressed sparse row form.
+
+    ``src`` and ``dst`` hold the edges in input order, undirected ones as
+    (u, v) with u < v. The in-neighbors of v (all its neighbors when
+    undirected) are ``indices[indptr[v]:indptr[v + 1]]``, in edge order.
+    """
+
+    n: int
+    directed: bool
+    src: np.ndarray
+    dst: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    degrees: np.ndarray  # in-degree of every node
+
+    @classmethod
+    def from_edges(cls, n: int, directed: bool, src, dst) -> "Graph":
+        """Validate an edge list: no missing nodes, self-loops or duplicates."""
+        src, dst = np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
+        lo, hi = np.minimum(src, dst), np.maximum(src, dst)
+        bad = np.flatnonzero((lo < 0) | (hi >= n) | (lo == hi))
+        if bad.size:
+            u, v = int(src[bad[0]]), int(dst[bad[0]])
+            if u == v and 0 <= u < n:
+                raise ValueError(f"self-loop at node {u}")
+            raise ValueError(f"edge ({u}, {v}) references a missing node")
+        if not directed:
+            src, dst = lo, hi
+        keys = src * n + dst
+        order = np.argsort(keys, kind="stable")
+        repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
+        if repeats.size:
+            i = repeats.min()
+            raise ValueError(f"duplicate edge ({src[i]}, {dst[i]})")
+        if directed:
+            indptr, indices = _csr(n, dst, src)
+        else:  # each edge lists v under u and u under v
+            indptr, indices = _csr(n, np.column_stack((dst, src)).ravel(),
+                                   np.column_stack((src, dst)).ravel())
+        degrees = np.diff(indptr)
+        _frozen(src, dst, indptr, indices, degrees)
+        return cls(n, directed, src, dst, indptr, indices, degrees)
+
+    @cached_property
+    def in_neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Per node, the nodes whose labels count toward its fraction."""
+        return _rows(self.indptr, self.indices)
+
+    @cached_property
+    def out_neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Per node, the nodes whose fraction changes when it is labeled."""
+        if not self.directed:
+            return self.in_neighbors
+        return _rows(*_csr(self.n, self.src, self.dst))
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class Network:
     """An immutable simple graph with per-node rules and thresholds.
 
-    Undirected edges are stored once as (u, v) with u < v (the constructor
-    normalizes); directed edges are (source, destination) pairs. Self-loops
-    and duplicate edges are rejected. ``thresholds_assigned`` is False for
-    freshly generated graphs until :func:`assign_thresholds` runs; the engine
-    refuses to cascade on unassigned networks. Instances are safe to share
-    read-only across workers.
+    The constructor takes node specs and (u, v) edges, stored as (min, max)
+    when undirected. ``antagonistic``, ``phi`` and ``cutoff`` are None on a
+    freshly generated graph until :func:`assign_thresholds` runs; the engine
+    refuses to cascade on such unassigned networks. ``nodes``, ``edges`` and
+    the neighbor tuples are views derived on first use.
     """
 
-    nodes: tuple[NodeSpec, ...]
-    directed: bool
-    edges: tuple[tuple[int, int], ...]
-    seeds: frozenset[int] = frozenset()
-    thresholds_assigned: bool = field(default=True, compare=False)
+    graph: Graph
+    antagonistic: Optional[np.ndarray]
+    phi: Optional[tuple[PhiValue, ...]]
+    cutoff: Optional[np.ndarray]
+    seeds: frozenset[int]
 
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        object.__setattr__(self, "seeds", frozenset(int(s) for s in self.seeds))
-        n = len(self.nodes)
-        if n == 0:
+    def __init__(self, nodes: Iterable[NodeSpec], directed: bool,
+                 edges: Iterable[tuple[int, int]], seeds: Iterable[int] = frozenset()):
+        nodes = tuple(nodes)
+        if not nodes:
             raise ValueError("network must have at least one node")
-        for i, spec in enumerate(self.nodes):
+        for i, spec in enumerate(nodes):
             if spec.id != i:
                 raise ValueError(
                     f"node ids must be dense and ordered: position {i} holds id {spec.id}"
                 )
-        normalized = []
-        seen = set()
-        for u, v in self.edges:
-            u, v = int(u), int(v)
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) references a missing node")
-            if u == v:
-                raise ValueError(f"self-loop at node {u}")
-            if not self.directed and u > v:
-                u, v = v, u
-            if (u, v) in seen:
-                raise ValueError(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
-            normalized.append((u, v))
-        object.__setattr__(self, "edges", tuple(normalized))
-        for s in self.seeds:
-            if not 0 <= s < n:
-                raise ValueError(f"seed {s} is not a node id")
+        pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+        graph = Graph.from_edges(len(nodes), directed, pairs[:, 0], pairs[:, 1])
+        phi = tuple(spec.phi for spec in nodes)
+        cutoffs = [cutoff(p, d) for p, d in zip(phi, graph.degrees.tolist())]
+        self._fill(graph, [spec.rule is Rule.ANTAGONISTIC for spec in nodes],
+                   phi, cutoffs, seeds)
 
-    @property
-    def n(self) -> int:
-        return len(self.nodes)
+    @classmethod
+    def _of(cls, graph: Graph, antagonistic, phi, cutoffs, seeds=frozenset()) -> "Network":
+        network = cls.__new__(cls)
+        network._fill(graph, antagonistic, phi, cutoffs, seeds)
+        return network
+
+    def _fill(self, graph, antagonistic, phi, cutoffs, seeds) -> None:
+        seeds = seed_ids(seeds, graph.n)
+        if phi is not None:
+            antagonistic = np.asarray(antagonistic, dtype=bool)
+            cutoffs = np.asarray(cutoffs, dtype=np.int64)
+            _frozen(antagonistic, cutoffs)
+        for name, value in (("graph", graph), ("antagonistic", antagonistic),
+                            ("phi", phi), ("cutoff", cutoffs), ("seeds", seeds)):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if not isinstance(other, Network):
+            return NotImplemented
+        a, b = self.graph, other.graph
+        return ((a.n, a.directed, self.seeds, self.phi)
+                == (b.n, b.directed, other.seeds, other.phi)
+                and all(map(np.array_equal, (a.src, a.dst, self.antagonistic),
+                            (b.src, b.dst, other.antagonistic))))
+
+    def __hash__(self):
+        return hash((self.n, self.directed, self.seeds, self.phi))
+
+    def __repr__(self):
+        return (f"Network(n={self.n}, directed={self.directed}, edges={self.graph.src.size}, "
+                f"seeds={sorted(self.seeds)}, assigned={self.thresholds_assigned})")
+
+    # views of the graph
+    n = property(lambda self: self.graph.n)
+    directed = property(lambda self: self.graph.directed)
+    edges = property(lambda self: tuple(zip(self.graph.src.tolist(),
+                                            self.graph.dst.tolist())))
+    in_neighbors = property(lambda self: self.graph.in_neighbors)
+    out_neighbors = property(lambda self: self.graph.out_neighbors)
+    in_degrees = property(lambda self: tuple(self.graph.degrees.tolist()))
+    thresholds_assigned = property(lambda self: self.cutoff is not None)
 
     @cached_property
-    def in_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """Per node, the nodes whose labels count toward its fraction.
-
-        For undirected networks this is the plain neighbor list.
-        """
-        acc: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            acc[v].append(u)
-            if not self.directed:
-                acc[u].append(v)
-        return tuple(tuple(a) for a in acc)
-
-    @cached_property
-    def out_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """Per node, the nodes whose fraction changes when it gets labeled."""
-        if not self.directed:
-            return self.in_neighbors
-        acc: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            acc[u].append(v)
-        return tuple(tuple(a) for a in acc)
-
-    @cached_property
-    def in_degrees(self) -> tuple[int, ...]:
-        return tuple(len(a) for a in self.in_neighbors)
+    def nodes(self) -> tuple[NodeSpec, ...]:
+        if not self.thresholds_assigned:
+            raise ValueError("thresholds not assigned; call assign_thresholds first")
+        rules = (Rule.MONOTONE, Rule.ANTAGONISTIC)
+        return tuple(NodeSpec(i, rules[a], p)
+                     for i, (a, p) in enumerate(zip(self.antagonistic.tolist(), self.phi)))
 
 
 @dataclass(frozen=True)
@@ -186,9 +297,8 @@ def _pair_from_linear(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 def generate_er(n: int, p: float, rng_seed: int) -> Network:
     """Erdős–Rényi G(n, p): each of the n(n-1)/2 pairs kept with probability p.
 
-    Deterministic for fixed (n, p, rng_seed). Nodes get placeholder
-    thresholds (MONOTONE, phi=0) and the result is flagged unassigned;
-    call :func:`assign_thresholds` before running cascades.
+    Deterministic for fixed (n, p, rng_seed). The result has no thresholds
+    yet; call :func:`assign_thresholds` before running cascades.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -197,30 +307,35 @@ def generate_er(n: int, p: float, rng_seed: int) -> Network:
     m = n * (n - 1) // 2
     positions = _bernoulli_positions(m, p, make_rng(rng_seed))
     us, vs = _pair_from_linear(positions, n)
-    nodes = tuple(NodeSpec(i, Rule.MONOTONE, 0.0) for i in range(n))
-    edges = tuple(zip(us.tolist(), vs.tolist()))
-    return Network(nodes=nodes, directed=False, edges=edges, seeds=frozenset(),
-                   thresholds_assigned=False)
+    return Network._of(Graph.from_edges(n, False, us, vs), None, None, None)
 
 
 def assign_thresholds(network: Network, phi, rule: Rule,
                       rng_seed: Optional[int] = None) -> Network:
-    """Return a copy of `network` with every node given `rule` and a threshold.
+    """Return `network` with every node given `rule` and a threshold.
 
     ``phi=UNIFORM`` draws thresholds independently from U[0, 1) and requires
     an ``rng_seed``; a real value in [0, 1] (float or Fraction) is assigned
-    as a constant. Pure: same arguments, same result.
+    as a constant. The result shares the input's graph. Pure: same
+    arguments, same result.
     """
+    if not isinstance(rule, Rule):
+        raise ValueError(f"rule must be a Rule, got {rule!r}")
+    graph = network.graph
+    degrees = graph.degrees
     if phi == UNIFORM:
         if rng_seed is None:
             raise ValueError("uniform threshold assignment requires rng_seed")
-        values: Sequence[PhiValue] = make_rng(rng_seed).random(network.n).tolist()
+        values = tuple(make_rng(rng_seed).random(graph.n).tolist())
+        cutoffs = [cutoff(p, d) for p, d in zip(values, degrees.tolist())]
     else:
         if not 0 <= phi <= 1:
             raise ValueError(f"constant phi must lie in [0, 1], got {phi}")
-        values = [phi] * network.n
-    nodes = tuple(NodeSpec(i, rule, values[i]) for i in range(network.n))
-    return replace(network, nodes=nodes, thresholds_assigned=True)
+        values = (phi,) * graph.n
+        by_degree = [cutoff(phi, d) for d in range(int(degrees.max()) + 1)]
+        cutoffs = np.asarray(by_degree)[degrees]
+    return Network._of(graph, np.full(graph.n, rule is Rule.ANTAGONISTIC), values,
+                       cutoffs, network.seeds)
 
 
 def stats(network: Network) -> NetworkStats:
@@ -242,10 +357,11 @@ def stats(network: Network) -> NetworkStats:
             continue
         links = sum(1 for a, b in combinations(nbrs, 2) if b in adj_sets[a])
         total += links / (d * (d - 1) / 2)
+    edge_count = network.graph.src.size
     return NetworkStats(
         n=network.n,
-        edge_count=len(network.edges),
-        mean_degree=2 * len(network.edges) / network.n,
+        edge_count=edge_count,
+        mean_degree=2 * edge_count / network.n,
         clustering_coefficient=total / network.n,
     )
 
@@ -380,8 +496,8 @@ def load_bundle(source) -> NetworkBundle:
     seeds = [_as_index(s, f"seeds[{i}]") for i, s in enumerate(doc["seeds"])]
 
     try:
-        network = Network(nodes=nodes, directed=doc["directed"], edges=tuple(edges),
-                          seeds=frozenset(seeds), thresholds_assigned=True)
+        network = Network(nodes=nodes, directed=doc["directed"], edges=edges,
+                          seeds=seeds)
     except ValueError as e:
         raise NetworkFormatError(str(e)) from None
 

@@ -10,6 +10,18 @@ from __future__ import annotations
 from cascade_logic import fires
 
 
+def neighbor_fraction(network, config, u: int) -> float:
+    """Fraction of u's neighbors (in-neighbors when directed) in `config`.
+
+    Degree-0 nodes have fraction 0 by convention.
+    """
+    nbrs = network.in_neighbors[u]
+    if not nbrs:
+        return 0.0
+    labeled = sum(1 for v in nbrs if v in config)
+    return labeled / len(nbrs)
+
+
 def naive_cascade(network, seeds, order):
     """Pass-based cascade that rescans neighbors on every examination.
 
@@ -23,10 +35,8 @@ def naive_cascade(network, seeds, order):
         for u in order:
             if u in labeled:
                 continue
-            nbrs = network.in_neighbors[u]
             spec = network.nodes[u]
-            nu = sum(1 for v in nbrs if v in labeled) / len(nbrs) if nbrs else 0.0
-            if fires(spec.rule, nu, spec.phi):
+            if fires(spec.rule, neighbor_fraction(network, labeled, u), spec.phi):
                 labeled.add(u)
                 history.append(u)
                 changed = True

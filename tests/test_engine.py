@@ -1,13 +1,14 @@
+import math
 from fractions import Fraction
 
 import pytest
 
 from cascade_logic import (ExplicitOrder, Network, NodeSpec, RandomSweep, Rule,
-                           Topological, fires, is_global, make_rng, mix_seed,
-                           neighbor_fraction, run_cascade, tlu_fires,
+                           Topological, count_fires, cutoff, fires, is_global,
+                           make_rng, mix_seed, run_cascade, tlu_fires,
                            topological_order)
 from conftest import assert_stable, random_instance
-from oracles import naive_cascade
+from oracles import naive_cascade, neighbor_fraction
 
 
 def two_node_path(directed=False):
@@ -50,6 +51,38 @@ class TestFires:
     def test_exact_fraction_comparison(self):
         assert fires(Rule.MONOTONE, Fraction(1, 3), Fraction(1, 3))
         assert not fires(Rule.ANTAGONISTIC, Fraction(1, 3), Fraction(1, 3))
+
+
+def boundary_phis(d):
+    """Thresholds at and next to every tie point k/d, as floats and Fractions."""
+    floats = {0.0, 1.0, 0.18}
+    floats.update(k / d for k in range(1, d))
+    floats.update({math.nextafter(x, 0.0) for x in floats}
+                  | {math.nextafter(x, 1.0) for x in floats})
+    eps = Fraction(1, 10 ** 9)
+    exact = {Fraction(0), Fraction(1), Fraction(1, 3), Fraction(2, 3), Fraction(9, 50)}
+    exact.update(Fraction(k, d) for k in range(1, d))
+    exact.update({x + e for x in exact for e in (eps, -eps) if 0 <= x + e <= 1})
+    return sorted(floats), sorted(exact)
+
+
+class TestCutoffPredicate:
+    @pytest.mark.parametrize("rule", [Rule.MONOTONE, Rule.ANTAGONISTIC])
+    def test_matches_fires_at_every_count(self, rule):
+        # degree 0 has fraction 0 by convention
+        for d in range(65):
+            floats, exact = boundary_phis(d)
+            for phi in floats + exact:
+                cut = cutoff(phi, d)
+                for c in range(d + 1):
+                    if isinstance(phi, Fraction):
+                        nu = Fraction(c, d) if d else Fraction(0)
+                    else:
+                        nu = c / d if d else 0.0
+                    expected = fires(rule, nu, phi)
+                    assert ((c >= cut) != (rule is Rule.ANTAGONISTIC)) == expected, \
+                        (rule, c, d, phi)
+                    assert count_fires(rule, c, d, phi) == expected, (rule, c, d, phi)
 
 
 class TestTluFires:

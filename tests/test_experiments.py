@@ -1,11 +1,16 @@
 import io
+import os
 
 import numpy as np
 import pytest
 
+import cascade_logic.experiments as experiments
 from cascade_logic import (GlobalFraction, MedianExceedance, Rule, SweepSpec,
                            cascade_sizes, emit_csv, parse_csv, reference_sizes,
-                           rows_from_sizes, run_sweep)
+                           rows_from_sizes, run_sweep, verify_gcm_determinism)
+from cascade_logic import _seeds
+from cascade_logic._seeds import worker_count
+from cascade_logic.cli import main
 
 
 def small_spec(**overrides):
@@ -48,6 +53,41 @@ class TestDeterminism:
         serial = cascade_sizes(spec, jobs=1)
         parallel = cascade_sizes(spec, jobs=4)
         assert all(np.array_equal(x, y) for x, y in zip(serial, parallel))
+
+    def test_worker_count_is_clamped(self):
+        cpus = os.cpu_count() or 1
+        assert worker_count(10**6, 30) == min(cpus, 30)
+        assert worker_count(10**6, 1) == 1
+        assert worker_count(2, 30) == min(2, cpus)
+        assert worker_count(None, 30) == 1
+        assert worker_count(0, 30) == 1
+
+    def test_pools_start_the_clamped_worker_count(self, monkeypatch):
+        # a stand-in pool records its size and runs in-process
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(_seeds, "ProcessPoolExecutor", SerialPool)
+        spec = small_spec(z_values=(2.0,), realizations=3)
+        serial = cascade_sizes(spec, jobs=1)
+        assert started == []
+        clamped = cascade_sizes(spec, jobs=10**6)
+        assert all(np.array_equal(x, y) for x, y in zip(serial, clamped))
+        verify_gcm_determinism(8, 2.0, 3, 1, jobs=10**6)
+        expected = worker_count(10**6, 3)
+        assert started == ([expected] * 2 if expected > 1 else [])
 
     def test_csv_bytes_are_reproducible(self):
         spec = small_spec(metric=MedianExceedance())
@@ -116,6 +156,35 @@ class TestSizesAndMetrics:
             assert np.all(arr >= 5 / spec.n)
 
 
+class TestOneGraphPerRealization:
+    @pytest.mark.parametrize("rule, runs_per_graph",
+                             [(Rule.ANTAGONISTIC, 2), (Rule.MONOTONE, 1)])
+    def test_median_sweep_builds_each_graph_once(self, monkeypatch, tmp_path,
+                                                 rule, runs_per_graph):
+        calls = {"generate_er": 0, "run_cascade": 0}
+
+        def counted(name):
+            original = getattr(experiments, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(experiments, name, counted(name))
+        spec = small_spec(rule=rule, metric=MedianExceedance())
+        graphs = len(spec.z_values) * spec.realizations
+        run_sweep(spec, jobs=1)
+        assert calls == {"generate_er": graphs, "run_cascade": runs_per_graph * graphs}
+        calls.update(generate_er=0, run_cascade=0)
+        assert main(["sweep", "--n", "80", "--z", "1:4:1.5", "--phi", "0.18",
+                     "--rule", rule.value, "--realizations", "10",
+                     "--metric", "median", "--seed", "42", "--jobs", "1",
+                     "--out", str(tmp_path / "sweep.csv")]) == 0
+        assert calls == {"generate_er": graphs, "run_cascade": runs_per_graph * graphs}
+
+
 class TestCsv:
     def test_format_contract(self):
         spec = small_spec(z_values=(2.0,), realizations=4)
@@ -175,6 +244,21 @@ class TestRegressionPin:
             "1,12,1,0.671528,0.670833\n"
             "3,12,0,0.463194,0.466667\n"
             "6,12,0,0.374306,0.375\n")
+
+    def test_pinned_monotone_median_csv(self):
+        # the monotone sweep is its own median reference
+        spec = SweepSpec(n=120, z_values=(1.0, 3.0, 6.0), phi_star=0.18,
+                         rule=Rule.MONOTONE, realizations=12,
+                         master_seed=2718, metric=MedianExceedance())
+        buf = io.StringIO()
+        emit_csv(run_sweep(spec), buf, spec=spec)
+        assert buf.getvalue() == (
+            "# metric=median, phi_star=0.18, n=120, rule=gcm, "
+            "master_seed=2718, generator=numpy-pcg64\n"
+            "z,realizations,frequency,mean_size,median_size\n"
+            "1,12,0.5,0.134722,0.0833333\n"
+            "3,12,0.416667,0.715972,0.941667\n"
+            "6,12,0.5,0.50625,0.5125\n")
 
     def test_pinned_monotone_row(self):
         spec = SweepSpec(n=120, z_values=(2.0,), phi_star=0.18,

@@ -129,9 +129,14 @@ class TestAssignThresholds:
 
     def test_original_is_untouched(self):
         base = generate_er(10, 0.3, 2)
-        assign_thresholds(base, 0.3, Rule.MONOTONE)
-        assert all(s.phi == 0.0 for s in base.nodes)
+        edges = base.edges
+        assigned = assign_thresholds(base, 0.3, Rule.MONOTONE)
+        assert base.phi is None and base.cutoff is None
         assert not base.thresholds_assigned
+        with pytest.raises(ValueError, match="thresholds"):
+            base.nodes
+        assert base.edges == edges
+        assert assigned.graph is base.graph  # topology is shared, not copied
 
 
 class TestStats:
@@ -207,6 +212,36 @@ class TestNetworkValidation:
     def test_phi_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="phi"):
             NodeSpec(0, Rule.MONOTONE, 1.25)
+
+
+class TestAdjacencyViews:
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_views_match_edge_list_scan(self, directed):
+        # neighbor tuples list the edges in input order, as a plain scan does
+        rng = np.random.default_rng(17)
+        for case in range(30):
+            n = 2 + case % 15
+            pairs = {tuple(int(x) for x in rng.choice(n, 2, replace=False))
+                     for _ in range(3 * n)}
+            if not directed:  # one orientation per pair, either way round
+                pairs = {p for p in pairs if p[0] < p[1] or (p[1], p[0]) not in pairs}
+            edges = sorted(pairs)
+            rng.shuffle(edges)
+            nodes = tuple(NodeSpec(i, Rule.MONOTONE, 0.5) for i in range(n))
+            net = Network(nodes=nodes, directed=directed, edges=edges)
+            stored = [(min(u, v), max(u, v)) if not directed else (u, v) for u, v in edges]
+            assert net.edges == tuple(stored)
+            ins = [[] for _ in range(n)]
+            outs = [[] for _ in range(n)]
+            for u, v in stored:
+                ins[v].append(u)
+                outs[u].append(v)
+                if not directed:
+                    ins[u].append(v)
+                    outs[v].append(u)
+            assert net.in_neighbors == tuple(tuple(a) for a in ins)
+            assert net.out_neighbors == tuple(tuple(a) for a in outs)
+            assert net.in_degrees == tuple(len(a) for a in ins)
 
 
 class TestSerialization:
