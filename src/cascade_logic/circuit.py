@@ -14,6 +14,7 @@ labeled set under the topological schedule.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -110,7 +111,7 @@ class CompiledCircuit:
     def __post_init__(self):
         if not self.network.directed:
             raise ValueError("a circuit network must be directed")
-        topological_order(self.network)  # raises on cycles
+        order = topological_order(self.network)  # raises on cycles
         n = self.network.n
         in_deg = self.network.in_degrees
         if not self.inputs:
@@ -123,7 +124,7 @@ class CompiledCircuit:
             if in_deg[nid] != 0:
                 raise ValueError(f"input {name!r} must have in-degree 0")
         reach = set(self.inputs.values())
-        for u in topological_order(self.network):
+        for u in order:
             if any(v in reach for v in self.network.in_neighbors[u]):
                 reach.add(u)
         for name, nid in self.outputs.items():
@@ -175,94 +176,72 @@ class _Builder:
         return Network(nodes=self.nodes, directed=True, edges=self.edges)
 
 
-def _xor_as_nands(a: Expr, b: Expr) -> Expr:
-    t = Nand((a, b))
-    return Nand((Nand((a, t)), Nand((b, t))))
+def _invert(builder: _Builder, nid: int) -> int:
+    return builder.gate(GateKind.NOT, (nid,))
 
 
-def _lower_mixed(e: Expr) -> Expr:
-    if isinstance(e, Var):
-        return e
-    if isinstance(e, Not):
-        return Not(_lower_mixed(e.arg))
-    if isinstance(e, Xor):
-        return _xor_as_nands(_lower_mixed(e.left), _lower_mixed(e.right))
-    return type(e)(tuple(_lower_mixed(a) for a in e.args))
+def _nand_xor(builder: _Builder, x: int, y: int) -> int:
+    """x XOR y out of four two-input NANDs, NAND(x, y) emitted first."""
+    t = builder.gate(GateKind.NAND, (x, y))
+    return builder.gate(GateKind.NAND, (builder.gate(GateKind.NAND, (x, t)),
+                                        builder.gate(GateKind.NAND, (y, t))))
 
 
-def _lower_nand(e: Expr) -> Expr:
-    if isinstance(e, Var):
-        return e
-    if isinstance(e, Not):
-        return Not(_lower_nand(e.arg))
-    if isinstance(e, Xor):
-        return _xor_as_nands(_lower_nand(e.left), _lower_nand(e.right))
-    args = tuple(_lower_nand(a) for a in e.args)
-    if isinstance(e, Nand):
-        return Nand(args)
-    if isinstance(e, And):
-        return Not(Nand(args))
-    if isinstance(e, Or):
-        return Nand(tuple(Not(a) for a in args))
-    if isinstance(e, Nor):
-        return Not(Nand(tuple(Not(a) for a in args)))
-    raise TypeError(f"unknown expression node {e!r}")
-
-
-def _lower_nor(e: Expr) -> Expr:
-    if isinstance(e, Var):
-        return e
-    if isinstance(e, Not):
-        return Not(_lower_nor(e.arg))
-    if isinstance(e, Xor):
-        a, b = _lower_nor(e.left), _lower_nor(e.right)
-        return _lower_nor(Or((And((a, Not(b))), And((Not(a), b)))))
-    args = tuple(_lower_nor(a) for a in e.args)
-    if isinstance(e, Nor):
-        return Nor(args)
-    if isinstance(e, Or):
-        return Not(Nor(args))
-    if isinstance(e, And):
-        return Nor(tuple(Not(a) for a in args))
-    if isinstance(e, Nand):
-        return Not(Nor(tuple(Not(a) for a in args)))
-    raise TypeError(f"unknown expression node {e!r}")
-
-
-_LOWERERS = {
-    Basis.MIXED: _lower_mixed,
-    Basis.NAND_ONLY: _lower_nand,
-    Basis.NOR_ONLY: _lower_nor,
+# AST gate -> (gate emitted, NOT on each input, NOT on the output), per basis
+_REWRITES = {
+    Basis.MIXED: {And: (GateKind.AND, False, False), Or: (GateKind.OR, False, False),
+                  Nand: (GateKind.NAND, False, False), Nor: (GateKind.NOR, False, False)},
+    Basis.NAND_ONLY: {And: (GateKind.NAND, False, True), Or: (GateKind.NAND, True, False),
+                      Nand: (GateKind.NAND, False, False), Nor: (GateKind.NAND, True, True)},
+    Basis.NOR_ONLY: {And: (GateKind.NOR, True, False), Or: (GateKind.NOR, False, True),
+                     Nand: (GateKind.NOR, True, True), Nor: (GateKind.NOR, False, False)},
 }
 
-_GATE_FOR_NODE = {And: GateKind.AND, Or: GateKind.OR,
-                  Nand: GateKind.NAND, Nor: GateKind.NOR}
 
+def _emit(e: Expr, builder: _Builder, basis: Basis) -> int:
+    """Emit `e` in `basis`, visiting each AST node once.
 
-def _emit(e: Expr, builder: _Builder) -> int:
+    Operands are emitted left to right, each followed at once by its NOT
+    where the rewrite negates inputs, so node ids follow that order.
+    """
     if isinstance(e, Var):
         return builder.input_node(e.name)
     if isinstance(e, Not):
-        return builder.gate(GateKind.NOT, (_emit(e.arg, builder),))
-    kind = _GATE_FOR_NODE[type(e)]
-    return builder.gate(kind, tuple(_emit(a, builder) for a in e.args))
+        return _invert(builder, _emit(e.arg, builder, basis))
+    if isinstance(e, Xor):
+        x = _emit(e.left, builder, basis)
+        if basis is not Basis.NOR_ONLY:
+            return _nand_xor(builder, x, _emit(e.right, builder, basis))
+        # (x & !y) | (!x & y), with both ANDs and the OR in NOR form
+        nx = _invert(builder, x)
+        ny = _invert(builder, _emit(e.right, builder, basis))
+        left = builder.gate(GateKind.NOR, (nx, _invert(builder, ny)))
+        right = builder.gate(GateKind.NOR, (_invert(builder, nx), ny))
+        return _invert(builder, builder.gate(GateKind.NOR, (left, right)))
+    kind, negate_inputs, negate_output = _REWRITES[basis][type(e)]
+    children = []
+    for arg in e.args:
+        child = _emit(arg, builder, basis)
+        children.append(_invert(builder, child) if negate_inputs else child)
+    out = builder.gate(kind, children)
+    return _invert(builder, out) if negate_output else out
 
 
 def compile_expr(expr: Union[Expr, str], basis: Basis = Basis.MIXED) -> CompiledCircuit:
     """Compile an expression (or its source text) into a cascade circuit.
 
-    MIXED maps every AST node to its gate directly; NAND_ONLY / NOR_ONLY
-    rewrite the tree into the chosen universal basis first, with NOT kept as
-    the one-input antagonistic node (the fan-in-1 degeneration of either
-    gate). XOR is never a single node: it lowers to four NANDs (MIXED,
-    NAND_ONLY) or the sum-of-products form (NOR_ONLY). The single output is
-    named "out"; inputs keep first-appearance order.
+    One pass over the AST emits each node straight into the builder. MIXED
+    maps every AST gate to its own node; NAND_ONLY / NOR_ONLY emit each gate
+    as the basis gate with NOTs on its inputs and/or output (De Morgan),
+    NOT being the one-input antagonistic node (the fan-in-1 degeneration of
+    either gate). XOR is never a single node: it becomes four NANDs (MIXED,
+    NAND_ONLY) or the sum-of-products form in NORs and NOTs (NOR_ONLY). The
+    single output is named "out"; inputs keep first-appearance order.
     """
     if isinstance(expr, str):
         expr = parse_expr(expr)
-    lowered = _LOWERERS[basis](expr)
     builder = _Builder()
-    out = _emit(lowered, builder)
+    out = _emit(expr, builder, basis)
     return CompiledCircuit(network=builder.network(),
                            inputs=dict(builder.inputs), outputs={"out": out})
 
@@ -292,11 +271,8 @@ def compile_half_adder() -> CompiledCircuit:
     b = _Builder()
     a = b.input_node("a")
     bb = b.input_node("b")
-    n1 = b.gate(GateKind.NAND, (a, bb))
-    n2 = b.gate(GateKind.NAND, (a, n1))
-    n3 = b.gate(GateKind.NAND, (bb, n1))
-    s = b.gate(GateKind.NAND, (n2, n3))
-    c = b.gate(GateKind.NOT, (n1,))
+    s = _nand_xor(b, a, bb)
+    c = _invert(b, b.gate(GateKind.NAND, (a, bb)))  # the sum's first NAND
     return CompiledCircuit(network=b.network(), inputs=dict(b.inputs),
                            outputs={"sum": s, "carry": c})
 
@@ -385,35 +361,30 @@ def truth_table(circuit: CompiledCircuit) -> TruthTable:
     return TruthTable(input_names=names, output_names=out_names, rows=rows)
 
 
-def _single_output_bits(table: TruthTable) -> list[int]:
+def _monotone(table: TruthTable, breaks) -> bool:
+    """False when some 0 -> 1 input flip takes the output bit from x to y
+    with breaks(x, y)."""
     if len(table.output_names) != 1:
         raise ValueError("monotonicity checks take a single-output table; "
                          "use .column(name) first")
-    return [row[0] for row in table.rows]
+    bits = [row[0] for row in table.rows]
+    m = len(table.input_names)
+    for r in range(len(bits)):
+        for j in range(m):
+            above = r | (1 << j)
+            if above != r and breaks(bits[r], bits[above]):
+                return False
+    return True
 
 
 def is_monotone_increasing(table: TruthTable) -> bool:
     """True when flipping any input 0 -> 1 never drops the output."""
-    bits = _single_output_bits(table)
-    m = len(table.input_names)
-    for r in range(len(bits)):
-        for j in range(m):
-            above = r | (1 << j)
-            if above != r and bits[r] > bits[above]:
-                return False
-    return True
+    return _monotone(table, operator.gt)
 
 
 def is_monotone_decreasing(table: TruthTable) -> bool:
     """True when flipping any input 0 -> 1 never raises the output."""
-    bits = _single_output_bits(table)
-    m = len(table.input_names)
-    for r in range(len(bits)):
-        for j in range(m):
-            above = r | (1 << j)
-            if above != r and bits[r] < bits[above]:
-                return False
-    return True
+    return _monotone(table, operator.lt)
 
 
 def save_circuit(circuit: CompiledCircuit, destination) -> None:

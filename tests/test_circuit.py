@@ -1,8 +1,13 @@
+import hashlib
+import io
+import json
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+from cascade_logic import circuit as circuit_module
 from cascade_logic import (Basis, GateKind, NetworkFormatError, Rule,
                            build_gate, compile_expr, compile_half_adder,
                            count_fires, evaluate, is_monotone_decreasing,
@@ -305,3 +310,79 @@ def test_table_input_guard():
     wide = " | ".join(f"v{i}" for i in range(21))
     with pytest.raises(ValueError, match="limit"):
         truth_table(compile_expr(wide))
+
+
+# sha256 of save_circuit output per basis and expression. Node ids are the
+# first-emission order of each basis rewrite; any change to it changes files.
+COMPILE_GOLDEN = Path(__file__).parent / "golden" / "compile.sha256.json"
+GOLDEN_EXPRS = (
+    "a ^ b",
+    "a ^ b ^ c",
+    "v0 ^ v1 ^ v2 ^ v3 ^ v4 ^ v5 ^ v6 ^ v7",
+    "(a ^ b) ^ (c ^ d)",
+    "((a ^ b) ^ c) ^ (a ^ (b ^ c))",
+    "(a ^ !b) ^ !(c ^ d)",
+    "a ^ a",
+    "!(a ^ b) & (b ^ a)",
+    "a & b & c",
+    "a | b | c | d",
+    "a @& b @& c",
+    "a @| b @| c @| d",
+    "!a",
+    "!!a",
+    "!(a & b)",
+    "!(a | !b) & !c",
+    "a & a",
+    "(a & b) | (a & b) | c",
+    "(a & b) ^ ((a & b) | c)",
+    "(a | b) ^ !(c & a)",
+    "(a @| b) & (c @& d) | (a ^ c)",
+    "x0 & (x1 | x2) @| !x3 ^ x4",
+    "(a @& b @& c) @| (a & !b) @| (c | d | a) @| d",
+)
+
+
+def compiled_digest(expr, basis):
+    out = io.StringIO()
+    save_circuit(compile_expr(expr, basis), out)
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+class TestCompileGolden:
+    @pytest.mark.parametrize("basis", list(Basis), ids=lambda b: b.value)
+    def test_compiled_bytes_are_pinned(self, basis):
+        pinned = json.loads(COMPILE_GOLDEN.read_text())[basis.value]
+        assert list(pinned) == list(GOLDEN_EXPRS)
+        for expr in GOLDEN_EXPRS:
+            assert compiled_digest(expr, basis) == pinned[expr], expr
+
+
+class TestCompileWork:
+    @pytest.mark.parametrize("basis", list(Basis), ids=lambda b: b.value)
+    def test_xor_chain_needs_linear_gate_calls(self, monkeypatch, basis):
+        # A walk that revisits shared XOR operands makes exponentially many.
+        k = 20
+        budget = 10 * k
+        calls = 0
+        real_gate = circuit_module._Builder.gate
+
+        def counted_gate(self, kind, children):
+            nonlocal calls
+            calls += 1
+            if calls > budget:
+                raise AssertionError(f"more than {budget} gate() calls")
+            return real_gate(self, kind, children)
+
+        monkeypatch.setattr(circuit_module._Builder, "gate", counted_gate)
+        names = [f"v{i}" for i in range(k)]
+        circuit = compile_expr(" ^ ".join(names), basis)
+        for ones in (0, 1, 7, 20):
+            bits = {name: int(i < ones) for i, name in enumerate(names)}
+            assert evaluate(circuit, bits) == {"out": ones % 2}
+
+
+if __name__ == "__main__":
+    # Rewrites the pinned digests; run only for an intended format change.
+    digests = {basis.value: {expr: compiled_digest(expr, basis)
+                             for expr in GOLDEN_EXPRS} for basis in Basis}
+    COMPILE_GOLDEN.write_text(json.dumps(digests, indent=1) + "\n")
