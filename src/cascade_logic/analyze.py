@@ -31,20 +31,15 @@ class FixpointSet:
 
 
 def enumerate_fixpoints(network: Network, seeds: Optional[Iterable[int]] = None,
-                        state_cap: int = DEFAULT_STATE_CAP,
-                        child_order: str = "ascending") -> FixpointSet:
+                        state_cap: int = DEFAULT_STATE_CAP) -> FixpointSet:
     """Depth-first search over configurations reachable from the seed set.
 
     Configurations are bit masks over node ids; a visited set makes the
     search exhaustive. If more than `state_cap` distinct configurations get
     explored the result is flagged truncated (never silently cut short).
-    `child_order` picks the branching heuristic (ascending or descending
-    node id); the fixpoint set does not depend on it.
     """
     if not network.thresholds_assigned:
         raise ValueError("thresholds not assigned; call assign_thresholds first")
-    if child_order not in ("ascending", "descending"):
-        raise ValueError(f"unknown child_order {child_order!r}")
     n = network.n
     seed_set = network.seeds if seeds is None else seed_ids(seeds, n)
 
@@ -58,7 +53,6 @@ def enumerate_fixpoints(network: Network, seeds: Optional[Iterable[int]] = None,
     start = 0
     for s in seed_set:
         start |= 1 << s
-    descending = child_order == "descending"
 
     visited: set[int] = set()
     fixpoints: set[int] = set()
@@ -81,8 +75,6 @@ def enumerate_fixpoints(network: Network, seeds: Optional[Iterable[int]] = None,
         if not fireable:
             fixpoints.add(cfg)
             continue
-        if descending:
-            fireable.reverse()
         for u in fireable:
             nxt = cfg | (1 << u)
             if nxt not in visited:

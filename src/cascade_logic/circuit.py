@@ -18,6 +18,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -303,31 +304,37 @@ def evaluate(circuit: CompiledCircuit, assignment: Mapping[str, int]) -> dict[st
     return {name: int(nid in result.final) for name, nid in circuit.outputs.items()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruthTable:
-    """Output bits for all 2^m assignments, in binary counting order.
+    """All 2^m assignments in binary counting order, as one uint8 bit matrix.
 
-    Row index r assigns bit (r >> (m-1-j)) & 1 to input j, so the first
-    input is the most significant counter bit.
+    `bits` has 2^m rows and one column per input, then one per output. Row
+    index r assigns bit (r >> (m-1-j)) & 1 to input j, so the first input is
+    the most significant counter bit.
     """
 
     input_names: tuple[str, ...]
     output_names: tuple[str, ...]
-    rows: tuple[tuple[int, ...], ...]
+    bits: np.ndarray
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The output bits of each row as int tuples."""
+        return tuple(map(tuple, self.bits[:, len(self.input_names):].tolist()))
 
     def column(self, name: str) -> "TruthTable":
         """Project onto a single output column."""
-        j = self.output_names.index(name)
-        return TruthTable(self.input_names, (name,),
-                          tuple((row[j],) for row in self.rows))
+        m = len(self.input_names)
+        j = m + self.output_names.index(name)
+        return TruthTable(self.input_names, (name,), self.bits[:, [*range(m), j]])
 
     def to_csv(self) -> str:
-        m = len(self.input_names)
-        lines = [",".join(self.input_names + self.output_names)]
-        for r, row in enumerate(self.rows):
-            bits = [(r >> (m - 1 - j)) & 1 for j in range(m)]
-            lines.append(",".join(str(b) for b in bits + list(row)))
-        return "\n".join(lines) + "\n"
+        n_rows, width = self.bits.shape
+        text = np.full((n_rows, 2 * width), ord(","), dtype=np.uint8)
+        text[:, 0::2] = self.bits + ord("0")
+        text[:, -1] = ord("\n")
+        header = ",".join(self.input_names + self.output_names) + "\n"
+        return header + text.tobytes().decode()
 
 
 def truth_table(circuit: CompiledCircuit) -> TruthTable:
@@ -342,23 +349,20 @@ def truth_table(circuit: CompiledCircuit) -> TruthTable:
         raise ValueError(f"{m} inputs would need 2^{m} rows; the limit is "
                          f"{MAX_TABLE_INPUTS} inputs")
     net = circuit.network
-    names = tuple(circuit.inputs)
-    n_rows = 1 << m
-    row_ids = np.arange(n_rows, dtype=np.int64)
-    values = np.zeros((n_rows, net.n), dtype=bool)
-    for j, name in enumerate(names):
-        values[:, circuit.inputs[name]] = (row_ids >> (m - 1 - j)) & 1
+    row_ids = np.arange(1 << m, dtype=np.int64)
+    values = np.zeros((net.n, 1 << m), dtype=np.uint8)  # one row per node
+    for j, nid in enumerate(circuit.inputs.values()):
+        values[nid] = (row_ids >> (m - 1 - j)) & 1
     input_ids = set(circuit.inputs.values())
     indptr, indices = net.graph.indptr, net.graph.indices
     for u in topological_order(net):
         if u in input_ids:
             continue
-        counts = values[:, indices[indptr[u]:indptr[u + 1]]].sum(axis=1)
-        values[:, u] = (counts >= net.cutoff[u]) != net.antagonistic[u]
-    out_names = tuple(circuit.outputs)
-    out_ids = [circuit.outputs[name] for name in out_names]
-    rows = tuple(tuple(int(b) for b in row) for row in values[:, out_ids])
-    return TruthTable(input_names=names, output_names=out_names, rows=rows)
+        counts = values[indices[indptr[u]:indptr[u + 1]]].sum(axis=0)
+        values[u] = (counts >= net.cutoff[u]) != net.antagonistic[u]
+    columns = [*circuit.inputs.values(), *circuit.outputs.values()]
+    return TruthTable(input_names=tuple(circuit.inputs),
+                      output_names=tuple(circuit.outputs), bits=values[columns].T)
 
 
 def _monotone(table: TruthTable, breaks) -> bool:
@@ -367,14 +371,10 @@ def _monotone(table: TruthTable, breaks) -> bool:
     if len(table.output_names) != 1:
         raise ValueError("monotonicity checks take a single-output table; "
                          "use .column(name) first")
-    bits = [row[0] for row in table.rows]
     m = len(table.input_names)
-    for r in range(len(bits)):
-        for j in range(m):
-            above = r | (1 << j)
-            if above != r and breaks(bits[r], bits[above]):
-                return False
-    return True
+    cube = table.bits[:, m].reshape((2,) * m)  # axis j is input j
+    return not any(breaks(cube.take(0, axis=a), cube.take(1, axis=a)).any()
+                   for a in range(m))
 
 
 def is_monotone_increasing(table: TruthTable) -> bool:

@@ -26,8 +26,7 @@ from .engine import ExplicitOrder, RandomSweep, Topological, is_global, run_casc
 from .experiments import (GlobalFraction, MedianExceedance, SweepSpec,
                           emit_csv, rows_from_sizes, sweep_sizes)
 from .net import (NetworkFormatError, Rule, UNIFORM, assign_thresholds,
-                  generate_er, load_network, save_network, stats)
-from .parser import ParseError
+                  generate_er, load_network, save_network, stats, write_text)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -55,11 +54,7 @@ def _print_json(doc, destination: Optional[str]) -> None:
 
 
 def _write_text(text: str, destination: Optional[str]) -> None:
-    if destination is None:
-        sys.stdout.write(text)
-    else:
-        with open(destination, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    write_text(text, sys.stdout if destination is None else destination)
 
 
 def _parse_rule(text: str) -> Rule:
@@ -391,9 +386,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = _build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as e:
-        _fail("usage", str(e))
-        return EXIT_USAGE
-    except ParseError as e:
         _fail("usage", str(e))
         return EXIT_USAGE
     except NetworkFormatError as e:

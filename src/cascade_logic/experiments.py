@@ -13,14 +13,13 @@ SplitMix64 mixing, so results are byte-identical for any worker count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from ._seeds import GENERATOR_NAME, make_rng, map_tasks, mix_seed
 from .engine import RandomSweep, run_cascade
-from .net import Rule, assign_thresholds, generate_er
+from .net import Rule, assign_thresholds, generate_er, read_text, write_text
 
 
 @dataclass(frozen=True)
@@ -190,23 +189,15 @@ def emit_csv(rows: Sequence[SweepRow], destination, *, spec: SweepSpec) -> None:
     for row in rows:
         lines.append(f"{row.z:.6g},{row.realizations},{row.frequency:.6g},"
                      f"{row.mean_size:.6g},{row.median_size:.6g}")
-    text = "\n".join(lines) + "\n"
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        Path(destination).write_text(text, encoding="utf-8")
+    write_text("\n".join(lines) + "\n", destination)
 
 
 def parse_csv(source) -> tuple[list[SweepRow], dict[str, str]]:
     """Read back an emitted CSV: (rows at printed precision, provenance map)."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = Path(source).read_text(encoding="utf-8")
     meta: dict[str, str] = {}
     rows: list[SweepRow] = []
     saw_header = False
-    for line in text.splitlines():
+    for line in read_text(source).splitlines():
         line = line.strip()
         if not line:
             continue

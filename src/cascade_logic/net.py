@@ -399,6 +399,21 @@ _NODE_KEYS = {"id", "rule", "phi"}
 _RULE_NAMES = {r.value: r for r in Rule}
 
 
+def read_text(source) -> str:
+    """The text of an open text file, or of the file at a path."""
+    if hasattr(source, "read"):
+        return source.read()
+    return Path(source).read_text(encoding="utf-8")
+
+
+def write_text(text: str, destination) -> None:
+    """Write `text` to an open text file, or to the file at a path."""
+    if hasattr(destination, "write"):
+        destination.write(text)
+    else:
+        Path(destination).write_text(text, encoding="utf-8")
+
+
 def save_network(network: Network, destination, *,
                  inputs: Optional[Mapping[str, int]] = None,
                  outputs: Optional[Mapping[str, int]] = None) -> None:
@@ -415,11 +430,7 @@ def save_network(network: Network, destination, *,
         doc["inputs"] = {str(k): int(v) for k, v in inputs.items()}
     if outputs is not None:
         doc["outputs"] = {str(k): int(v) for k, v in outputs.items()}
-    text = json.dumps(doc, indent=1) + "\n"
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        Path(destination).write_text(text, encoding="utf-8")
+    write_text(json.dumps(doc, indent=1) + "\n", destination)
 
 
 def _expect(cond: bool, message: str) -> None:
@@ -449,12 +460,8 @@ def _parse_ports(doc: dict, key: str) -> Optional[dict[str, int]]:
 
 def load_bundle(source) -> NetworkBundle:
     """Parse a network file (path or open text file), validating the schema."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = Path(source).read_text(encoding="utf-8")
     try:
-        doc = json.loads(text)
+        doc = json.loads(read_text(source))
     except json.JSONDecodeError as e:
         raise NetworkFormatError(
             f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}"

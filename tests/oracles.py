@@ -87,3 +87,20 @@ def eval_expr(expr, env):
     if isinstance(expr, Nor):
         return int(not any(vals))
     raise TypeError(expr)
+
+
+def monotone_by_flips(table, breaks) -> bool:
+    """Per-row monotonicity check of a single-output truth table.
+
+    False when flipping some input 0 -> 1 in some row takes the output bit
+    from x to y with breaks(x, y) (operator.gt: it drops, operator.lt: it
+    rises).
+    """
+    bits = [row[0] for row in table.rows]
+    m = len(table.input_names)
+    for r in range(len(bits)):
+        for j in range(m):
+            above = r | (1 << j)
+            if above != r and breaks(bits[r], bits[above]):
+                return False
+    return True

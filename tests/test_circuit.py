@@ -1,10 +1,12 @@
 import hashlib
 import io
 import json
+import operator
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cascade_logic import circuit as circuit_module
@@ -13,9 +15,9 @@ from cascade_logic import (Basis, GateKind, NetworkFormatError, Rule,
                            count_fires, evaluate, is_monotone_decreasing,
                            is_monotone_increasing, load_circuit, make_rng,
                            phi_for_gate, phi_interval, save_circuit,
-                           truth_table, variables)
+                           TruthTable, truth_table, variables)
 from exprgen import random_expr, random_monotone_expr
-from oracles import eval_expr, gate_truth
+from oracles import eval_expr, gate_truth, monotone_by_flips
 
 BINARY_KINDS = (GateKind.OR, GateKind.AND, GateKind.NOR, GateKind.NAND)
 
@@ -254,6 +256,44 @@ class TestMonotonicity:
         assert is_monotone_increasing(table.column("carry"))
 
 
+def random_table(rng, m):
+    """A table over m inputs with a uniformly random output column."""
+    inputs = np.array(list(product((0, 1), repeat=m)), dtype=np.uint8)
+    out = rng.integers(0, 2, size=(1 << m, 1), dtype=np.uint8)
+    return TruthTable(tuple(f"x{j}" for j in range(m)), ("out",), np.hstack([inputs, out]))
+
+
+CHECKS = [(is_monotone_increasing, operator.gt), (is_monotone_decreasing, operator.lt)]
+
+
+class TestMonotonicityOracle:
+    @pytest.mark.parametrize("check,breaks", CHECKS, ids=("increasing", "decreasing"))
+    def test_random_tables_match(self, check, breaks):
+        rng = make_rng(77)
+        tables = [random_table(rng, 1 + i % 4) for i in range(400)]
+        tables += [truth_table(compile_expr(gen(rng, max_vars=5)))
+                   for gen in (random_expr, random_monotone_expr) for _ in range(60)]
+        verdicts = [check(t) for t in tables]
+        assert verdicts == [monotone_by_flips(t, breaks) for t in tables]
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    @pytest.mark.parametrize("check,breaks", CHECKS, ids=("increasing", "decreasing"))
+    def test_half_adder_columns_match(self, check, breaks):
+        table = truth_table(compile_half_adder())
+        for name in table.output_names:
+            column = table.column(name)
+            assert column.input_names == ("a", "b")
+            assert check(column) == monotone_by_flips(column, breaks)
+
+    @pytest.mark.parametrize("out", list(product((0, 1), repeat=2)))
+    def test_one_input_tables_match(self, out):
+        table = TruthTable(("x",), ("out",), np.array([[0, out[0]], [1, out[1]]], dtype=np.uint8))
+        for check, breaks in CHECKS:
+            assert check(table) == monotone_by_flips(table, breaks)
+        assert is_monotone_increasing(table) == (out != (1, 0))
+        assert is_monotone_decreasing(table) == (out != (0, 1))
+
+
 class TestDeMorganDuality:
     @pytest.mark.parametrize("kind,complement", [
         (GateKind.OR, "nor"), (GateKind.AND, "nand"),
@@ -381,8 +421,44 @@ class TestCompileWork:
             assert evaluate(circuit, bits) == {"out": ones % 2}
 
 
+# sha256 of the `table` CSV per basis and labelled expression: XOR chains,
+# seeded random expressions, and the 16-input circuit of the circuits
+# benchmark workload, with its inputs in the order seed 401 draws (the
+# workload tabulates it in the mixed basis only; all three are pinned here).
+TABLE_GOLDEN = Path(__file__).parent / "golden" / "table.sha256.json"
+
+
+def table_golden_exprs():
+    exprs = {f"chain{k}": " ^ ".join(f"x{i}" for i in range(k)) for k in range(2, 13)}
+    rng = make_rng(7411)
+    for i in range(100):
+        exprs[f"random{i}"] = random_expr(rng, max_depth=5, max_vars=2 + i % 7)
+    exprs["wide"] = ("((w11 & w10) | (w3 | w4) | (w9 @& w5) | (w0 @| w1) | "
+                     "(w14 & w6) | (w8 | w12) | (w2 @& w15)) ^ (w7 @| w13)")
+    return exprs
+
+
+def table_digest(expr, basis):
+    csv = truth_table(compile_expr(expr, basis)).to_csv()
+    return hashlib.sha256(csv.encode()).hexdigest()
+
+
+class TestTableGolden:
+    @pytest.mark.parametrize("basis", list(Basis), ids=lambda b: b.value)
+    def test_table_bytes_are_pinned(self, basis):
+        pinned = json.loads(TABLE_GOLDEN.read_text())[basis.value]
+        exprs = table_golden_exprs()
+        assert list(pinned) == list(exprs)
+        for label, expr in exprs.items():
+            assert table_digest(expr, basis) == pinned[label], label
+
+
 if __name__ == "__main__":
     # Rewrites the pinned digests; run only for an intended format change.
     digests = {basis.value: {expr: compiled_digest(expr, basis)
                              for expr in GOLDEN_EXPRS} for basis in Basis}
     COMPILE_GOLDEN.write_text(json.dumps(digests, indent=1) + "\n")
+    exprs = table_golden_exprs()
+    digests = {basis.value: {label: table_digest(expr, basis)
+                             for label, expr in exprs.items()} for basis in Basis}
+    TABLE_GOLDEN.write_text(json.dumps(digests, indent=1) + "\n")
