@@ -40,6 +40,8 @@ def enumerate_fixpoints(network: Network, seeds: Optional[Iterable[int]] = None,
     """
     if not network.thresholds_assigned:
         raise ValueError("thresholds not assigned; call assign_thresholds first")
+    if state_cap < 1:
+        raise ValueError(f"state_cap must be >= 1, got {state_cap}")
     n = network.n
     seed_set = network.seeds if seeds is None else seed_ids(seeds, n)
 
@@ -173,6 +175,8 @@ def verify_gcm_determinism(n: int, z: float, instances: int, rng_seed: int,
         raise ValueError(f"n must be >= 1, got {n}")
     if n > 1 and not 0 < z < n - 1:
         raise ValueError(f"z must lie in (0, n-1), got {z}")
+    if state_cap < 1:
+        raise ValueError(f"state_cap must be >= 1, got {state_cap}")
     tasks = [(n, z, rule, mix_seed(rng_seed, i), state_cap) for i in range(instances)]
     outcomes = map_tasks(_instance_fixpoints, tasks, jobs)
     if any(count > 1 for count, _ in outcomes):

@@ -12,6 +12,7 @@ Failures print one JSON object on stderr: {"error": {"kind", "message"}}.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -49,12 +50,13 @@ def _fail(kind: str, message: str) -> None:
     print(json.dumps({"error": {"kind": kind, "message": message}}), file=sys.stderr)
 
 
-def _print_json(doc, destination: Optional[str]) -> None:
-    _write_text(json.dumps(doc, indent=1) + "\n", destination)
+def _destination(out: Optional[str]):
+    """Where a command writes: the --out path, or stdout when there is none."""
+    return sys.stdout if out is None else out
 
 
-def _write_text(text: str, destination: Optional[str]) -> None:
-    write_text(text, sys.stdout if destination is None else destination)
+def _print_json(doc, out: Optional[str] = None) -> None:
+    write_text(json.dumps(doc, indent=1) + "\n", _destination(out))
 
 
 def _parse_rule(text: str) -> Rule:
@@ -104,6 +106,8 @@ def _parse_assignment(text: str) -> dict[str, int]:
         name, value = part.split("=", 1)
         if value not in ("0", "1"):
             raise UsageError(f"assignment bit for {name!r} must be 0 or 1")
+        if name.strip() in assignment:
+            raise UsageError(f"--assign gives {name.strip()!r} more than once")
         assignment[name.strip()] = int(value)
     return assignment
 
@@ -140,13 +144,15 @@ def _parse_metric(text: str):
 
 
 def _default_jobs() -> int:
-    raw = os.environ.get(JOBS_ENV)
-    if raw is None:
-        return 1
     try:
-        return max(1, int(raw))
+        return max(1, int(os.environ.get(JOBS_ENV, "1")))
     except ValueError:
         return 1
+
+
+def _jobs(args) -> int:
+    """--jobs if given, else the environment's value at the time of the call."""
+    return _default_jobs() if args.jobs is None else args.jobs
 
 
 def _basis(text: str) -> Basis:
@@ -169,21 +175,12 @@ def _cmd_gen(args) -> int:
     network = assign_thresholds(network, _parse_phi_flag(args.phi),
                                 _parse_rule(args.rule),
                                 rng_seed=mix_seed(args.seed, "phi"))
-    if args.out is None:
-        save_network(network, sys.stdout)
-    else:
-        save_network(network, args.out)
+    save_network(network, _destination(args.out))
     return EXIT_OK
 
 
 def _cmd_stats(args) -> int:
-    result = stats(load_network(args.net))
-    _print_json({
-        "n": result.n,
-        "edge_count": result.edge_count,
-        "mean_degree": result.mean_degree,
-        "clustering_coefficient": result.clustering_coefficient,
-    }, None)
+    _print_json(dataclasses.asdict(stats(load_network(args.net))))
     return EXIT_OK
 
 
@@ -198,33 +195,29 @@ def _cmd_run(args) -> int:
         "global": is_global(result),
         "labeling_order": list(result.labeling_order),
         "passes": result.passes,
-        "mode": ("topo" if isinstance(mode, Topological)
-                 else "sweep" if isinstance(mode, RandomSweep) else "order"),
-        "rng_seed": mode.rng_seed if isinstance(mode, RandomSweep) else None,
+        "mode": args.mode.split(":", 1)[0],
+        "rng_seed": getattr(mode, "rng_seed", None),
         "generator": GENERATOR_NAME,
     }
-    _print_json(doc, None)
+    _print_json(doc)
     return EXIT_OK
 
 
 def _cmd_compile(args) -> int:
     circuit = compile_expr(args.expr, _basis(args.basis))
-    if args.out is None:
-        save_circuit(circuit, sys.stdout)
-    else:
-        save_circuit(circuit, args.out)
+    save_circuit(circuit, _destination(args.out))
     return EXIT_OK
 
 
 def _cmd_eval(args) -> int:
     circuit = load_circuit(args.net)
     bits = evaluate(circuit, _parse_assignment(args.assign))
-    _print_json(bits, None)
+    _print_json(bits)
     return EXIT_OK
 
 
 def _cmd_table(args) -> int:
-    _write_text(truth_table(load_circuit(args.net)).to_csv(), args.out)
+    write_text(truth_table(load_circuit(args.net)).to_csv(), _destination(args.out))
     return EXIT_OK
 
 
@@ -237,7 +230,7 @@ def _cmd_fixpoints(args) -> int:
         "explored": found.explored_states,
         "truncated": found.truncated,
     }
-    _print_json(doc, None)
+    _print_json(doc)
     if found.truncated:
         _fail("resource", f"state cap {args.cap} reached; fixpoint set incomplete")
         return EXIT_RESOURCE
@@ -248,27 +241,21 @@ def _cmd_sensitivity(args) -> int:
     circuit = load_circuit(args.net)
     report = schedule_sensitivity(circuit, _parse_assignment(args.assign),
                                   args.trials, args.seed)
-    _print_json({
-        "trials": report.trials,
-        "agree_fraction": report.agree_fraction,
-        "reference_output": list(report.reference_output),
-        "distinct_outcomes": report.distinct_outcomes,
-        "generator": GENERATOR_NAME,
-    }, None)
+    _print_json({**dataclasses.asdict(report), "generator": GENERATOR_NAME})
     return EXIT_OK
 
 
 def _cmd_verify_gcm(args) -> int:
     verdict = verify_gcm_determinism(args.n, args.z, args.instances, args.seed,
                                      rule=_parse_rule(args.rule), state_cap=args.cap,
-                                     jobs=args.jobs)
+                                     jobs=_jobs(args))
     _print_json({
         "verdict": verdict.value,
         "n": args.n,
         "z": args.z,
         "instances": args.instances,
         "seed": args.seed,
-    }, None)
+    })
     if verdict is Verdict.INCONCLUSIVE:
         _fail("resource", f"state cap {args.cap} reached in at least one instance")
         return EXIT_RESOURCE
@@ -286,16 +273,13 @@ def _cmd_sweep(args) -> int:
         seeds_per_run=args.seeds_per_run,
         metric=_parse_metric(args.metric),
     )
-    sizes, reference = sweep_sizes(spec, jobs=args.jobs)
+    sizes, reference = sweep_sizes(spec, jobs=_jobs(args))
     rows = rows_from_sizes(spec, sizes, reference)
     if args.dump_sizes is not None:
         dump = [{"z": z, "sizes": sizes[zi].tolist()}
                 for zi, z in enumerate(spec.z_values)]
         _print_json(dump, args.dump_sizes)
-    if args.out is None:
-        emit_csv(rows, sys.stdout, spec=spec)
-    else:
-        emit_csv(rows, args.out, spec=spec)
+    emit_csv(rows, _destination(args.out), spec=spec)
     return EXIT_OK
 
 
@@ -361,7 +345,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--rule", default="gcm")
     p.add_argument("--cap", type=int, default=DEFAULT_STATE_CAP)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=int)
     p.set_defaults(func=_cmd_verify_gcm)
 
     p = sub.add_parser("sweep", help="cascade-frequency sweep over mean degree")
@@ -375,26 +359,23 @@ def _build_parser() -> _Parser:
     p.add_argument("--seeds-per-run", type=int, default=1)
     p.add_argument("--out")
     p.add_argument("--dump-sizes", help="also write raw sizes per z as JSON")
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=int)
     p.set_defaults(func=_cmd_sweep)
 
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return args.func(args)
-    except UsageError as e:
-        _fail("usage", str(e))
-        return EXIT_USAGE
-    except NetworkFormatError as e:
+    except (NetworkFormatError, OSError) as e:  # NetworkFormatError is a ValueError
         _fail("input", str(e))
         return EXIT_INPUT
-    except OSError as e:
-        _fail("input", str(e))
-        return EXIT_INPUT
-    except ValueError as e:
+    except (UsageError, ValueError) as e:
         _fail("usage", str(e))
         return EXIT_USAGE
 

@@ -377,8 +377,8 @@ def stats(network: Network) -> NetworkStats:
 #    "outputs":  {name: id, ...}}   # optional; circuits only
 #
 # Fraction thresholds are written as their nearest float; the canonical gate
-# values survive this because the engine's float path rounds the labeled
-# fraction the same way.
+# values survive this because cutoff(float(phi), k) == cutoff(phi, k) for
+# each of them at its fan-in k, so a reloaded gate fires on the same counts.
 
 
 class NetworkFormatError(ValueError):

@@ -1,5 +1,6 @@
 import pytest
 
+from cascade_logic import analyze as analyze_module
 from cascade_logic import (Network, NodeSpec, RandomSweep, Rule, Verdict,
                            build_gate, compile_expr, compile_half_adder,
                            enumerate_fixpoints, evaluate, mix_seed,
@@ -53,6 +54,11 @@ class TestEnumerateFixpoints:
         found = enumerate_fixpoints(net, seeds, state_cap=5)
         assert found.truncated
         assert found.explored_states <= 5
+
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_cap_below_one_rejected(self, triangle, cap):
+        with pytest.raises(ValueError, match="state_cap"):
+            enumerate_fixpoints(triangle, state_cap=cap)
 
     def test_acyclic_networks_can_still_be_order_dependent(self):
         # a 3-node path with antagonistic ends: no cycle, two final states
@@ -136,6 +142,14 @@ class TestVerifyGcmDeterminism:
         serial = verify_gcm_determinism(9, 2.0, 24, 77)
         parallel = verify_gcm_determinism(9, 2.0, 24, 77, jobs=4)
         assert serial is parallel
+
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_cap_below_one_rejected_before_any_instance_runs(self, monkeypatch, cap):
+        def no_tasks(*args):
+            raise AssertionError("instances were dispatched")
+        monkeypatch.setattr(analyze_module, "map_tasks", no_tasks)
+        with pytest.raises(ValueError, match="state_cap"):
+            verify_gcm_determinism(10, 3.0, 5, 1, state_cap=cap)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from cascade_logic import circuit as circuit_module
+from cascade_logic.circuit import MAX_FAN_IN
 from cascade_logic import (Basis, GateKind, NetworkFormatError, Rule,
                            build_gate, compile_expr, compile_half_adder,
                            count_fires, evaluate, is_monotone_decreasing,
@@ -324,6 +325,18 @@ class TestCircuitFiles:
         target = tmp_path / "ha.json"
         save_circuit(circuit, target)
         assert load_circuit(target).network == circuit.network
+
+    def test_round_trip_keeps_cutoffs_at_every_fan_in(self):
+        # files hold float(phi); the canonical Fraction must give the same cutoffs
+        for kind in GateKind:
+            single = kind in (GateKind.NOT, GateKind.BUF)
+            for k in (1,) if single else range(2, MAX_FAN_IN + 1):
+                circuit = build_gate(kind, k)
+                text = io.StringIO()
+                save_circuit(circuit, text)
+                loaded = load_circuit(io.StringIO(text.getvalue()))
+                assert np.array_equal(loaded.network.cutoff,
+                                      circuit.network.cutoff), (kind, k)
 
     def test_plain_network_is_not_a_circuit(self, tmp_path, triangle):
         from cascade_logic import save_network

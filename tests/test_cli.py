@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from cascade_logic import cli as cli_module
 from cascade_logic import fixture_path, load_network
 from cascade_logic.cli import main
 from conftest import GOLDEN
@@ -120,6 +121,16 @@ class TestCompileEvalTable:
                            "--assign", "a=2,b=0")
         assert code == 1
 
+    @pytest.mark.parametrize("command,extra", [
+        ("eval", ()), ("sensitivity", ("--trials", "5", "--seed", "1"))])
+    def test_repeated_assignment_name_is_usage_error(self, cli, command, extra):
+        code, out, err = cli(command, "--net", str(fixture_path("nand2.json")),
+                             "--assign", "a=1,a=0,b=1", *extra)
+        assert (code, out) == (1, "")
+        error = json.loads(err)["error"]
+        assert error["kind"] == "usage"
+        assert "'a'" in error["message"]
+
     def test_compile_syntax_error_position(self, cli):
         code, _, err = cli("compile", "--expr", "a &")
         assert code == 1
@@ -161,6 +172,17 @@ class TestFixpoints:
         assert code == 3
         assert json.loads(out)["truncated"] is True
         assert json.loads(err)["error"]["kind"] == "resource"
+
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    @pytest.mark.parametrize("argv", [
+        ("fixpoints", "--net", str(fixture_path("triangle.json"))),
+        ("verify-gcm", "--n", "8", "--z", "2", "--instances", "3", "--seed", "1")],
+        ids=["fixpoints", "verify-gcm"])
+    def test_cap_below_one_is_usage_error(self, cli, argv, cap):
+        code, out, err = cli(*argv, "--cap", cap)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == {
+            "kind": "usage", "message": f"state_cap must be >= 1, got {cap}"}
 
 
 class TestSensitivityAndVerify:
@@ -253,6 +275,36 @@ class TestErrorPaths:
         assert _default_jobs() == 1
         monkeypatch.delenv("CASCADE_LOGIC_JOBS")
         assert _default_jobs() == 1
+
+
+class TestParserOnce:
+    def test_main_never_builds_a_parser(self, cli, monkeypatch):
+        def no_parser():
+            raise AssertionError("main built a parser")
+        monkeypatch.setattr(cli_module, "_build_parser", no_parser)
+        for _ in range(2):
+            code, out, _ = cli("stats", "--net", str(fixture_path("triangle.json")))
+            assert code == 0
+            assert json.loads(out)["n"] == 3
+
+    def test_jobs_env_set_after_import_reaches_sweep(self, cli, monkeypatch):
+        seen = []
+        real_sweep_sizes = cli_module.sweep_sizes
+
+        def recording_sweep_sizes(spec, jobs=None):
+            seen.append(jobs)
+            return real_sweep_sizes(spec, jobs=1)  # no worker pool
+
+        monkeypatch.setattr(cli_module, "sweep_sizes", recording_sweep_sizes)
+        argv = ("sweep", "--n", "20", "--z", "2", "--phi", "0.2", "--rule", "gcm",
+                "--realizations", "2", "--seed", "5")
+        for value in ("3", "5"):
+            monkeypatch.setenv("CASCADE_LOGIC_JOBS", value)
+            assert cli(*argv)[0] == 0
+        assert cli(*argv, "--jobs", "2")[0] == 0
+        monkeypatch.delenv("CASCADE_LOGIC_JOBS")
+        assert cli(*argv)[0] == 0
+        assert seen == [3, 5, 2, 1]
 
 
 def test_module_entry_point_runs():
