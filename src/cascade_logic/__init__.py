@@ -14,10 +14,10 @@ from .analyze import (DEFAULT_STATE_CAP, FixpointSet, SensitivityReport,
                       Verdict, enumerate_fixpoints, outcome_sensitivity,
                       schedule_sensitivity, verify_gcm_determinism)
 from .circuit import (Basis, CompiledCircuit, GateAssignment, GateKind,
-                      TruthTable, build_gate, compile_expr, compile_half_adder,
-                      evaluate, is_monotone_decreasing, is_monotone_increasing,
-                      load_circuit, phi_for_gate, phi_interval, save_circuit,
-                      truth_table)
+                      TableTooLarge, TruthTable, build_gate, compile_expr,
+                      compile_half_adder, evaluate, is_monotone_decreasing,
+                      is_monotone_increasing, load_circuit, phi_for_gate,
+                      phi_interval, save_circuit, truth_table)
 from .engine import (CascadeResult, Configuration, ExplicitOrder, RandomSweep,
                      ScheduleMode, Topological, count_fires, fires, is_global,
                      run_cascade, tlu_fires, topological_order)

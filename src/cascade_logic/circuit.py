@@ -32,6 +32,10 @@ MAX_FAN_IN = 64
 MAX_TABLE_INPUTS = 20
 
 
+class TableTooLarge(ValueError):
+    """A truth table over more than MAX_TABLE_INPUTS inputs."""
+
+
 class GateKind(Enum):
     OR = "or"
     AND = "and"
@@ -177,18 +181,14 @@ class _Builder:
         return Network(nodes=self.nodes, directed=True, edges=self.edges)
 
 
-def _invert(builder: _Builder, nid: int) -> int:
-    return builder.gate(GateKind.NOT, (nid,))
+def _xor(builder: _Builder, kind: GateKind, x: int, y: int) -> int:
+    """Four two-input `kind` gates, kind(x, y) emitted first: x XOR y out
+    of NANDs, x XNOR y out of NORs."""
+    t = builder.gate(kind, (x, y))
+    return builder.gate(kind, (builder.gate(kind, (x, t)), builder.gate(kind, (y, t))))
 
 
-def _nand_xor(builder: _Builder, x: int, y: int) -> int:
-    """x XOR y out of four two-input NANDs, NAND(x, y) emitted first."""
-    t = builder.gate(GateKind.NAND, (x, y))
-    return builder.gate(GateKind.NAND, (builder.gate(GateKind.NAND, (x, t)),
-                                        builder.gate(GateKind.NAND, (y, t))))
-
-
-# AST gate -> (gate emitted, NOT on each input, NOT on the output), per basis
+# AST gate -> (gate emitted, operands negated, NOT on the output), per basis
 _REWRITES = {
     Basis.MIXED: {And: (GateKind.AND, False, False), Or: (GateKind.OR, False, False),
                   Nand: (GateKind.NAND, False, False), Nor: (GateKind.NOR, False, False)},
@@ -197,47 +197,46 @@ _REWRITES = {
     Basis.NOR_ONLY: {And: (GateKind.NOR, True, False), Or: (GateKind.NOR, False, True),
                      Nand: (GateKind.NOR, True, True), Nor: (GateKind.NOR, False, False)},
 }
+_COMPLEMENT = {And: Nand, Nand: And, Or: Nor, Nor: Or}
 
 
-def _emit(e: Expr, builder: _Builder, basis: Basis) -> int:
-    """Emit `e` in `basis`, visiting each AST node once.
+def _emit(e: Expr, builder: _Builder, basis: Basis, negate: bool = False) -> int:
+    """Emit `e`, or its complement when `negate`, in `basis`, visiting each
+    AST node once and operands left to right.
 
-    Operands are emitted left to right, each followed at once by its NOT
-    where the rewrite negates inputs, so node ids follow that order.
+    A NOT emits nothing: it flips the polarity asked of its operand. A
+    negated gate takes the rewrite of its complement, and a rewrite's
+    negated inputs are requests for negated operands, which of all leaves
+    only a variable answers with a NOT node.
     """
     if isinstance(e, Var):
-        return builder.input_node(e.name)
+        nid = builder.input_node(e.name)
+        return builder.gate(GateKind.NOT, (nid,)) if negate else nid
     if isinstance(e, Not):
-        return _invert(builder, _emit(e.arg, builder, basis))
+        return _emit(e.arg, builder, basis, not negate)
     if isinstance(e, Xor):
-        x = _emit(e.left, builder, basis)
-        if basis is not Basis.NOR_ONLY:
-            return _nand_xor(builder, x, _emit(e.right, builder, basis))
-        # (x & !y) | (!x & y), with both ANDs and the OR in NOR form
-        nx = _invert(builder, x)
-        ny = _invert(builder, _emit(e.right, builder, basis))
-        left = builder.gate(GateKind.NOR, (nx, _invert(builder, ny)))
-        right = builder.gate(GateKind.NOR, (_invert(builder, nx), ny))
-        return _invert(builder, builder.gate(GateKind.NOR, (left, right)))
-    kind, negate_inputs, negate_output = _REWRITES[basis][type(e)]
-    children = []
-    for arg in e.args:
-        child = _emit(arg, builder, basis)
-        children.append(_invert(builder, child) if negate_inputs else child)
-    out = builder.gate(kind, children)
-    return _invert(builder, out) if negate_output else out
+        # NORs give XNOR; XNOR(x, y) = XOR(!x, y) sets the left operand's polarity
+        kind = GateKind.NOR if basis is Basis.NOR_ONLY else GateKind.NAND
+        x = _emit(e.left, builder, basis, negate != (kind is GateKind.NOR))
+        return _xor(builder, kind, x, _emit(e.right, builder, basis))
+    kind, negate_inputs, negate_output = _REWRITES[basis][
+        _COMPLEMENT[type(e)] if negate else type(e)]
+    out = builder.gate(kind, [_emit(arg, builder, basis, negate_inputs) for arg in e.args])
+    return builder.gate(GateKind.NOT, (out,)) if negate_output else out
 
 
 def compile_expr(expr: Union[Expr, str], basis: Basis = Basis.MIXED) -> CompiledCircuit:
     """Compile an expression (or its source text) into a cascade circuit.
 
-    One pass over the AST emits each node straight into the builder. MIXED
-    maps every AST gate to its own node; NAND_ONLY / NOR_ONLY emit each gate
-    as the basis gate with NOTs on its inputs and/or output (De Morgan),
-    NOT being the one-input antagonistic node (the fan-in-1 degeneration of
-    either gate). XOR is never a single node: it becomes four NANDs (MIXED,
-    NAND_ONLY) or the sum-of-products form in NORs and NOTs (NOR_ONLY). The
-    single output is named "out"; inputs keep first-appearance order.
+    One pass over the AST emits each node straight into the builder, in the
+    polarity its parent needs, so a NOT in the expression is never a node
+    of its own. MIXED emits AND, OR, NAND and NOR nodes; NAND_ONLY and
+    NOR_ONLY emit every gate as the basis gate by De Morgan, with one-input
+    antagonistic NOTs (the fan-in-1 degeneration of either gate) only on
+    variables and on rewrite outputs. XOR is four NANDs (MIXED, NAND_ONLY)
+    or four NORs, which compute XNOR, on the complemented left operand
+    (NOR_ONLY). The single output is named "out"; inputs keep
+    first-appearance order.
     """
     if isinstance(expr, str):
         expr = parse_expr(expr)
@@ -272,8 +271,8 @@ def compile_half_adder() -> CompiledCircuit:
     b = _Builder()
     a = b.input_node("a")
     bb = b.input_node("b")
-    s = _nand_xor(b, a, bb)
-    c = _invert(b, b.gate(GateKind.NAND, (a, bb)))  # the sum's first NAND
+    s = _xor(b, GateKind.NAND, a, bb)
+    c = b.gate(GateKind.NOT, (b.gate(GateKind.NAND, (a, bb)),))  # the sum's first NAND
     return CompiledCircuit(network=b.network(), inputs=dict(b.inputs),
                            outputs={"sum": s, "carry": c})
 
@@ -346,8 +345,8 @@ def truth_table(circuit: CompiledCircuit) -> TruthTable:
     """
     m = len(circuit.inputs)
     if m > MAX_TABLE_INPUTS:
-        raise ValueError(f"{m} inputs would need 2^{m} rows; the limit is "
-                         f"{MAX_TABLE_INPUTS} inputs")
+        raise TableTooLarge(f"{m} inputs would need 2^{m} rows; the limit is "
+                            f"{MAX_TABLE_INPUTS} inputs")
     net = circuit.network
     row_ids = np.arange(1 << m, dtype=np.int64)
     values = np.zeros((net.n, 1 << m), dtype=np.uint8)  # one row per node

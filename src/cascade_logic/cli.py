@@ -16,13 +16,14 @@ import dataclasses
 import json
 import os
 import sys
+from pathlib import Path
 from typing import Optional, Sequence
 
 from ._seeds import GENERATOR_NAME, mix_seed
 from .analyze import (DEFAULT_STATE_CAP, Verdict, enumerate_fixpoints,
                       schedule_sensitivity, verify_gcm_determinism)
-from .circuit import (Basis, compile_expr, load_circuit, save_circuit,
-                      truth_table, evaluate)
+from .circuit import (Basis, TableTooLarge, compile_expr, load_circuit,
+                      save_circuit, truth_table, evaluate)
 from .engine import ExplicitOrder, RandomSweep, Topological, is_global, run_cascade
 from .experiments import (GlobalFraction, MedianExceedance, SweepSpec,
                           emit_csv, rows_from_sizes, sweep_sizes)
@@ -273,6 +274,9 @@ def _cmd_sweep(args) -> int:
         seeds_per_run=args.seeds_per_run,
         metric=_parse_metric(args.metric),
     )
+    for path in (args.dump_sizes, args.out):  # unwritable: fail before any realization
+        if path is not None:
+            Path(path).open("a").close()
     sizes, reference = sweep_sizes(spec, jobs=_jobs(args))
     rows = rows_from_sizes(spec, sizes, reference)
     if args.dump_sizes is not None:
@@ -372,9 +376,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _PARSER.parse_args(argv)
         return args.func(args)
+    except SystemExit as e:  # argparse exits 0 after --help; error() raises UsageError
+        return e.code
     except (NetworkFormatError, OSError) as e:  # NetworkFormatError is a ValueError
         _fail("input", str(e))
         return EXIT_INPUT
+    except TableTooLarge as e:
+        _fail("resource", str(e))
+        return EXIT_RESOURCE
     except (UsageError, ValueError) as e:
         _fail("usage", str(e))
         return EXIT_USAGE

@@ -434,6 +434,52 @@ class TestCompileWork:
             assert evaluate(circuit, bits) == {"out": ones % 2}
 
 
+def dead_nodes(circuit):
+    """Non-input nodes from which no output is reachable."""
+    live = set(circuit.outputs.values())
+    stack = list(live)
+    while stack:
+        for v in circuit.network.in_neighbors[stack.pop()]:
+            if v not in live:
+                live.add(v)
+                stack.append(v)
+    return set(range(circuit.network.n)) - live - set(circuit.inputs.values())
+
+
+class TestPolarity:
+    @pytest.mark.parametrize("basis", list(Basis), ids=lambda b: b.value)
+    def test_every_node_reaches_the_output(self, basis):
+        rng = make_rng(7)
+        exprs = [random_expr(rng, max_depth=6, max_vars=8) for _ in range(150)]
+        exprs += GOLDEN_EXPRS
+        for expr in exprs:
+            assert dead_nodes(compile_expr(expr, basis)) == set(), expr
+
+    @pytest.mark.parametrize("basis", list(Basis), ids=lambda b: b.value)
+    def test_xor_chain_node_counts(self, basis):
+        # Four gates per XOR. NORs give XNOR, so in nor the polarity asked of
+        # the left operand alternates down the chain, and v0 needs a NOT
+        # exactly when the chain has an odd number of XORs.
+        for k in range(2, 21):
+            extra = basis is Basis.NOR_ONLY and k % 2 == 0
+            circuit = compile_expr(" ^ ".join(f"v{i}" for i in range(k)), basis)
+            assert circuit.network.n == 5 * k - 4 + extra, k
+
+    @pytest.mark.parametrize("basis", list(Basis), ids=lambda b: b.value)
+    def test_double_negation_is_the_input(self, basis):
+        for text in ("!!a", "!!!!a"):
+            circuit = compile_expr(text, basis)
+            assert circuit.network.n == 1
+            assert circuit.outputs["out"] == circuit.inputs["a"]
+
+    def test_negated_and_is_one_nand_in_mixed(self):
+        circuit = compile_expr("!(a & b)", Basis.MIXED)
+        assert circuit.network.n == 3
+        gate = circuit.network.nodes[circuit.outputs["out"]]
+        assert (gate.rule, gate.phi) == (Rule.ANTAGONISTIC, Fraction(3, 4))
+        assert table_bits(circuit) == [1, 1, 1, 0]
+
+
 # sha256 of the `table` CSV per basis and labelled expression: XOR chains,
 # seeded random expressions, and the 16-input circuit of the circuits
 # benchmark workload, with its inputs in the order seed 401 draws (the
@@ -467,11 +513,16 @@ class TestTableGolden:
 
 
 if __name__ == "__main__":
-    # Rewrites the pinned digests; run only for an intended format change.
-    digests = {basis.value: {expr: compiled_digest(expr, basis)
-                             for expr in GOLDEN_EXPRS} for basis in Basis}
-    COMPILE_GOLDEN.write_text(json.dumps(digests, indent=1) + "\n")
-    exprs = table_golden_exprs()
-    digests = {basis.value: {label: table_digest(expr, basis)
-                             for label, expr in exprs.items()} for basis in Basis}
-    TABLE_GOLDEN.write_text(json.dumps(digests, indent=1) + "\n")
+    # `python tests/test_circuit.py compile|table ...` re-records the named
+    # goldens; run only for an intended change of their bytes.
+    import sys
+
+    goldens = {"compile": (COMPILE_GOLDEN, {e: e for e in GOLDEN_EXPRS}, compiled_digest),
+               "table": (TABLE_GOLDEN, table_golden_exprs(), table_digest)}
+    if not sys.argv[1:] or not set(sys.argv[1:]) <= set(goldens):
+        sys.exit(f"usage: {sys.argv[0]} {{compile,table}} ...")
+    for name in sys.argv[1:]:
+        path, exprs, digest = goldens[name]
+        digests = {basis.value: {label: digest(expr, basis) for label, expr in exprs.items()}
+                   for basis in Basis}
+        path.write_text(json.dumps(digests, indent=1) + "\n")

@@ -5,7 +5,9 @@ import sys
 import pytest
 
 from cascade_logic import cli as cli_module
+from cascade_logic import experiments as experiments_module
 from cascade_logic import fixture_path, load_network
+from cascade_logic.circuit import MAX_TABLE_INPUTS
 from cascade_logic.cli import main
 from conftest import GOLDEN
 
@@ -131,6 +133,17 @@ class TestCompileEvalTable:
         assert error["kind"] == "usage"
         assert "'a'" in error["message"]
 
+    def test_table_above_input_limit_is_resource_error(self, cli, tmp_path):
+        target = tmp_path / "wide.json"
+        wide = " | ".join(f"v{i}" for i in range(MAX_TABLE_INPUTS + 1))
+        assert cli("compile", "--expr", wide, "--out", str(target))[0] == 0
+        code, out, err = cli("table", "--net", str(target), "--out", str(tmp_path / "t.csv"))
+        assert (code, out) == (3, "")
+        error = json.loads(err)["error"]
+        assert error["kind"] == "resource"
+        assert f"limit is {MAX_TABLE_INPUTS} inputs" in error["message"]
+        assert not (tmp_path / "t.csv").exists()
+
     def test_compile_syntax_error_position(self, cli):
         code, _, err = cli("compile", "--expr", "a &")
         assert code == 1
@@ -242,6 +255,27 @@ class TestSweep:
         assert doc[0]["z"] == 2.0
         assert len(doc[0]["sizes"]) == 5
 
+    @pytest.mark.parametrize("flag", ["--out", "--dump-sizes"])
+    def test_unwritable_output_fails_before_any_realization(self, cli, monkeypatch,
+                                                            tmp_path, flag):
+        calls = []
+        real = experiments_module._realization_sizes
+
+        def counted(args):
+            calls.append(args)
+            return real(args)
+
+        monkeypatch.setattr(experiments_module, "_realization_sizes", counted)
+        argv = ("sweep", "--n", "30", "--z", "2", "--phi", "0.2", "--rule", "gcm",
+                "--realizations", "2", "--seed", "5", "--jobs", "1")
+        missing = str(tmp_path / "nodir" / "out.json")
+        code, out, err = cli(*argv, flag, missing)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["kind"] == "input"
+        assert calls == []
+        assert cli(*argv, flag, str(tmp_path / "out.json"))[0] == 0
+        assert len(calls) == 2
+
     def test_bad_metric(self, cli):
         code, _, err = cli("sweep", "--n", "40", "--z", "2", "--phi", "0.18",
                            "--rule", "agcm", "--realizations", "5", "--seed", "3",
@@ -262,6 +296,12 @@ class TestErrorPaths:
         code, _, err = cli("stats", "--net", str(bad))
         assert code == 2
         assert "line" in json.loads(err)["error"]["message"]
+
+    @pytest.mark.parametrize("argv", [["stats", "--help"], ["-h"], ["sweep", "-h"]])
+    def test_help_returns_0(self, cli, argv):
+        code, out, err = cli(*argv)
+        assert (code, err) == (0, "")
+        assert "usage:" in out
 
     def test_unknown_subcommand_exits_1(self, cli):
         code, _, err = cli("frobnicate")
