@@ -14,10 +14,10 @@ from .analyze import (DEFAULT_STATE_CAP, FixpointSet, SensitivityReport,
                       Verdict, enumerate_fixpoints, outcome_sensitivity,
                       schedule_sensitivity, verify_gcm_determinism)
 from .circuit import (Basis, CompiledCircuit, GateAssignment, GateKind,
-                      TableTooLarge, TruthTable, build_gate, compile_expr,
-                      compile_half_adder, evaluate, is_monotone_decreasing,
-                      is_monotone_increasing, load_circuit, phi_for_gate,
-                      phi_interval, save_circuit, truth_table)
+                      TruthTable, build_gate, compile_expr, compile_half_adder,
+                      evaluate, is_monotone_decreasing, is_monotone_increasing,
+                      load_circuit, phi_for_gate, phi_interval, save_circuit,
+                      truth_table)
 from .engine import (CascadeResult, Configuration, ExplicitOrder, RandomSweep,
                      ScheduleMode, Topological, count_fires, fires, is_global,
                      run_cascade, tlu_fires, topological_order)
@@ -28,7 +28,7 @@ from .experiments import (GlobalFraction, MedianExceedance, SweepRow,
 from .net import (Network, NetworkBundle, NetworkFormatError, NetworkStats,
                   NodeSpec, Rule, UNIFORM, assign_thresholds, cutoff,
                   generate_er, load_bundle, load_network, save_network, stats)
-from .parser import ParseError, parse_expr, variables
+from .parser import LimitExceeded, ParseError, parse_expr, variables
 
 __version__ = "0.1.0"
 

@@ -122,19 +122,15 @@ def outcome_sensitivity(network: Network, seeds: Iterable[int],
 
 
 def schedule_sensitivity(circuit: CompiledCircuit, assignment: Mapping[str, int],
-                         trials: int, rng_seed: int,
-                         reference: Optional[Sequence[int]] = None) -> SensitivityReport:
+                         trials: int, rng_seed: int) -> SensitivityReport:
     """Sensitivity of a circuit's outputs to the examination schedule.
 
-    The reference is the topological evaluation unless given explicitly
-    (pass one when the network has no topological order). Each trial runs a
+    The reference is the topological evaluation, which every circuit has
+    because `CompiledCircuit` rejects cycles. Each trial runs a
     free-running random sweep that ignores the topology.
     """
-    out_names = tuple(circuit.outputs)
-    if reference is None:
-        ref_bits = evaluate(circuit, assignment)
-        reference = tuple(ref_bits[name] for name in out_names)
-    watched = [circuit.outputs[name] for name in out_names]
+    reference = tuple(evaluate(circuit, assignment).values())
+    watched = list(circuit.outputs.values())
     return outcome_sensitivity(circuit.network, input_seeds(circuit, assignment),
                                watched, reference, trials, rng_seed)
 

@@ -26,14 +26,11 @@ import numpy as np
 from .engine import Topological, run_cascade, topological_order
 from .net import (Network, NetworkFormatError, NodeSpec, Rule, load_bundle,
                   save_network)
-from .parser import And, Expr, Nand, Nor, Not, Or, Var, Xor, parse_expr
+from .parser import (And, Expr, LimitExceeded, Nand, Nor, Not, Or, Var, Xor,
+                     parse_expr)
 
 MAX_FAN_IN = 64
 MAX_TABLE_INPUTS = 20
-
-
-class TableTooLarge(ValueError):
-    """A truth table over more than MAX_TABLE_INPUTS inputs."""
 
 
 class GateKind(Enum):
@@ -71,7 +68,7 @@ def phi_interval(kind: GateKind, fan_in: int) -> tuple[Fraction, Fraction]:
     if k < 2:
         raise ValueError(f"{kind.value} needs fan-in >= 2, got {k}")
     if k > MAX_FAN_IN:
-        raise ValueError(f"fan-in {k} exceeds the supported maximum {MAX_FAN_IN}")
+        raise LimitExceeded(f"fan-in {k} exceeds the supported maximum {MAX_FAN_IN}")
     if kind in (GateKind.OR, GateKind.NOR):
         return Fraction(0), Fraction(1, k)
     if kind in (GateKind.AND, GateKind.NAND):
@@ -215,10 +212,14 @@ def _emit(e: Expr, builder: _Builder, basis: Basis, negate: bool = False) -> int
     if isinstance(e, Not):
         return _emit(e.arg, builder, basis, not negate)
     if isinstance(e, Xor):
-        # NORs give XNOR; XNOR(x, y) = XOR(!x, y) sets the left operand's polarity
+        # NORs give XNOR, and XNOR(x, y) = XOR(!x, y): each of the k-1 folds
+        # flips the polarity asked of the first operand
         kind = GateKind.NOR if basis is Basis.NOR_ONLY else GateKind.NAND
-        x = _emit(e.left, builder, basis, negate != (kind is GateKind.NOR))
-        return _xor(builder, kind, x, _emit(e.right, builder, basis))
+        flips = kind is GateKind.NOR and len(e.args) % 2 == 0
+        out = _emit(e.args[0], builder, basis, negate != flips)
+        for arg in e.args[1:]:
+            out = _xor(builder, kind, out, _emit(arg, builder, basis))
+        return out
     kind, negate_inputs, negate_output = _REWRITES[basis][
         _COMPLEMENT[type(e)] if negate else type(e)]
     out = builder.gate(kind, [_emit(arg, builder, basis, negate_inputs) for arg in e.args])
@@ -233,8 +234,9 @@ def compile_expr(expr: Union[Expr, str], basis: Basis = Basis.MIXED) -> Compiled
     of its own. MIXED emits AND, OR, NAND and NOR nodes; NAND_ONLY and
     NOR_ONLY emit every gate as the basis gate by De Morgan, with one-input
     antagonistic NOTs (the fan-in-1 degeneration of either gate) only on
-    variables and on rewrite outputs. XOR is four NANDs (MIXED, NAND_ONLY)
-    or four NORs, which compute XNOR, on the complemented left operand
+    variables and on rewrite outputs. A k-input XOR folds its operands left
+    to right, four NANDs per fold (MIXED, NAND_ONLY) or four NORs, which
+    compute XNOR, with the first operand's polarity set by the parity of k
     (NOR_ONLY). The single output is named "out"; inputs keep
     first-appearance order.
     """
@@ -345,7 +347,7 @@ def truth_table(circuit: CompiledCircuit) -> TruthTable:
     """
     m = len(circuit.inputs)
     if m > MAX_TABLE_INPUTS:
-        raise TableTooLarge(f"{m} inputs would need 2^{m} rows; the limit is "
+        raise LimitExceeded(f"{m} inputs would need 2^{m} rows; the limit is "
                             f"{MAX_TABLE_INPUTS} inputs")
     net = circuit.network
     row_ids = np.arange(1 << m, dtype=np.int64)

@@ -22,13 +22,14 @@ from typing import Optional, Sequence
 from ._seeds import GENERATOR_NAME, mix_seed
 from .analyze import (DEFAULT_STATE_CAP, Verdict, enumerate_fixpoints,
                       schedule_sensitivity, verify_gcm_determinism)
-from .circuit import (Basis, TableTooLarge, compile_expr, load_circuit,
-                      save_circuit, truth_table, evaluate)
+from .circuit import (Basis, compile_expr, load_circuit, save_circuit,
+                      truth_table, evaluate)
 from .engine import ExplicitOrder, RandomSweep, Topological, is_global, run_cascade
 from .experiments import (GlobalFraction, MedianExceedance, SweepSpec,
                           emit_csv, rows_from_sizes, sweep_sizes)
 from .net import (NetworkFormatError, Rule, UNIFORM, assign_thresholds,
                   generate_er, load_network, save_network, stats, write_text)
+from .parser import LimitExceeded
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -381,7 +382,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (NetworkFormatError, OSError) as e:  # NetworkFormatError is a ValueError
         _fail("input", str(e))
         return EXIT_INPUT
-    except TableTooLarge as e:
+    except LimitExceeded as e:
         _fail("resource", str(e))
         return EXIT_RESOURCE
     except (UsageError, ValueError) as e:

@@ -3,13 +3,16 @@
 Grammar, loosest binding first:
 
     expr    := xorterm  (("|" | "@|") xorterm)*     OR / NOR
-    xorterm := andterm ("^" andterm)*               XOR (binary, left-assoc)
-    andterm := unary   (("&" | "@&") unary)*        AND / NAND
+    xorterm := andterm  ("^" andterm)*              XOR
+    andterm := unary    (("&" | "@&") unary)*       AND / NAND
     unary   := "!" unary | IDENT | "(" expr ")"     NOT, variables, grouping
 
-Runs of the same binary operator fold into one k-ary node ("a & b & c" is a
-single 3-input AND); a change of operator at the same precedence level, or
-parentheses, start a fresh node.
+Every binary operator is k-ary: a run of the same operator folds into one
+node ("a ^ b ^ c" is a single 3-input XOR, as "a & b & c" is a single
+3-input AND); a change of operator at the same precedence level, or
+parentheses, start a fresh node. Each "!" and each "(" opens one nesting
+level, and more than MAX_NESTING open levels raise LimitExceeded, so the
+depth of every parsed AST is bounded.
 """
 
 from __future__ import annotations
@@ -18,7 +21,14 @@ import re
 from dataclasses import dataclass
 from typing import Union
 
-Expr = Union["Var", "Not", "And", "Or", "Nand", "Nor", "Xor"]
+Expr = Union["Var", "Not", "Gate"]
+
+MAX_NESTING = 100
+
+
+class LimitExceeded(ValueError):
+    """An input beyond one of the package's explicit caps: expression
+    nesting, gate fan-in or truth-table inputs."""
 
 
 @dataclass(frozen=True)
@@ -31,47 +41,35 @@ class Not:
     arg: Expr
 
 
-def _require_fan_in(args):
-    if len(args) < 2:
-        raise ValueError("k-ary gate nodes need at least 2 operands")
-
-
 @dataclass(frozen=True)
-class And:
+class Gate:
+    """A gate over k >= 2 operands; the subclass names its function."""
+
     args: tuple[Expr, ...]
 
     def __post_init__(self):
-        _require_fan_in(self.args)
+        if len(self.args) < 2:
+            raise ValueError("k-ary gate nodes need at least 2 operands")
 
 
-@dataclass(frozen=True)
-class Or:
-    args: tuple[Expr, ...]
-
-    def __post_init__(self):
-        _require_fan_in(self.args)
+class And(Gate):
+    pass
 
 
-@dataclass(frozen=True)
-class Nand:
-    args: tuple[Expr, ...]
-
-    def __post_init__(self):
-        _require_fan_in(self.args)
+class Or(Gate):
+    pass
 
 
-@dataclass(frozen=True)
-class Nor:
-    args: tuple[Expr, ...]
-
-    def __post_init__(self):
-        _require_fan_in(self.args)
+class Nand(Gate):
+    pass
 
 
-@dataclass(frozen=True)
-class Xor:
-    left: Expr
-    right: Expr
+class Nor(Gate):
+    pass
+
+
+class Xor(Gate):
+    pass
 
 
 class ParseError(ValueError):
@@ -111,11 +109,16 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+# binary operators by precedence level, loosest first
+_LEVELS = ({"|": Or, "@|": Nor}, {"^": Xor}, {"&": And, "@&": Nand})
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.nesting = 0
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -128,55 +131,50 @@ class _Parser:
     def parse(self) -> Expr:
         if not self.tokens:
             raise ParseError("empty expression", 0)
-        node = self.expr()
+        node = self.binary(0)
         if (tok := self.peek()) is not None:
             raise ParseError(f"unexpected {tok.text!r}", tok.position)
         return node
 
-    def chain(self, sub, ops: dict):
+    def binary(self, level: int) -> Expr:
         # one k-ary node per uninterrupted run of the same operator
-        node = sub()
+        if level == len(_LEVELS):
+            return self.unary()
+        ops = _LEVELS[level]
+        node = self.binary(level + 1)
         while (tok := self.peek()) is not None and tok.text in ops:
             args = [node]
             while (t := self.peek()) is not None and t.text == tok.text:
                 self.advance()
-                args.append(sub())
+                args.append(self.binary(level + 1))
             node = ops[tok.text](tuple(args))
         return node
-
-    def expr(self) -> Expr:
-        return self.chain(self.xorterm, {"|": Or, "@|": Nor})
-
-    def xorterm(self) -> Expr:
-        node = self.andterm()
-        while (tok := self.peek()) is not None and tok.text == "^":
-            self.advance()
-            node = Xor(node, self.andterm())
-        return node
-
-    def andterm(self) -> Expr:
-        return self.chain(self.unary, {"&": And, "@&": Nand})
 
     def unary(self) -> Expr:
         tok = self.peek()
         if tok is None:
             raise ParseError("unexpected end of input", len(self.text))
-        if tok.text == "!":
-            self.advance()
-            return Not(self.unary())
         if tok.is_ident:
             self.advance()
             return Var(tok.text)
-        if tok.text == "(":
-            self.advance()
-            node = self.expr()
+        if tok.text not in ("!", "("):
+            raise ParseError(f"unexpected {tok.text!r}", tok.position)
+        if self.nesting == MAX_NESTING:
+            raise LimitExceeded(f"expression nests deeper than {MAX_NESTING} levels "
+                                f"(at position {tok.position})")
+        self.advance()
+        self.nesting += 1
+        if tok.text == "!":
+            node = Not(self.unary())
+        else:
+            node = self.binary(0)
             closing = self.peek()
             if closing is None or closing.text != ")":
                 raise ParseError("expected ')'",
                                  closing.position if closing else len(self.text))
             self.advance()
-            return node
-        raise ParseError(f"unexpected {tok.text!r}", tok.position)
+        self.nesting -= 1
+        return node
 
 
 def parse_expr(text: str) -> Expr:
@@ -193,9 +191,6 @@ def variables(expr: Expr) -> list[str]:
             seen.setdefault(e.name)
         elif isinstance(e, Not):
             walk(e.arg)
-        elif isinstance(e, Xor):
-            walk(e.left)
-            walk(e.right)
         else:
             for a in e.args:
                 walk(a)

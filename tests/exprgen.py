@@ -16,8 +16,8 @@ def _random_tree(rng, max_depth, names, kinds):
     if kind == "not":
         return Not(_random_tree(rng, max_depth - 1, names, kinds))
     if kind == "xor":
-        return Xor(_random_tree(rng, max_depth - 1, names, kinds),
-                   _random_tree(rng, max_depth - 1, names, kinds))
+        return Xor((_random_tree(rng, max_depth - 1, names, kinds),
+                    _random_tree(rng, max_depth - 1, names, kinds)))
     fan_in = int(rng.integers(2, 5))
     args = tuple(_random_tree(rng, max_depth - 1, names, kinds)
                  for _ in range(fan_in))

@@ -7,19 +7,20 @@ package's optimized paths.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from cascade_logic import fires
 
 
-def neighbor_fraction(network, config, u: int) -> float:
-    """Fraction of u's neighbors (in-neighbors when directed) in `config`.
+def neighbor_fraction(network, config, u: int) -> Fraction:
+    """Exact fraction of u's neighbors (in-neighbors when directed) in `config`.
 
     Degree-0 nodes have fraction 0 by convention.
     """
     nbrs = network.in_neighbors[u]
     if not nbrs:
-        return 0.0
-    labeled = sum(1 for v in nbrs if v in config)
-    return labeled / len(nbrs)
+        return Fraction(0)
+    return Fraction(sum(1 for v in nbrs if v in config), len(nbrs))
 
 
 def naive_cascade(network, seeds, order):
@@ -36,7 +37,10 @@ def naive_cascade(network, seeds, order):
             if u in labeled:
                 continue
             spec = network.nodes[u]
-            if fires(spec.rule, neighbor_fraction(network, labeled, u), spec.phi):
+            nu = neighbor_fraction(network, labeled, u)
+            # a float threshold meets the rounded quotient, a Fraction the exact one
+            if fires(spec.rule, nu if isinstance(spec.phi, Fraction) else float(nu),
+                     spec.phi):
                 labeled.add(u)
                 history.append(u)
                 changed = True
@@ -75,9 +79,9 @@ def eval_expr(expr, env):
         return int(env[expr.name])
     if isinstance(expr, Not):
         return 1 - eval_expr(expr.arg, env)
-    if isinstance(expr, Xor):
-        return eval_expr(expr.left, env) ^ eval_expr(expr.right, env)
     vals = [eval_expr(a, env) for a in expr.args]
+    if isinstance(expr, Xor):
+        return sum(vals) % 2
     if isinstance(expr, And):
         return int(all(vals))
     if isinstance(expr, Or):

@@ -11,11 +11,12 @@ import pytest
 
 from cascade_logic import circuit as circuit_module
 from cascade_logic.circuit import MAX_FAN_IN
-from cascade_logic import (Basis, GateKind, NetworkFormatError, Rule,
+from cascade_logic.parser import MAX_NESTING
+from cascade_logic import (Basis, GateKind, LimitExceeded, NetworkFormatError, Rule,
                            build_gate, compile_expr, compile_half_adder,
                            count_fires, evaluate, is_monotone_decreasing,
                            is_monotone_increasing, load_circuit, make_rng,
-                           phi_for_gate, phi_interval, save_circuit,
+                           parse_expr, phi_for_gate, phi_interval, save_circuit,
                            TruthTable, truth_table, variables)
 from exprgen import random_expr, random_monotone_expr
 from oracles import eval_expr, gate_truth, monotone_by_flips
@@ -62,10 +63,11 @@ class TestPhiForGate:
     def test_unsupported_combinations(self):
         with pytest.raises(ValueError):
             phi_for_gate(GateKind.NOT, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             phi_for_gate(GateKind.OR, 1)
-        with pytest.raises(ValueError):
-            phi_for_gate(GateKind.AND, 65)
+        assert not isinstance(info.value, LimitExceeded)  # a usage error, not a cap
+        with pytest.raises(LimitExceeded, match="fan-in"):
+            phi_for_gate(GateKind.AND, MAX_FAN_IN + 1)
 
 
 class TestGateFidelity:
@@ -478,6 +480,34 @@ class TestPolarity:
         gate = circuit.network.nodes[circuit.outputs["out"]]
         assert (gate.rule, gate.phi) == (Rule.ANTAGONISTIC, Fraction(3, 4))
         assert table_bits(circuit) == [1, 1, 1, 0]
+
+
+class TestDepth:
+    @pytest.mark.parametrize("basis", list(Basis), ids=lambda b: b.value)
+    def test_thousand_variable_xor_chain(self, basis):
+        # one flat 1000-input XOR, not a 999-deep tree
+        k = 1000
+        names = [f"x{i}" for i in range(k)]
+        circuit = compile_expr(" ^ ".join(names), basis)
+        assert circuit.network.n == 5 * k - 4 + (basis is Basis.NOR_ONLY)
+        for ones in (0, 1, 2, 999, 1000):
+            bits = {name: int(i < ones) for i, name in enumerate(names)}
+            assert evaluate(circuit, bits) == {"out": ones % 2}, ones
+
+    @pytest.mark.parametrize("basis", list(Basis), ids=lambda b: b.value)
+    def test_deepest_shape_at_the_nesting_cap(self, basis):
+        # each parenthesis adds three gate levels: OR over XOR over AND
+        text = "a"
+        for _ in range(MAX_NESTING):
+            text = f"(b | c ^ d & {text})"
+        circuit = compile_expr(text, basis)
+        expr = parse_expr(text)
+        for bits in product((0, 1), repeat=4):
+            env = dict(zip("abcd", bits))
+            assert evaluate(circuit, {n: env[n] for n in circuit.inputs}) == {
+                "out": eval_expr(expr, env)}, bits
+        with pytest.raises(LimitExceeded, match=f"deeper than {MAX_NESTING}"):
+            compile_expr(f"(b | c ^ d & {text})", basis)
 
 
 # sha256 of the `table` CSV per basis and labelled expression: XOR chains,

@@ -7,8 +7,9 @@ import pytest
 from cascade_logic import cli as cli_module
 from cascade_logic import experiments as experiments_module
 from cascade_logic import fixture_path, load_network
-from cascade_logic.circuit import MAX_TABLE_INPUTS
+from cascade_logic.circuit import MAX_FAN_IN, MAX_TABLE_INPUTS
 from cascade_logic.cli import main
+from cascade_logic.parser import MAX_NESTING
 from conftest import GOLDEN
 
 FIXTURES = ["or2", "and2", "nor2", "nand2", "not1", "half_adder"]
@@ -143,6 +144,26 @@ class TestCompileEvalTable:
         assert error["kind"] == "resource"
         assert f"limit is {MAX_TABLE_INPUTS} inputs" in error["message"]
         assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("expr", [
+        "(" * (MAX_NESTING + 1) + "a" + ")" * (MAX_NESTING + 1),
+        "!" * (MAX_NESTING + 1) + "a",
+        " | ".join(f"v{i}" for i in range(MAX_FAN_IN + 1)),
+    ], ids=["parentheses", "negations", "fan-in"])
+    def test_compile_above_a_cap_is_resource_error(self, cli, expr):
+        code, out, err = cli("compile", "--expr", expr)
+        assert (code, out) == (3, "")
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"]["kind"] == "resource"
+
+    def test_thousand_term_xor_compiles_and_its_table_hits_the_cap(self, cli, tmp_path):
+        target = tmp_path / "xor.json"
+        expr = " ^ ".join(f"x{i}" for i in range(1000))
+        assert cli("compile", "--expr", expr, "--out", str(target)) == (0, "", "")
+        code, out, err = cli("table", "--net", str(target))
+        assert (code, out) == (3, "")
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"]["kind"] == "resource"
 
     def test_compile_syntax_error_position(self, cli):
         code, _, err = cli("compile", "--expr", "a &")

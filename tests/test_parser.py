@@ -12,7 +12,7 @@ class TestBasics:
         assert parse_expr("!(a | b)") == Not(Or((Var("a"), Var("b"))))
 
     def test_xor(self):
-        assert parse_expr("a ^ b") == Xor(Var("a"), Var("b"))
+        assert parse_expr("a ^ b") == Xor((Var("a"), Var("b")))
 
     def test_single_variable(self):
         assert parse_expr("  spam_1 ") == Var("spam_1")
@@ -39,11 +39,13 @@ class TestPrecedenceAndFolding:
         assert parse_expr("a | b & c") == Or((Var("a"), And((Var("b"), Var("c")))))
 
     def test_xor_sits_between(self):
-        assert parse_expr("a ^ b | c") == Or((Xor(Var("a"), Var("b")), Var("c")))
-        assert parse_expr("a ^ b & c") == Xor(Var("a"), And((Var("b"), Var("c"))))
+        assert parse_expr("a ^ b | c") == Or((Xor((Var("a"), Var("b"))), Var("c")))
+        assert parse_expr("a ^ b & c") == Xor((Var("a"), And((Var("b"), Var("c")))))
 
-    def test_xor_left_associative(self):
-        assert parse_expr("a ^ b ^ c") == Xor(Xor(Var("a"), Var("b")), Var("c"))
+    def test_xor_chain_folds_to_kary(self):
+        a, b, c = Var("a"), Var("b"), Var("c")
+        assert parse_expr("a ^ b ^ c") == Xor((a, b, c))
+        assert parse_expr("(a ^ b) ^ c") == Xor((Xor((a, b)), c))
 
     def test_not_binds_tightest(self):
         assert parse_expr("!a & b") == And((Not(Var("a")), Var("b")))

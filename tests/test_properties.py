@@ -1,0 +1,85 @@
+"""Property tests that shrink: the engine against the naive oracle on small
+networks drawn by hypothesis, which is a test-only dependency."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+
+from cascade_logic import (ExplicitOrder, Network, NodeSpec, RandomSweep, Rule,
+                           Topological, run_cascade, topological_order)
+from conftest import assert_stable
+from oracles import naive_cascade
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+MAX_NODES = 8
+
+# deterministic examples, so a tier-1 run is reproducible
+PROPERTY = settings(deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def thresholds(draw, degree: int):
+    """A threshold in [0, 1], often a boundary k/degree where the >= / <
+    tie decides, as an exact Fraction or as a float."""
+    if degree and draw(st.booleans()):
+        phi = Fraction(draw(st.integers(0, degree)), degree)
+    else:
+        phi = draw(st.fractions(0, 1, max_denominator=2 * MAX_NODES))
+    return phi if draw(st.booleans()) else float(phi)
+
+
+@st.composite
+def networks(draw, dag: bool = False):
+    """A network of at most MAX_NODES nodes with mixed rules, plus seeds."""
+    n = draw(st.integers(1, MAX_NODES))
+    directed = dag or draw(st.booleans())
+    if dag:  # edges run down a random permutation, so ids are not in order
+        rank = draw(st.permutations(range(n)))
+        pairs = [(rank[i], rank[j]) for i in range(n) for j in range(i + 1, n)]
+    else:
+        pairs = [(u, v) for u in range(n) for v in range(n)
+                 if u != v and (directed or u < v)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    degree = [0] * n
+    for u, v in edges:
+        degree[v] += 1
+        if not directed:
+            degree[u] += 1
+    nodes = [NodeSpec(u, draw(st.sampled_from(Rule)), draw(thresholds(degree[u])))
+             for u in range(n)]
+    seeds = draw(st.frozensets(st.integers(0, n - 1), max_size=n))
+    return Network(nodes=nodes, directed=directed, edges=edges), seeds
+
+
+@PROPERTY
+@given(data=st.data())
+def test_explicit_order_matches_naive_cascade(data):
+    network, seeds = data.draw(networks())
+    n = network.n
+    order = data.draw(st.permutations(range(n)))
+    order += data.draw(st.lists(st.integers(0, n - 1), max_size=n))  # repeats
+    result = run_cascade(network, seeds, ExplicitOrder(tuple(order)))
+    final, history = naive_cascade(network, seeds, order)
+    assert result.final == final
+    assert list(result.labeling_order) == history
+
+
+@PROPERTY
+@given(instance=networks(dag=True))
+def test_topological_matches_naive_cascade_in_topological_order(instance):
+    network, seeds = instance
+    result = run_cascade(network, seeds, Topological())
+    final, history = naive_cascade(network, seeds, topological_order(network))
+    assert result.final == final
+    assert list(result.labeling_order) == history
+
+
+@PROPERTY
+@given(instance=networks(), rng_seed=st.integers(0, 2**32 - 1))
+def test_random_sweep_ends_stable(instance, rng_seed):
+    network, seeds = instance
+    assert_stable(network, run_cascade(network, seeds, RandomSweep(rng_seed)).final)
