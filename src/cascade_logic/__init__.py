@@ -20,7 +20,8 @@ from .circuit import (Basis, CompiledCircuit, GateAssignment, GateKind,
                       truth_table)
 from .engine import (CascadeResult, Configuration, ExplicitOrder, RandomSweep,
                      ScheduleMode, Topological, count_fires, fires, is_global,
-                     run_cascade, tlu_fires, topological_order)
+                     monotone_closure, run_cascade, tlu_fires,
+                     topological_order)
 from .experiments import (GlobalFraction, MedianExceedance, SweepRow,
                           SweepSpec, cascade_sizes, emit_csv, parse_csv,
                           reference_sizes, rows_from_sizes, run_sweep,

@@ -37,6 +37,8 @@ def enumerate_fixpoints(network: Network, seeds: Optional[Iterable[int]] = None,
     Configurations are bit masks over node ids; a visited set makes the
     search exhaustive. If more than `state_cap` distinct configurations get
     explored the result is flagged truncated (never silently cut short).
+    Firing a node changes the firing test only at its out-neighbors, so each
+    configuration's fireable set is its parent's, updated there.
     """
     if not network.thresholds_assigned:
         raise ValueError("thresholds not assigned; call assign_thresholds first")
@@ -47,40 +49,41 @@ def enumerate_fixpoints(network: Network, seeds: Optional[Iterable[int]] = None,
 
     cut = network.cutoff.tolist()
     anti = network.antagonistic.tolist()
-    nbr_mask = [0] * n
-    for u in range(n):
-        for v in network.in_neighbors[u]:
-            nbr_mask[u] |= 1 << v
-
-    start = 0
-    for s in seed_set:
-        start |= 1 << s
+    out = network.out_neighbors
+    nbr_mask = [sum(1 << v for v in row) for row in network.in_neighbors]
+    start = sum(1 << s for s in seed_set)
 
     visited: set[int] = set()
     fixpoints: set[int] = set()
     truncated = False
-    stack = [start]
+    # (configuration, parent's fireable mask, bit just fired, nodes to re-test)
+    stack = [(start, 0, 0, range(n))]
     while stack:
-        cfg = stack.pop()
+        cfg, fireable, fired, retest = stack.pop()
         if cfg in visited:
             continue
         if len(visited) >= state_cap:
             truncated = True
             break
         visited.add(cfg)
-        # MONOTONE fires at count >= cutoff, ANTAGONISTIC below it
-        fireable = [
-            u for u in range(n)
-            if not (cfg >> u) & 1
-            and ((cfg & nbr_mask[u]).bit_count() >= cut[u]) != anti[u]
-        ]
+        fireable &= ~fired
+        for v in retest:
+            if not (cfg >> v) & 1:
+                # MONOTONE fires at count >= cutoff, ANTAGONISTIC below it
+                if ((cfg & nbr_mask[v]).bit_count() >= cut[v]) != anti[v]:
+                    fireable |= 1 << v
+                else:
+                    fireable &= ~(1 << v)
         if not fireable:
             fixpoints.add(cfg)
             continue
-        for u in fireable:
-            nxt = cfg | (1 << u)
+        rest = fireable
+        while rest:  # children in ascending node order
+            bit = rest & -rest
+            rest ^= bit
+            nxt = cfg | bit
             if nxt not in visited:
-                stack.append(nxt)
+                stack.append((nxt, fireable, bit, out[bit.bit_length() - 1]))
 
     as_sets = frozenset(
         frozenset(u for u in range(n) if (cfg >> u) & 1) for cfg in fixpoints

@@ -201,6 +201,31 @@ def run_cascade(network: Network, seeds: Optional[Iterable[int]],
     )
 
 
+def monotone_closure(network: Network, seeds: Optional[Iterable[int]]) -> Configuration:
+    """`run_cascade(...).final` of an all-monotone network, with no schedule.
+
+    Every schedule ends in the same set under the monotone rule, so a
+    worklist labels it directly, touching each edge once. Raises ValueError
+    on unassigned thresholds or any antagonistic node.
+    """
+    if not network.thresholds_assigned:
+        raise ValueError("thresholds not assigned; call assign_thresholds first")
+    if network.antagonistic.any():
+        raise ValueError("the closure needs an all-monotone network; use run_cascade")
+    seed_set = network.seeds if seeds is None else seed_ids(seeds, network.n)
+    need = network.cutoff.tolist()  # labeled in-neighbors still missing
+    for s in seed_set:
+        need[s] = 0
+    out = network.out_neighbors
+    labeled = [u for u, c in enumerate(need) if c <= 0]
+    for u in labeled:  # the list grows while it is walked: a FIFO worklist
+        for v in out[u]:
+            need[v] -= 1
+            if need[v] == 0:  # reached once, and only by an unlabeled node
+                labeled.append(v)
+    return frozenset(labeled)
+
+
 def is_global(result: CascadeResult, fraction_threshold: float = 0.5) -> bool:
     """Whether the cascade reached at least `fraction_threshold` of all nodes."""
     if not 0 < fraction_threshold <= 1:

@@ -2,10 +2,11 @@
 
 For each mean degree z, many independent realizations are run: a fresh ER
 graph with p = z/(n-1), a constant threshold for every node, a few random
-seed nodes, and one random-sweep cascade. Per-z frequencies come from one of
-two metrics: the fraction of runs whose cascade size reaches a fixed bound
-(GlobalFraction), or the fraction strictly exceeding the median size that
-the monotone rule produces on the same graphs (MedianExceedance).
+seed nodes, and one random-sweep cascade (the closure, under the monotone
+rule). Per-z frequencies come from one of two metrics: the fraction of runs
+whose cascade size reaches a fixed bound (GlobalFraction), or the fraction
+strictly exceeding the median size that the monotone rule produces on the
+same graphs (MedianExceedance).
 Realization seeds derive from (master_seed, z index, realization index) with
 SplitMix64 mixing, so results are byte-identical for any worker count.
 """
@@ -18,7 +19,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from ._seeds import GENERATOR_NAME, make_rng, map_tasks, mix_seed
-from .engine import RandomSweep, run_cascade
+from .engine import RandomSweep, monotone_closure, run_cascade
 from .net import Rule, assign_thresholds, generate_er, read_text, write_text
 
 
@@ -94,9 +95,15 @@ def _realization_sizes(args) -> tuple[float, ...]:
     graph = generate_er(spec.n, p, mix_seed(base, 0))
     seed_nodes = [int(s) for s in
                   make_rng(mix_seed(base, 1)).permutation(spec.n)[: spec.seeds_per_run]]
-    return tuple(run_cascade(assign_thresholds(graph, spec.phi_star, rule), seed_nodes,
-                             RandomSweep(mix_seed(base, 2))).size_fraction
-                 for rule in rules)
+    sizes = []
+    for rule in rules:
+        network = assign_thresholds(graph, spec.phi_star, rule)
+        if rule is Rule.MONOTONE:  # every schedule ends in the closure
+            final = monotone_closure(network, seed_nodes)
+        else:
+            final = run_cascade(network, seed_nodes, RandomSweep(mix_seed(base, 2))).final
+        sizes.append(len(final) / spec.n)
+    return tuple(sizes)
 
 
 def _sizes_by_rule(spec: SweepSpec, rules: Sequence[Rule],

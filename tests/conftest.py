@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,44 @@ def random_instance(seed: int, n: int, z: float, rule: Rule,
     network = assign_thresholds(network, UNIFORM, rule, rng_seed=mix_seed(seed, 1))
     picks = make_rng(mix_seed(seed, 2)).permutation(n)[:num_seeds]
     return network, frozenset(int(s) for s in picks)
+
+
+def small_network(rng, max_nodes: int, rules=tuple(Rule), directed=None,
+                  dag: bool = False):
+    """A random network of at most `max_nodes` nodes plus a seed-node set.
+
+    Each node draws a rule from `rules` and a threshold that is often a tie
+    point k/degree, 0 or 1, as an exact Fraction or as a float; sparse draws
+    leave some nodes with degree 0. DAG edges run down a random permutation,
+    so node ids are not in dependency order.
+    """
+    n = int(rng.integers(1, max_nodes + 1))
+    if directed is None:
+        directed = dag or bool(rng.integers(2))
+    rank = rng.permutation(n).tolist()
+    pairs = [(rank[i], rank[j]) if dag else (i, j) for i in range(n) for j in range(n)
+             if (i < j if dag or not directed else i != j)]
+    density = rng.random()
+    edges = [e for e in pairs if rng.random() < density * 0.6]
+    degree = [0] * n
+    for u, v in edges:
+        degree[v] += 1
+        if not directed:
+            degree[u] += 1
+    nodes = []
+    for u in range(n):
+        d = degree[u]
+        pick = rng.random()
+        if d and pick < 0.5:
+            phi = Fraction(int(rng.integers(0, d + 1)), d)
+        elif pick < 0.7:
+            phi = Fraction(int(rng.integers(2)))
+        else:
+            phi = Fraction(int(rng.integers(0, 25)), 24)
+        rule = rules[int(rng.integers(len(rules)))]
+        nodes.append(NodeSpec(u, rule, phi if rng.integers(2) else float(phi)))
+    seeds = frozenset(int(s) for s in rng.permutation(n)[:int(rng.integers(0, 4))])
+    return Network(nodes=nodes, directed=directed, edges=edges), seeds
 
 
 def assert_stable(network, final) -> None:

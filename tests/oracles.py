@@ -108,3 +108,45 @@ def monotone_by_flips(table, breaks) -> bool:
             if above != r and breaks(bits[r], bits[above]):
                 return False
     return True
+
+
+def rescan_fixpoints(network, seeds, state_cap):
+    """Depth-first fixpoint search that re-tests every node in every state.
+
+    Visits configurations in the same order as `enumerate_fixpoints` (children
+    pushed in ascending node order, a visited set, truncation once `state_cap`
+    states are explored), so it returns the same
+    (fixpoints, explored_states, truncated) triple, truncated searches included.
+    """
+    n = network.n
+    cut = network.cutoff.tolist()
+    anti = network.antagonistic.tolist()
+    nbr_mask = [sum(1 << v for v in network.in_neighbors[u]) for u in range(n)]
+    visited = set()
+    fixpoints = set()
+    truncated = False
+    stack = [sum(1 << s for s in seeds)]
+    while stack:
+        cfg = stack.pop()
+        if cfg in visited:
+            continue
+        if len(visited) >= state_cap:
+            truncated = True
+            break
+        visited.add(cfg)
+        fireable = [
+            u for u in range(n)
+            if not (cfg >> u) & 1
+            and ((cfg & nbr_mask[u]).bit_count() >= cut[u]) != anti[u]
+        ]
+        if not fireable:
+            fixpoints.add(cfg)
+            continue
+        for u in fireable:
+            nxt = cfg | (1 << u)
+            if nxt not in visited:
+                stack.append(nxt)
+    as_sets = frozenset(
+        frozenset(u for u in range(n) if (cfg >> u) & 1) for cfg in fixpoints
+    )
+    return as_sets, len(visited), truncated

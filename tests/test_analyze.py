@@ -1,12 +1,21 @@
+import contextlib
+import io
+import sys
+
 import pytest
 
 from cascade_logic import analyze as analyze_module
-from cascade_logic import (Network, NodeSpec, RandomSweep, Rule, Verdict,
+from cascade_logic import engine
+from cascade_logic import (DEFAULT_STATE_CAP, MedianExceedance, Network,
+                           NodeSpec, RandomSweep, Rule, SweepSpec, Verdict,
                            build_gate, compile_expr, compile_half_adder,
-                           enumerate_fixpoints, evaluate, mix_seed,
-                           outcome_sensitivity, run_cascade, GateKind,
+                           enumerate_fixpoints, evaluate, fixture_path,
+                           make_rng, mix_seed, outcome_sensitivity,
+                           run_cascade, run_sweep, GateKind,
                            schedule_sensitivity, verify_gcm_determinism)
-from conftest import assert_stable, random_instance
+from cascade_logic.cli import main
+from conftest import assert_stable, random_instance, small_network
+from oracles import rescan_fixpoints
 
 
 class TestEnumerateFixpoints:
@@ -74,6 +83,22 @@ class TestEnumerateFixpoints:
         from cascade_logic import generate_er
         with pytest.raises(ValueError, match="thresholds"):
             enumerate_fixpoints(generate_er(4, 0.5, 0), {0})
+
+
+class TestIncrementalSearchMatchesRescan:
+    def test_same_states_in_the_same_order(self):
+        # a truncated search returns whatever it visited first, so equal
+        # triples under small caps pin the visit order, not only the set
+        rng = make_rng(88)
+        truncated = 0
+        for case in range(1200):
+            net, seeds = small_network(rng, 13)
+            cap = int(rng.integers(1, 51)) if case % 2 else DEFAULT_STATE_CAP
+            found = enumerate_fixpoints(net, seeds, state_cap=cap)
+            assert ((found.fixpoints, found.explored_states, found.truncated)
+                    == rescan_fixpoints(net, seeds, cap)), case
+            truncated += found.truncated
+        assert truncated >= 100
 
 
 class TestScheduleSensitivity:
@@ -156,3 +181,53 @@ class TestVerifyGcmDeterminism:
             verify_gcm_determinism(10, 3.0, 0, 1)
         with pytest.raises(ValueError):
             verify_gcm_determinism(10, 20.0, 5, 1)
+
+
+class TestClosureNeverAssumed:
+    """verify-gcm tests the schedule independence that the monotone closure
+    assumes, and run, eval and sensitivity report what a schedule did, so
+    none of them may take the closure's shortcut."""
+
+    @staticmethod
+    def outputs(workdir):
+        results = [verify_gcm_determinism(8, 2.0, 5, 11, jobs=1),
+                   verify_gcm_determinism(6, 2.0, 20, 3, rule=Rule.ANTAGONISTIC, jobs=1),
+                   schedule_sensitivity(compile_half_adder(), {"a": 1, "b": 1}, 20, 4),
+                   schedule_sensitivity(compile_expr("(a | b) & c"),
+                                        {"a": 1, "b": 0, "c": 1}, 20, 5)]
+        gcm = str(workdir / "gcm.json")
+        argvs = [["gen", "--n", "30", "--z", "3", "--rule", "gcm", "--phi", "const:0.18",
+                  "--seed", "7", "--out", gcm],
+                 ["run", "--net", gcm, "--seeds", "0", "--mode", "sweep:5"],
+                 ["run", "--net", str(fixture_path("and2.json")), "--seeds", "0,1",
+                  "--mode", "topo"],
+                 ["eval", "--net", str(fixture_path("half_adder.json")),
+                  "--assign", "a=1,b=0"],
+                 ["eval", "--net", str(fixture_path("and2.json")), "--assign", "a=1,b=1"],
+                 ["sweep", "--n", "40", "--z", "1:3:1", "--phi", "0.18", "--rule", "agcm",
+                  "--realizations", "4", "--metric", "global", "--seed", "21",
+                  "--jobs", "1"]]
+        for argv in argvs:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(argv)
+            results.append((argv, code, out.getvalue()))
+        return results
+
+    def test_commands_complete_unchanged_without_the_closure(self, monkeypatch, tmp_path):
+        expected = self.outputs(tmp_path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("monotone_closure was called")
+
+        original = engine.monotone_closure
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("cascade_logic")
+                    and getattr(module, "monotone_closure", None) is original):
+                monkeypatch.setattr(module, "monotone_closure", refuse)
+        # the guard bites where the closure is used
+        with pytest.raises(AssertionError, match="closure"):
+            run_sweep(SweepSpec(n=20, z_values=(2.0,), phi_star=0.18,
+                                rule=Rule.ANTAGONISTIC, realizations=1,
+                                master_seed=1, metric=MedianExceedance()), jobs=1)
+        assert self.outputs(tmp_path) == expected

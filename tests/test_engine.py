@@ -5,9 +5,9 @@ import pytest
 
 from cascade_logic import (ExplicitOrder, Network, NodeSpec, RandomSweep, Rule,
                            Topological, count_fires, cutoff, fires, is_global,
-                           make_rng, mix_seed, run_cascade, tlu_fires,
-                           topological_order)
-from conftest import assert_stable, random_instance
+                           make_rng, mix_seed, monotone_closure, run_cascade,
+                           tlu_fires, topological_order)
+from conftest import assert_stable, random_instance, small_network
 from oracles import naive_cascade, neighbor_fraction
 
 
@@ -216,6 +216,53 @@ class TestGcmDeterminism:
             forward = run_cascade(net, seeds, ExplicitOrder(tuple(range(n))))
             backward = run_cascade(net, seeds, ExplicitOrder(tuple(reversed(range(n)))))
             assert sweep_a.final == sweep_b.final == forward.final == backward.final
+
+
+class TestMonotoneClosure:
+    def test_matches_every_schedule_on_small_networks(self):
+        rng = make_rng(77)
+        for case in range(400):
+            dag = case % 3 == 0
+            net, seeds = small_network(rng, 12, rules=(Rule.MONOTONE,), dag=dag)
+            closure = monotone_closure(net, seeds)
+            order = tuple(rng.permutation(net.n).tolist())
+            assert closure == run_cascade(net, seeds, RandomSweep(case)).final
+            assert closure == run_cascade(net, seeds, ExplicitOrder(order)).final
+            if dag:
+                assert closure == run_cascade(net, seeds, Topological()).final
+
+    @pytest.mark.parametrize("phi", [0.0, 0.18, Fraction(1, 3), 1.0])
+    def test_matches_random_sweep_on_er_graphs(self, phi):
+        from cascade_logic import assign_thresholds, generate_er
+        for case in range(20):
+            graph = generate_er(200, (1 + case % 8) / 199, mix_seed(6000, case))
+            net = assign_thresholds(graph, phi, Rule.MONOTONE)
+            seeds = {case, 100 + case}
+            result = run_cascade(net, seeds, RandomSweep(case))
+            assert monotone_closure(net, seeds) == result.final
+
+    def test_degree_zero_and_seed_conventions(self):
+        nodes = (NodeSpec(0, Rule.MONOTONE, 0.0), NodeSpec(1, Rule.MONOTONE, 0.2),
+                 NodeSpec(2, Rule.MONOTONE, 1.0), NodeSpec(3, Rule.MONOTONE, 1.0))
+        net = Network(nodes=nodes, directed=False, edges=((2, 3),), seeds={1})
+        assert monotone_closure(net, set()) == {0}
+        assert monotone_closure(net, None) == {0, 1}
+        assert monotone_closure(net, {2}) == {0, 2, 3}
+
+    def test_antagonistic_node_rejected(self):
+        nodes = (NodeSpec(0, Rule.MONOTONE, 0.5), NodeSpec(1, Rule.ANTAGONISTIC, 0.5))
+        net = Network(nodes=nodes, directed=False, edges=((0, 1),))
+        with pytest.raises(ValueError, match="monotone"):
+            monotone_closure(net, {0})
+
+    def test_unassigned_network_rejected(self):
+        from cascade_logic import generate_er
+        with pytest.raises(ValueError, match="thresholds"):
+            monotone_closure(generate_er(5, 0.5, 1), {0})
+
+    def test_bad_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            monotone_closure(two_node_path(), {7})
 
 
 class TestIsGlobal:

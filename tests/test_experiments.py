@@ -157,11 +157,14 @@ class TestSizesAndMetrics:
 
 
 class TestOneGraphPerRealization:
+    # runs_per_graph counts both engine entry points: every graph gets one
+    # monotone closure (the median's reference, or the gcm sweep itself),
+    # and an agcm sweep adds one scheduled run_cascade
     @pytest.mark.parametrize("rule, runs_per_graph",
                              [(Rule.ANTAGONISTIC, 2), (Rule.MONOTONE, 1)])
     def test_median_sweep_builds_each_graph_once(self, monkeypatch, tmp_path,
                                                  rule, runs_per_graph):
-        calls = {"generate_er": 0, "run_cascade": 0}
+        calls = {"generate_er": 0, "run_cascade": 0, "monotone_closure": 0}
 
         def counted(name):
             original = getattr(experiments, name)
@@ -175,14 +178,16 @@ class TestOneGraphPerRealization:
             monkeypatch.setattr(experiments, name, counted(name))
         spec = small_spec(rule=rule, metric=MedianExceedance())
         graphs = len(spec.z_values) * spec.realizations
+        expected = {"generate_er": graphs, "monotone_closure": graphs,
+                    "run_cascade": (runs_per_graph - 1) * graphs}
         run_sweep(spec, jobs=1)
-        assert calls == {"generate_er": graphs, "run_cascade": runs_per_graph * graphs}
-        calls.update(generate_er=0, run_cascade=0)
+        assert calls == expected
+        calls.update(dict.fromkeys(calls, 0))
         assert main(["sweep", "--n", "80", "--z", "1:4:1.5", "--phi", "0.18",
                      "--rule", rule.value, "--realizations", "10",
                      "--metric", "median", "--seed", "42", "--jobs", "1",
                      "--out", str(tmp_path / "sweep.csv")]) == 0
-        assert calls == {"generate_er": graphs, "run_cascade": runs_per_graph * graphs}
+        assert calls == expected
 
 
 class TestCsv:

@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from cascade_logic import (ExplicitOrder, Network, NodeSpec, RandomSweep, Rule,
-                           Topological, run_cascade, topological_order)
+                           Topological, monotone_closure, run_cascade,
+                           topological_order)
 from conftest import assert_stable
 from oracles import naive_cascade
 
@@ -33,8 +34,9 @@ def thresholds(draw, degree: int):
 
 
 @st.composite
-def networks(draw, dag: bool = False):
-    """A network of at most MAX_NODES nodes with mixed rules, plus seeds."""
+def networks(draw, dag: bool = False, rules=tuple(Rule)):
+    """A network of at most MAX_NODES nodes with rules drawn from `rules`
+    (mixed by default), plus seeds."""
     n = draw(st.integers(1, MAX_NODES))
     directed = dag or draw(st.booleans())
     if dag:  # edges run down a random permutation, so ids are not in order
@@ -49,7 +51,7 @@ def networks(draw, dag: bool = False):
         degree[v] += 1
         if not directed:
             degree[u] += 1
-    nodes = [NodeSpec(u, draw(st.sampled_from(Rule)), draw(thresholds(degree[u])))
+    nodes = [NodeSpec(u, draw(st.sampled_from(rules)), draw(thresholds(degree[u])))
              for u in range(n)]
     seeds = draw(st.frozensets(st.integers(0, n - 1), max_size=n))
     return Network(nodes=nodes, directed=directed, edges=edges), seeds
@@ -83,3 +85,15 @@ def test_topological_matches_naive_cascade_in_topological_order(instance):
 def test_random_sweep_ends_stable(instance, rng_seed):
     network, seeds = instance
     assert_stable(network, run_cascade(network, seeds, RandomSweep(rng_seed)).final)
+
+
+@PROPERTY
+@given(data=st.data(), dag=st.booleans(), rng_seed=st.integers(0, 2**32 - 1))
+def test_monotone_closure_matches_every_schedule(data, dag, rng_seed):
+    network, seeds = data.draw(networks(dag=dag, rules=(Rule.MONOTONE,)))
+    closure = monotone_closure(network, seeds)
+    order = data.draw(st.permutations(range(network.n)))
+    assert closure == run_cascade(network, seeds, RandomSweep(rng_seed)).final
+    assert closure == run_cascade(network, seeds, ExplicitOrder(tuple(order))).final
+    if dag:
+        assert closure == run_cascade(network, seeds, Topological()).final
