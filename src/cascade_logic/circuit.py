@@ -25,12 +25,16 @@ import numpy as np
 
 from .engine import Topological, run_cascade, topological_order
 from .net import (Network, NetworkFormatError, NodeSpec, Rule, load_bundle,
-                  save_network)
+                  save_network, write_text)
 from .parser import (And, Expr, LimitExceeded, Nand, Nor, Not, Or, Var, Xor,
                      parse_expr)
 
 MAX_FAN_IN = 64
 MAX_TABLE_INPUTS = 20
+MAX_TABLE_CELLS = 1 << 25  # every compiled expression of up to 20 inputs fits
+# Rows per block of a table pass: the block's node values, or its CSV text,
+# stay within this many bytes whatever the circuit's size.
+TABLE_BLOCK_BYTES = 1 << 18
 
 
 class GateKind(Enum):
@@ -329,41 +333,60 @@ class TruthTable:
         j = m + self.output_names.index(name)
         return TruthTable(self.input_names, (name,), self.bits[:, [*range(m), j]])
 
-    def to_csv(self) -> str:
+    def to_csv(self, destination) -> None:
+        """Write the table as CSV to a path or an open text file: a header
+        line of the column names, then one line of 0/1 cells per row,
+        encoded and written one block of rows at a time."""
+        write_text(self._csv_blocks(), destination)
+
+    def _csv_blocks(self):
+        yield ",".join(self.input_names + self.output_names) + "\n"
         n_rows, width = self.bits.shape
-        text = np.full((n_rows, 2 * width), ord(","), dtype=np.uint8)
-        text[:, 0::2] = self.bits + ord("0")
-        text[:, -1] = ord("\n")
-        header = ",".join(self.input_names + self.output_names) + "\n"
-        return header + text.tobytes().decode()
+        step = max(1, TABLE_BLOCK_BYTES // (2 * width))
+        for lo in range(0, n_rows, step):
+            bits = self.bits[lo:lo + step]
+            text = np.full((len(bits), 2 * width), ord(","), dtype=np.uint8)
+            text[:, 0::2] = bits + ord("0")
+            text[:, -1] = ord("\n")
+            yield text.tobytes().decode()
 
 
 def truth_table(circuit: CompiledCircuit) -> TruthTable:
     """Evaluate all 2^m input assignments in binary counting order.
 
-    Rows are computed in one vectorized pass per node along the same
-    topological schedule `evaluate` uses, with the same integer cutoff test;
-    the result equals calling `evaluate` row by row.
+    Rows are computed one block at a time, in one vectorized pass per node
+    along the same topological schedule `evaluate` uses, with the same
+    integer cutoff test; the result equals calling `evaluate` row by row.
+    A block's node values fit in `TABLE_BLOCK_BYTES` (or are one row), so
+    only the input and output columns are ever kept for every row.
     """
     m = len(circuit.inputs)
     if m > MAX_TABLE_INPUTS:
         raise LimitExceeded(f"{m} inputs would need 2^{m} rows; the limit is "
                             f"{MAX_TABLE_INPUTS} inputs")
-    net = circuit.network
-    row_ids = np.arange(1 << m, dtype=np.int64)
-    values = np.zeros((net.n, 1 << m), dtype=np.uint8)  # one row per node
-    for j, nid in enumerate(circuit.inputs.values()):
-        values[nid] = (row_ids >> (m - 1 - j)) & 1
-    input_ids = set(circuit.inputs.values())
-    indptr, indices = net.graph.indptr, net.graph.indices
-    for u in topological_order(net):
-        if u in input_ids:
-            continue
-        counts = values[indices[indptr[u]:indptr[u + 1]]].sum(axis=0)
-        values[u] = (counts >= net.cutoff[u]) != net.antagonistic[u]
+    n_rows = 1 << m
     columns = [*circuit.inputs.values(), *circuit.outputs.values()]
+    if n_rows * len(columns) > MAX_TABLE_CELLS:
+        raise LimitExceeded(f"2^{m} rows of {len(columns)} columns would need "
+                            f"{n_rows * len(columns)} cells; the limit is "
+                            f"{MAX_TABLE_CELLS} cells")
+    net = circuit.network
+    input_ids = set(circuit.inputs.values())
+    order = [u for u in topological_order(net) if u not in input_ids]
+    indptr, indices = net.graph.indptr, net.graph.indices
+    bits = np.empty((n_rows, len(columns)), dtype=np.uint8)
+    step = max(1, TABLE_BLOCK_BYTES // net.n)
+    for lo in range(0, n_rows, step):
+        row_ids = np.arange(lo, min(lo + step, n_rows), dtype=np.int64)
+        values = np.empty((net.n, row_ids.size), dtype=np.uint8)  # one row per node
+        for j, nid in enumerate(circuit.inputs.values()):
+            values[nid] = (row_ids >> (m - 1 - j)) & 1
+        for u in order:
+            counts = values[indices[indptr[u]:indptr[u + 1]]].sum(axis=0)
+            values[u] = (counts >= net.cutoff[u]) != net.antagonistic[u]
+        bits[lo:lo + row_ids.size] = values[columns].T
     return TruthTable(input_names=tuple(circuit.inputs),
-                      output_names=tuple(circuit.outputs), bits=values[columns].T)
+                      output_names=tuple(circuit.outputs), bits=bits)
 
 
 def _monotone(table: TruthTable, breaks) -> bool:

@@ -219,7 +219,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    write_text(truth_table(load_circuit(args.net)).to_csv(), _destination(args.out))
+    truth_table(load_circuit(args.net)).to_csv(_destination(args.out))
     return EXIT_OK
 
 
@@ -392,3 +392,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def run_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run_main()

@@ -406,12 +406,16 @@ def read_text(source) -> str:
     return Path(source).read_text(encoding="utf-8")
 
 
-def write_text(text: str, destination) -> None:
-    """Write `text` to an open text file, or to the file at a path."""
+def write_text(text: Union[str, Iterable[str]], destination) -> None:
+    """Write `text`, one string or an iterable of strings written in turn,
+    to an open text file, or to the file at a path."""
+    if isinstance(text, str):
+        text = (text,)
     if hasattr(destination, "write"):
-        destination.write(text)
+        destination.writelines(text)
     else:
-        Path(destination).write_text(text, encoding="utf-8")
+        with Path(destination).open("w", encoding="utf-8") as f:
+            f.writelines(text)
 
 
 def save_network(network: Network, destination, *,

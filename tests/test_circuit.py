@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import operator
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -367,6 +368,73 @@ def test_table_input_guard():
         truth_table(compile_expr(wide))
 
 
+def test_table_cell_guard(monkeypatch):
+    adder = compile_half_adder()  # 4 rows of 2 input and 2 output cells
+    monkeypatch.setattr(circuit_module, "MAX_TABLE_CELLS", 16)
+    assert truth_table(adder).bits.shape == (4, 4)
+    monkeypatch.setattr(circuit_module, "MAX_TABLE_CELLS", 15)
+    with pytest.raises(LimitExceeded, match="limit is 15 cells"):
+        truth_table(adder)
+
+
+def rows_by_evaluate(circuit):
+    """Every row of the table, inputs then outputs, one `evaluate` per row."""
+    names = tuple(circuit.inputs)
+    return tuple(bits + tuple(evaluate(circuit, dict(zip(names, bits))).values())
+                 for bits in product((0, 1), repeat=len(names)))
+
+
+class TestBlockedTable:
+    @staticmethod
+    def three_row_blocks(monkeypatch, circuit):
+        # 2^m rows never split evenly into blocks of three
+        monkeypatch.setattr(circuit_module, "TABLE_BLOCK_BYTES", 3 * circuit.network.n)
+
+    @pytest.mark.parametrize("basis", list(Basis), ids=lambda b: b.value)
+    def test_blocks_equal_row_by_row_evaluation(self, monkeypatch, basis):
+        rng = make_rng(2719)
+        for i in range(100):
+            circuit = compile_expr(random_expr(rng, max_depth=4, max_vars=3 + i % 3), basis)
+            self.three_row_blocks(monkeypatch, circuit)
+            assert tuple(map(tuple, truth_table(circuit).bits.tolist())) == \
+                rows_by_evaluate(circuit), i
+
+    def test_half_adder_blocks(self, monkeypatch):
+        adder = compile_half_adder()
+        self.three_row_blocks(monkeypatch, adder)
+        table = truth_table(adder)
+        assert table.output_names == ("sum", "carry")
+        assert tuple(map(tuple, table.bits.tolist())) == rows_by_evaluate(adder)
+
+    def test_csv_is_the_same_at_a_one_row_budget(self, monkeypatch, tmp_path):
+        rng = make_rng(31)
+        for circuit in (compile_half_adder(), compile_expr(random_expr(rng, max_vars=10))):
+            table = truth_table(circuit)
+            default = io.StringIO()
+            table.to_csv(default)
+            table.to_csv(tmp_path / "t.csv")
+            monkeypatch.setattr(circuit_module, "TABLE_BLOCK_BYTES", 1)
+            one_row = io.StringIO()
+            table.to_csv(one_row)
+            monkeypatch.undo()
+            assert one_row.getvalue() == default.getvalue()
+            assert (tmp_path / "t.csv").read_text() == default.getvalue()
+
+    def test_twenty_input_table_memory(self, tmp_path):
+        # all 2^20 rows of the chain's 96 nodes at once would be 96 MB
+        circuit = compile_expr(" ^ ".join(f"x{i}" for i in range(20)), Basis.NAND_ONLY)
+        target = tmp_path / "t.csv"
+        tracemalloc.start()
+        try:
+            truth_table(circuit).to_csv(target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
+        header = ",".join([*circuit.inputs, "out"]) + "\n"
+        assert target.stat().st_size == len(header) + (1 << 20) * 2 * 21
+
+
 # sha256 of save_circuit output per basis and expression. Node ids are the
 # first-emission order of each basis rewrite; any change to it changes files.
 COMPILE_GOLDEN = Path(__file__).parent / "golden" / "compile.sha256.json"
@@ -528,8 +596,9 @@ def table_golden_exprs():
 
 
 def table_digest(expr, basis):
-    csv = truth_table(compile_expr(expr, basis)).to_csv()
-    return hashlib.sha256(csv.encode()).hexdigest()
+    csv = io.StringIO()
+    truth_table(compile_expr(expr, basis)).to_csv(csv)
+    return hashlib.sha256(csv.getvalue().encode()).hexdigest()
 
 
 class TestTableGolden:

@@ -1,13 +1,16 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import cascade_logic
 from cascade_logic import cli as cli_module
 from cascade_logic import experiments as experiments_module
 from cascade_logic import fixture_path, load_network
-from cascade_logic.circuit import MAX_FAN_IN, MAX_TABLE_INPUTS
+from cascade_logic.circuit import MAX_FAN_IN, MAX_TABLE_CELLS, MAX_TABLE_INPUTS
 from cascade_logic.cli import main
 from cascade_logic.parser import MAX_NESTING
 from conftest import GOLDEN
@@ -143,6 +146,22 @@ class TestCompileEvalTable:
         error = json.loads(err)["error"]
         assert error["kind"] == "resource"
         assert f"limit is {MAX_TABLE_INPUTS} inputs" in error["message"]
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_table_above_cell_limit_is_resource_error(self, cli, tmp_path):
+        # 16 inputs and one OR node behind enough output names to pass the cap
+        nodes = [{"id": i, "rule": "gcm", "phi": 0.5} for i in range(16)]
+        nodes.append({"id": 16, "rule": "gcm", "phi": 0.0625})
+        doc = {"directed": True, "nodes": nodes, "edges": [[i, 16] for i in range(16)],
+               "seeds": [], "inputs": {f"a{i}": i for i in range(16)},
+               "outputs": {f"o{k}": 16 for k in range((MAX_TABLE_CELLS >> 16) - 15)}}
+        target = tmp_path / "outputs.json"
+        target.write_text(json.dumps(doc))
+        code, out, err = cli("table", "--net", str(target), "--out", str(tmp_path / "t.csv"))
+        assert (code, out) == (3, "")
+        error = json.loads(err)["error"]
+        assert error["kind"] == "resource"
+        assert f"limit is {MAX_TABLE_CELLS} cells" in error["message"]
         assert not (tmp_path / "t.csv").exists()
 
     @pytest.mark.parametrize("expr", [
@@ -368,10 +387,25 @@ class TestParserOnce:
         assert seen == [3, 5, 2, 1]
 
 
+def run_module(module, *argv):
+    """`python -m module *argv` in a child process that imports this package."""
+    path = [str(Path(cascade_logic.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run([sys.executable, "-m", module, *argv],
+                          capture_output=True, text=True, env=env)
+
+
 def test_module_entry_point_runs():
-    result = subprocess.run(
-        [sys.executable, "-m", "cascade_logic", "table", "--net",
-         str(fixture_path("nand2.json"))],
-        capture_output=True, text=True)
+    result = run_module("cascade_logic", "table", "--net", str(fixture_path("nand2.json")))
     assert result.returncode == 0
     assert result.stdout == (GOLDEN / "nand2.table.csv").read_text()
+
+
+def test_cli_module_runs_as_a_program():
+    argv = ("stats", "--net", str(fixture_path("triangle.json")))
+    package, module = run_module("cascade_logic", *argv), run_module("cascade_logic.cli", *argv)
+    assert (module.returncode, module.stderr) == (package.returncode, package.stderr) == (0, "")
+    assert module.stdout == package.stdout != ""
+    usage = run_module("cascade_logic.cli", "stats")
+    assert (usage.returncode, usage.stdout) == (1, "")
+    assert json.loads(usage.stderr)["error"]["kind"] == "usage"

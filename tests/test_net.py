@@ -7,7 +7,8 @@ import pytest
 
 from cascade_logic import (Network, NetworkFormatError, NodeSpec, Rule,
                            UNIFORM, assign_thresholds, generate_er,
-                           load_bundle, load_network, save_network, stats)
+                           load_bundle, load_network, make_rng, save_network,
+                           stats)
 from cascade_logic.net import _pair_from_linear
 
 
@@ -173,6 +174,19 @@ class TestStats:
     def test_directed_rejected(self):
         with pytest.raises(ValueError, match="undirected"):
             stats(path_network(3, directed=True))
+
+    def test_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = make_rng(5150)
+        for seed in range(50):
+            n, p = int(rng.integers(3, 31)), float(rng.uniform(0.2, 0.9))
+            net = generate_er(n, p, seed)
+            graph = nx.Graph()
+            graph.add_nodes_from(range(n))
+            graph.add_edges_from(net.edges)
+            result = stats(net)
+            assert result.edge_count == graph.number_of_edges()
+            assert abs(result.clustering_coefficient - nx.average_clustering(graph)) <= 1e-12
 
 
 class TestNetworkValidation:
