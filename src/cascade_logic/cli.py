@@ -57,6 +57,17 @@ def _destination(out: Optional[str]):
     return sys.stdout if out is None else out
 
 
+def _check_writable(*paths: Optional[str]) -> None:
+    """Raise the OSError that writing to each given path would raise, so a
+    command fails before its work; a file the check creates is removed."""
+    for path in paths:
+        if path is not None:
+            existed = os.path.lexists(path)
+            Path(path).open("a").close()
+            if not existed:
+                os.remove(path)
+
+
 def _print_json(doc, out: Optional[str] = None) -> None:
     write_text(json.dumps(doc, indent=1) + "\n", _destination(out))
 
@@ -219,7 +230,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    truth_table(load_circuit(args.net)).to_csv(_destination(args.out))
+    circuit = load_circuit(args.net)
+    _check_writable(args.out)  # before the 2^m rows are evaluated
+    truth_table(circuit).to_csv(_destination(args.out))
     return EXIT_OK
 
 
@@ -275,9 +288,7 @@ def _cmd_sweep(args) -> int:
         seeds_per_run=args.seeds_per_run,
         metric=_parse_metric(args.metric),
     )
-    for path in (args.dump_sizes, args.out):  # unwritable: fail before any realization
-        if path is not None:
-            Path(path).open("a").close()
+    _check_writable(args.dump_sizes, args.out)  # before any realization
     sizes, reference = sweep_sizes(spec, jobs=_jobs(args))
     rows = rows_from_sizes(spec, sizes, reference)
     if args.dump_sizes is not None:

@@ -1,12 +1,13 @@
 import contextlib
 import io
 import sys
+import tracemalloc
 
 import pytest
 
 from cascade_logic import analyze as analyze_module
 from cascade_logic import engine
-from cascade_logic import (DEFAULT_STATE_CAP, MedianExceedance, Network,
+from cascade_logic import (DEFAULT_STATE_CAP, FixpointSet, MedianExceedance, Network,
                            NodeSpec, RandomSweep, Rule, SweepSpec, Verdict,
                            build_gate, compile_expr, compile_half_adder,
                            enumerate_fixpoints, evaluate, fixture_path,
@@ -87,8 +88,9 @@ class TestEnumerateFixpoints:
 
 class TestIncrementalSearchMatchesRescan:
     def test_same_states_in_the_same_order(self):
-        # a truncated search returns whatever it visited first, so equal
-        # triples under small caps pin the visit order, not only the set
+        # a truncated search returns whatever a depth-first search visited
+        # first, so equal triples under small caps pin that order, not only
+        # the set
         rng = make_rng(88)
         truncated = 0
         for case in range(1200):
@@ -99,6 +101,77 @@ class TestIncrementalSearchMatchesRescan:
                     == rescan_fixpoints(net, seeds, cap)), case
             truncated += found.truncated
         assert truncated >= 100
+
+    def test_one_configuration_blocks(self, monkeypatch):
+        # every level splits into blocks of one row, so each level's
+        # children are merged from many partial results
+        monkeypatch.setattr(analyze_module, "SEARCH_BLOCK_BYTES", 1)
+        rng = make_rng(89)
+        for case in range(300):
+            net, seeds = small_network(rng, 11)
+            cap = int(rng.integers(1, 200)) if case % 2 else DEFAULT_STATE_CAP
+            found = enumerate_fixpoints(net, seeds, state_cap=cap)
+            assert ((found.fixpoints, found.explored_states, found.truncated)
+                    == rescan_fixpoints(net, seeds, cap)), case
+
+
+def isolated_antagonists(k: int) -> Network:
+    """k nodes and no edges, all antagonistic with phi 1/2, so cutoff 1: a
+    count of 0 is always below it, and every unlabeled node can fire."""
+    nodes = tuple(NodeSpec(i, Rule.ANTAGONISTIC, 0.5) for i in range(k))
+    return Network(nodes=nodes, directed=False, edges=())
+
+
+class TestIsolatedAntagonists:
+    """Every superset of the s seeds is reachable and only the full node set
+    is stable: exactly 2^(k-s) states and one fixpoint, counted by hand."""
+
+    @pytest.mark.parametrize("k, s", [(1, 0), (1, 1), (6, 0), (9, 4), (12, 1)])
+    def test_every_superset_of_the_seeds_and_one_fixpoint(self, k, s):
+        found = enumerate_fixpoints(isolated_antagonists(k), range(s))
+        assert found == FixpointSet(fixpoints=frozenset({frozenset(range(k))}),
+                                    explored_states=2 ** (k - s), truncated=False)
+
+    @pytest.mark.parametrize("k, s", [(1, 0), (7, 0), (12, 5), (64, 57), (66, 59)])
+    def test_truncated_exactly_past_the_state_count(self, k, s):
+        net, states = isolated_antagonists(k), 2 ** (k - s)
+        below = enumerate_fixpoints(net, range(s), state_cap=states - 1)
+        at = enumerate_fixpoints(net, range(s), state_cap=states)
+        assert below.truncated and below.explored_states == states - 1
+        assert not at.truncated and at.explored_states == states
+
+    @pytest.mark.parametrize("n", [63, 64, 65])
+    def test_word_boundary_matches_rescan(self, n):
+        # the unseeded nodes are the highest ids, so the top bit of a 64-bit
+        # word is in play at n = 64; a node more takes the search past a word
+        rng = make_rng(n)
+        unseeded = range(n - 8, n)
+        isolated = isolated_antagonists(n)
+        for cap in (1, 100, 255, 256, DEFAULT_STATE_CAP):
+            found = enumerate_fixpoints(isolated, range(n - 8), state_cap=cap)
+            assert ((found.fixpoints, found.explored_states, found.truncated)
+                    == rescan_fixpoints(isolated, range(n - 8), cap))
+        for case in range(20):
+            net, _ = random_instance(n * 100 + case, n, 3.0,
+                                     Rule.ANTAGONISTIC if case % 2 else Rule.MONOTONE)
+            free = set(unseeded) | {int(u) for u in rng.permutation(n)[:4]}
+            seeds = frozenset(range(n)) - free
+            for cap in (int(rng.integers(1, 60)), DEFAULT_STATE_CAP):
+                found = enumerate_fixpoints(net, seeds, state_cap=cap)
+                assert ((found.fixpoints, found.explored_states, found.truncated)
+                        == rescan_fixpoints(net, seeds, cap)), (case, cap)
+
+    def test_memory_is_bounded(self):
+        # 2^18 states; a visited set of Python ints alone would need about 17 MB
+        net = isolated_antagonists(18)
+        tracemalloc.start()
+        try:
+            found = enumerate_fixpoints(net, ())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert found.explored_states == 2 ** 18 and not found.truncated
+        assert peak < 16 * 2**20
 
 
 class TestScheduleSensitivity:

@@ -175,6 +175,28 @@ class TestCompileEvalTable:
         assert len(err.splitlines()) == 1
         assert json.loads(err)["error"]["kind"] == "resource"
 
+    def test_unwritable_output_fails_before_the_table_is_evaluated(self, cli, monkeypatch,
+                                                                   tmp_path):
+        calls = []
+        real = cli_module.truth_table
+
+        def counted(circuit):
+            calls.append(circuit)
+            return real(circuit)
+
+        monkeypatch.setattr(cli_module, "truth_table", counted)
+        net = str(fixture_path("half_adder.json"))
+        missing = str(tmp_path / "nodir" / "t.csv")
+        code, out, err = cli("table", "--net", net, "--out", missing)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": {
+            "kind": "input", "message": f"[Errno 2] No such file or directory: {missing!r}"}}
+        assert calls == []
+        target = tmp_path / "t.csv"
+        assert cli("table", "--net", net, "--out", str(target)) == (0, "", "")
+        assert len(calls) == 1
+        assert target.read_text() == (GOLDEN / "half_adder.table.csv").read_text()
+
     def test_thousand_term_xor_compiles_and_its_table_hits_the_cap(self, cli, tmp_path):
         target = tmp_path / "xor.json"
         expr = " ^ ".join(f"x{i}" for i in range(1000))
