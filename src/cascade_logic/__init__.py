@@ -19,7 +19,7 @@ from .circuit import (Basis, CompiledCircuit, GateAssignment, GateKind,
                       load_circuit, phi_for_gate, phi_interval, save_circuit,
                       truth_table)
 from .engine import (CascadeResult, Configuration, ExplicitOrder, RandomSweep,
-                     ScheduleMode, Topological, count_fires, fires, is_global,
+                     ScheduleMode, Topological, fires, is_global,
                      monotone_closure, run_cascade, tlu_fires,
                      topological_order)
 from .experiments import (GlobalFraction, MedianExceedance, SweepRow,

@@ -28,18 +28,22 @@ def _mix(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _as_int(part) -> int:
+def _as_int(part):
     if isinstance(part, str):
         return int.from_bytes(part.encode("utf-8"), "little")
+    if isinstance(part, np.ndarray):
+        return part.astype(np.uint64)
     return int(part)
 
 
-def mix_seed(master: int, *parts) -> int:
+def mix_seed(master: int, *parts):
     """Fold `parts` (ints or short strings) into a 64-bit sub-seed.
 
     Each part is absorbed with one SplitMix64 round:
         state <- mix((state + GOLDEN) ^ part)
-    followed by a final mix, all modulo 2^64.
+    followed by a final mix, all modulo 2^64. A part may also be an integer
+    array: the result is then the uint64 array of the sub-seeds of its
+    entries, because uint64 arithmetic wraps modulo 2^64 as the masks do.
     """
     state = int(master) & _MASK64
     for part in parts:

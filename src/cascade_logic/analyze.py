@@ -9,11 +9,12 @@ outcome depends on examination order.
 Each successor has one more labeled node than its parent, so the reachable
 configurations fall into disjoint levels by labeled count, and each level
 follows from the one before it alone. The search computes them in turn, as
-sorted arrays of uint64 bit masks, with one vectorized firing test per
-block of a level; it needs no visited set. A depth-first search remains
-for two cases: a search with more reachable configurations than its state
-cap, whose truncated result is what that search visits first, and networks
-above 64 nodes, whose configurations do not fit one word.
+sorted arrays of bit masks in the narrowest unsigned word that holds n bits
+(16, 32 or 64), with one vectorized firing test per block of a level; it
+needs no visited set. A depth-first search remains for two cases: a search
+with more reachable configurations than its state cap, whose truncated
+result is what that search visits first, and networks above 64 nodes,
+whose configurations do not fit one word.
 """
 
 from __future__ import annotations
@@ -26,11 +27,11 @@ import numpy as np
 
 from ._seeds import make_rng, map_tasks, mix_seed
 from .circuit import CompiledCircuit, evaluate, input_seeds
-from .engine import RandomSweep, run_cascade
+from .engine import RandomSweep, _Cascade
 from .net import Network, Rule, assign_thresholds, generate_er, seed_ids, UNIFORM
 
 DEFAULT_STATE_CAP = 1 << 22
-# bytes of one (node x configuration) uint64 array in each block of a level
+# bytes of one (node x configuration) array of masks in each block of a level
 SEARCH_BLOCK_BYTES = 1 << 18
 
 
@@ -67,40 +68,55 @@ def enumerate_fixpoints(network: Network, seeds: Optional[Iterable[int]] = None,
         raise ValueError(f"state_cap must be >= 1, got {state_cap}")
     n = network.n
     seed_set = network.seeds if seeds is None else seed_ids(seeds, n)
-    nbr_mask = [sum(1 << v for v in row) for row in network.in_neighbors]
+    graph = network.graph
+    nbr_mask = [0] * n  # in-neighbor bits of each node
+    for u, v in zip(graph.src.tolist(), graph.dst.tolist()):
+        nbr_mask[v] |= 1 << u
+        if not graph.directed:
+            nbr_mask[u] |= 1 << v
     start = sum(1 << s for s in seed_set)
 
     found = _by_levels(network, nbr_mask, start, state_cap) if n <= 64 else None
     if found is None:
         found = _depth_first(network, nbr_mask, start, state_cap)
     fixpoints, explored, truncated = found
-    as_sets = frozenset(
-        frozenset(u for u in range(n) if (cfg >> u) & 1) for cfg in fixpoints
-    )
+    as_sets = frozenset(map(_node_ids, fixpoints))
     return FixpointSet(fixpoints=as_sets, explored_states=explored,
                        truncated=truncated)
+
+
+def _node_ids(mask: int) -> frozenset[int]:
+    """The ids of the set bits of `mask`."""
+    ids = []
+    while mask:
+        low = mask & -mask
+        ids.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(ids)
 
 
 def _by_levels(network: Network, nbr_mask: list[int], start: int, state_cap: int):
     """(fixpoint masks, reachable count, False), or None once more than
     `state_cap` configurations are reachable.
 
-    A level is a sorted, de-duplicated uint64 array. It is expanded in
-    blocks whose (node x configuration) arrays fit in `SEARCH_BLOCK_BYTES`.
-    Each block's children, sorted and de-duplicated, are merged into the
-    part before them while they are at least half its size, so the parts
-    shrink geometrically and together hold at most twice the next level.
+    A level is a sorted, de-duplicated array of masks in the narrowest
+    unsigned word that holds n bits. It is expanded in blocks whose
+    (node x configuration) arrays fit in `SEARCH_BLOCK_BYTES`. Each block's
+    children, sorted and de-duplicated, are merged into the part before them
+    while they are at least half its size, so the parts shrink geometrically
+    and together hold at most twice the next level.
     """
     n = network.n
-    bit = np.uint64(1) << np.arange(n, dtype=np.uint64)[:, None]
-    in_mask = np.array(nbr_mask, dtype=np.uint64)[:, None]
+    word = np.dtype(np.uint16 if n <= 16 else np.uint32 if n <= 32 else np.uint64)
+    bit = (word.type(1) << np.arange(n, dtype=word))[:, None]
+    in_mask = np.array(nbr_mask, dtype=word)[:, None]
     # a count never exceeds 64, so the capped uint8 cutoffs give the same test
     cut = np.minimum(network.cutoff, 65).astype(np.uint8)[:, None]
     anti = network.antagonistic[:, None]
-    step = max(1, SEARCH_BLOCK_BYTES // (8 * n))
+    step = max(1, SEARCH_BLOCK_BYTES // (word.itemsize * n))
     fixpoints: list[int] = []
     explored = 0
-    level = np.array([start], dtype=np.uint64)
+    level = np.array([start], dtype=word)
     while level.size:
         explored += level.size
         if explored > state_cap:
@@ -112,7 +128,9 @@ def _by_levels(network: Network, nbr_mask: list[int], start: int, state_cap: int
             # MONOTONE fires at count >= cutoff, ANTAGONISTIC below it
             fire = (np.bitwise_count(block & in_mask) >= cut) != anti
             fire &= child != block  # unlabeled nodes only
-            fixpoints += block[~fire.any(axis=0)].tolist()
+            stable = ~fire.any(axis=0)
+            if stable.any():
+                fixpoints += block[stable].tolist()
             parts.append(_sorted_unique(child.compress(fire.ravel())))
             while len(parts) > 1 and 2 * parts[-1].size >= parts[-2].size:
                 parts[-2:] = [_sorted_unique(np.concatenate(parts[-2:]))]
@@ -126,6 +144,8 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
     """`values` sorted, each once: what `np.unique` returns, but `np.unique`
     hashes the values first and took 25 times longer on 40,000 uint64 masks
     (numpy 2.4)."""
+    if values.size < 2:
+        return values
     values = np.sort(values)
     keep = np.empty(values.size, dtype=bool)
     keep[:1] = True
@@ -193,18 +213,22 @@ def outcome_sensitivity(network: Network, seeds: Iterable[int],
                         watched: Sequence[int], reference: Sequence[int],
                         trials: int, rng_seed: int) -> SensitivityReport:
     """Run `trials` random-sweep cascades and compare the watched nodes'
-    final bits against `reference`. Trial seeds derive from rng_seed."""
+    final bits against `reference`. Trial t runs
+    ``run_cascade(network, seeds, RandomSweep(mix_seed(rng_seed, t)))``."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     ref = tuple(int(b) for b in reference)
     if len(ref) != len(watched):
         raise ValueError("reference must have one bit per watched node")
-    seed_set = frozenset(seeds)
+    for u in watched:
+        if not 0 <= u < network.n:
+            raise ValueError(f"watched node {u} is not a node id")
+    cascade = _Cascade(network, seeds)
     agree = 0
     seen = set()
-    for t in range(trials):
-        result = run_cascade(network, seed_set, RandomSweep(mix_seed(rng_seed, t)))
-        bits = tuple(int(u in result.final) for u in watched)
+    for seed in mix_seed(rng_seed, np.arange(trials, dtype=np.uint64)).tolist():
+        labels = cascade.run(RandomSweep(seed))[0]
+        bits = tuple(labels[u] for u in watched)
         seen.add(bits)
         agree += bits == ref
     return SensitivityReport(trials=trials, agree_fraction=agree / trials,
@@ -263,7 +287,8 @@ def verify_gcm_determinism(n: int, z: float, instances: int, rng_seed: int,
         raise ValueError(f"z must lie in (0, n-1), got {z}")
     if state_cap < 1:
         raise ValueError(f"state_cap must be >= 1, got {state_cap}")
-    tasks = [(n, z, rule, mix_seed(rng_seed, i), state_cap) for i in range(instances)]
+    tasks = [(n, z, rule, seed, state_cap) for seed in
+             mix_seed(rng_seed, np.arange(instances, dtype=np.uint64)).tolist()]
     outcomes = map_tasks(_instance_fixpoints, tasks, jobs)
     if any(count > 1 for count, _ in outcomes):
         return Verdict.NON_UNIQUE

@@ -27,7 +27,7 @@ from .circuit import (Basis, compile_expr, load_circuit, save_circuit,
 from .engine import ExplicitOrder, RandomSweep, Topological, is_global, run_cascade
 from .experiments import (GlobalFraction, MedianExceedance, SweepSpec,
                           emit_csv, rows_from_sizes, sweep_sizes)
-from .net import (NetworkFormatError, Rule, UNIFORM, assign_thresholds,
+from .net import (NetworkFormatError, Rule, UNIFORM, assign_thresholds, dumps,
                   generate_er, load_network, save_network, stats, write_text)
 from .parser import LimitExceeded
 
@@ -69,7 +69,7 @@ def _check_writable(*paths: Optional[str]) -> None:
 
 
 def _print_json(doc, out: Optional[str] = None) -> None:
-    write_text(json.dumps(doc, indent=1) + "\n", _destination(out))
+    write_text(dumps(doc) + "\n", _destination(out))
 
 
 def _parse_rule(text: str) -> Rule:

@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from ._seeds import make_rng
-from .net import Network, Rule, cutoff, seed_ids
+from .net import Network, Rule, seed_ids
 
 # A configuration is just the set of currently labeled node ids.
 Configuration = frozenset
@@ -59,7 +59,9 @@ class CascadeResult:
     ``final`` is the labeled set, ``size_fraction`` its fraction of all
     nodes. ``labeling_order`` lists the nodes labeled during the run (seeds
     are labeled at time zero and not listed). ``passes`` counts examination
-    passes including the final no-change pass.
+    passes including the final one that labels nothing. That final pass is
+    counted but not run when it is provably empty: when, after a pass that
+    labeled something, no unlabeled monotone node can fire.
     """
 
     final: Configuration
@@ -78,11 +80,6 @@ def fires(rule: Rule, nu, phi) -> bool:
     if rule is Rule.ANTAGONISTIC:
         return nu < phi
     raise ValueError(f"unknown rule {rule!r}")
-
-
-def count_fires(rule: Rule, labeled: int, degree: int, phi) -> bool:
-    """`fires` on the (labeled count, degree) pair, through the integer cutoff."""
-    return (labeled >= cutoff(phi, degree)) != (rule is Rule.ANTAGONISTIC)
 
 
 def tlu_fires(weights: Sequence[float], inputs: Sequence, degree: int, phi) -> bool:
@@ -133,72 +130,102 @@ def run_cascade(network: Network, seeds: Optional[Iterable[int]],
     to nodes examined after it. The run is deterministic given the mode,
     including RandomSweep's rng_seed.
     """
-    if not network.thresholds_assigned:
-        raise ValueError("thresholds not assigned; call assign_thresholds first")
-    n = network.n
-    seed_set = network.seeds if seeds is None else seed_ids(seeds, n)
-    repeat = True  # pass until one labels nothing
-    if isinstance(mode, RandomSweep):
-        rng = make_rng(mode.rng_seed)
-
-        def next_pass():
-            pending = np.flatnonzero(np.frombuffer(labels, dtype=np.uint8) == 0)
-            return rng.permutation(pending).tolist()
-    elif isinstance(mode, ExplicitOrder):
-        missing = set(range(n)) - seed_set - set(mode.order)
-        if missing:
-            raise ValueError(
-                f"explicit order must mention every non-seed node; missing {sorted(missing)}"
-            )
-        for u in mode.order:
-            if not 0 <= u < n:
-                raise ValueError(f"order entry {u} is not a node id")
-
-        def next_pass():
-            return mode.order
-    elif isinstance(mode, Topological):
-        repeat = False
-        single_pass = topological_order(network)
-
-        def next_pass():
-            return single_pass
-    else:
-        raise TypeError(f"unknown schedule mode {mode!r}")
-
-    cut = network.cutoff.tolist()
-    anti = network.antagonistic.tolist()
-    out = network.out_neighbors
-    labels = bytearray(n)
-    counts = [0] * n  # labeled in-neighbors, maintained incrementally
-    labeling_order: list[int] = []
-    for s in seed_set:
-        labels[s] = 1
-        for v in out[s]:
-            counts[v] += 1
-
-    passes = 0
-    while True:
-        passes += 1
-        changed = False
-        for u in next_pass():
-            # MONOTONE fires at count >= cutoff, ANTAGONISTIC below it
-            if labels[u] or (counts[u] >= cut[u]) == anti[u]:
-                continue
-            labels[u] = 1
-            changed = True
-            labeling_order.append(u)
-            for v in out[u]:
-                counts[v] += 1
-        if not changed or not repeat:
-            break
-
-    final = seed_set.union(labeling_order)
+    cascade = _Cascade(network, seeds)
+    _, labeling_order, passes = cascade.run(mode)
+    final = cascade.seed_set.union(labeling_order)
     return CascadeResult(
         final=final,
-        size_fraction=len(final) / n,
+        size_fraction=len(final) / network.n,
         labeling_order=tuple(labeling_order),
         passes=passes,
     )
+
+
+class _Cascade:
+    """Runs of one network from one seed set. The set-up that does not depend
+    on the schedule (validation, per-node lists, the seeds' neighbor counts)
+    is done once, so many runs pay it once."""
+
+    def __init__(self, network: Network, seeds: Optional[Iterable[int]]):
+        if not network.thresholds_assigned:
+            raise ValueError("thresholds not assigned; call assign_thresholds first")
+        n = network.n
+        self.network = network
+        self.seed_set = network.seeds if seeds is None else seed_ids(seeds, n)
+        self.cut = network.cutoff.tolist()
+        self.anti = network.antagonistic.tolist()
+        self.out = network.out_neighbors
+        self.labels = bytearray(n)
+        self.counts = [0] * n  # labeled in-neighbors
+        for s in self.seed_set:
+            self.labels[s] = 1
+            for v in self.out[s]:
+                self.counts[v] += 1
+        unlabeled = np.frombuffer(self.labels, dtype=np.uint8) == 0
+        self.pending = np.flatnonzero(unlabeled)
+        self.monotone = np.flatnonzero(unlabeled & ~network.antagonistic).tolist()
+
+    def run(self, mode: ScheduleMode) -> tuple[bytearray, list[int], int]:
+        """(labels, labeling order, passes) of one run under `mode`."""
+        n = self.network.n
+        labels = bytearray(self.labels)
+        repeat = True  # pass until one labels nothing
+        if isinstance(mode, RandomSweep):
+            rng = make_rng(mode.rng_seed)
+
+            def next_pass():
+                pending = self.pending if passes == 1 else np.flatnonzero(
+                    np.frombuffer(labels, dtype=np.uint8) == 0)
+                return rng.permutation(pending).tolist()
+        elif isinstance(mode, ExplicitOrder):
+            missing = set(range(n)) - self.seed_set - set(mode.order)
+            if missing:
+                raise ValueError(
+                    f"explicit order must mention every non-seed node; missing {sorted(missing)}"
+                )
+            for u in mode.order:
+                if not 0 <= u < n:
+                    raise ValueError(f"order entry {u} is not a node id")
+
+            def next_pass():
+                return mode.order
+        elif isinstance(mode, Topological):
+            repeat = False
+            single_pass = topological_order(self.network)
+
+            def next_pass():
+                return single_pass
+        else:
+            raise TypeError(f"unknown schedule mode {mode!r}")
+
+        cut, anti, out = self.cut, self.anti, self.out
+        counts = self.counts.copy()
+        monotone = self.monotone
+        labeling_order: list[int] = []
+        passes = 0
+        while True:
+            passes += 1
+            changed = False
+            for u in next_pass():
+                # MONOTONE fires at count >= cutoff, ANTAGONISTIC below it
+                if labels[u] or (counts[u] >= cut[u]) == anti[u]:
+                    continue
+                labels[u] = 1
+                changed = True
+                labeling_order.append(u)
+                for v in out[u]:
+                    counts[v] += 1
+            if not changed or not repeat:
+                break
+            # The pass examined every unlabeled node. An antagonistic one
+            # failed its test, and counts never fall, so it fails again; so
+            # the next pass labels something only if a monotone node can
+            # fire now. If none can, that pass is empty: count it, skip it.
+            monotone = [u for u in monotone if not labels[u]]
+            if not any(counts[u] >= cut[u] for u in monotone):
+                passes += 1
+                break
+        return labels, labeling_order, passes
 
 
 def monotone_closure(network: Network, seeds: Optional[Iterable[int]]) -> Configuration:

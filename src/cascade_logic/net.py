@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii as _encode_str
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -69,6 +70,17 @@ def cutoff(phi: PhiValue, degree: int) -> int:
     while c / degree < phi:
         c += 1
     return c
+
+
+def _float_cutoffs(phi: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """`cutoff` of each float threshold in [0, 1] at its node's degree, by
+    the same IEEE operations over arrays."""
+    # at degree 0 the loop divides by 1 and ends at 0 if phi <= 0 else 1
+    divisor = np.maximum(degrees, 1)
+    c = np.maximum(np.ceil(phi * degrees) - 1, 0)
+    while (low := c / divisor < phi).any():
+        c += low
+    return c.astype(np.int64)
 
 
 def seed_ids(seeds: Iterable[int], n: int) -> frozenset[int]:
@@ -135,6 +147,12 @@ class Graph:
         if repeats.size:
             i = repeats.min()
             raise ValueError(f"duplicate edge ({src[i]}, {dst[i]})")
+        return cls._build(n, directed, src, dst)
+
+    @classmethod
+    def _build(cls, n: int, directed: bool, src: np.ndarray, dst: np.ndarray) -> "Graph":
+        """The graph of int64 edge arrays that are already valid: in range,
+        with no self-loop or duplicate, undirected ones as (min, max)."""
         if directed:
             indptr, indices = _csr(n, dst, src)
         else:  # each edge lists v under u and u under v
@@ -279,19 +297,10 @@ def _bernoulli_positions(m: int, p: float, rng: np.random.Generator) -> np.ndarr
 
 def _pair_from_linear(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Invert the lexicographic linearization of pairs (u, v), u < v."""
-    if idx.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    b = 2 * n - 1
-    u = np.floor((b - np.sqrt(b * b - 8.0 * idx.astype(np.float64))) / 2.0).astype(np.int64)
-    # float rounding can land one row off; nudge into place
-    row_start = u * (2 * n - u - 1) // 2
-    u = np.where(row_start > idx, u - 1, u)
-    next_start = (u + 1) * (2 * n - u - 2) // 2
-    u = np.where(idx >= next_start, u + 1, u)
-    row_start = u * (2 * n - u - 1) // 2
-    v = idx - row_start + u + 1
-    return u, v
+    rows = np.arange(n, dtype=np.int64)
+    row_start = rows * (2 * n - rows - 1) // 2  # linear index of (u, u + 1)
+    u = np.searchsorted(row_start, idx, side="right") - 1
+    return u, idx - row_start[u] + u + 1
 
 
 def generate_er(n: int, p: float, rng_seed: int) -> Network:
@@ -306,8 +315,9 @@ def generate_er(n: int, p: float, rng_seed: int) -> Network:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     m = n * (n - 1) // 2
     positions = _bernoulli_positions(m, p, make_rng(rng_seed))
+    # distinct, ordered and in range by construction: no validation needed
     us, vs = _pair_from_linear(positions, n)
-    return Network._of(Graph.from_edges(n, False, us, vs), None, None, None)
+    return Network._of(Graph._build(n, False, us, vs), None, None, None)
 
 
 def assign_thresholds(network: Network, phi, rule: Rule,
@@ -326,8 +336,9 @@ def assign_thresholds(network: Network, phi, rule: Rule,
     if phi == UNIFORM:
         if rng_seed is None:
             raise ValueError("uniform threshold assignment requires rng_seed")
-        values = tuple(make_rng(rng_seed).random(graph.n).tolist())
-        cutoffs = [cutoff(p, d) for p, d in zip(values, degrees.tolist())]
+        draws = make_rng(rng_seed).random(graph.n)
+        values = tuple(draws.tolist())
+        cutoffs = _float_cutoffs(draws, degrees)
     else:
         if not 0 <= phi <= 1:
             raise ValueError(f"constant phi must lie in [0, 1], got {phi}")
@@ -418,6 +429,56 @@ def write_text(text: Union[str, Iterable[str]], destination) -> None:
             f.writelines(text)
 
 
+def dumps(value) -> str:
+    """``json.dumps(value, indent=1)``, byte for byte. Any ``indent`` makes
+    the standard library fall back to its pure-Python encoder; this builds
+    each container in one join instead."""
+    return _dumps(value, "\n")
+
+
+def _dumps(value, newline: str) -> str:
+    """`value` encoded with its first line at the indent `newline` ends in."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + " "
+        if all(type(v) is int for v in value):  # the common case, in one map
+            items = map(int.__repr__, value)
+        else:
+            items = [_dumps(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + " "
+        items = [_encode_str(k if isinstance(k, str) else _scalar(k)) + ": " + _dumps(v, inner)
+                 for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    return _scalar(value)
+
+
+def _scalar(value) -> str:
+    """The JSON text of a number, bool or None; as a dict key, this text
+    is quoted."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value in (math.inf, -math.inf):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def save_network(network: Network, destination, *,
                  inputs: Optional[Mapping[str, int]] = None,
                  outputs: Optional[Mapping[str, int]] = None) -> None:
@@ -434,7 +495,7 @@ def save_network(network: Network, destination, *,
         doc["inputs"] = {str(k): int(v) for k, v in inputs.items()}
     if outputs is not None:
         doc["outputs"] = {str(k): int(v) for k, v in outputs.items()}
-    write_text(json.dumps(doc, indent=1) + "\n", destination)
+    write_text(dumps(doc) + "\n", destination)
 
 
 def _expect(cond: bool, message: str) -> None:

@@ -9,7 +9,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from cascade_logic import fires
+import numpy as np
+
+from cascade_logic import ExplicitOrder, RandomSweep, Rule, cutoff, fires, make_rng
+
+
+def count_fires(rule: Rule, labeled: int, degree: int, phi) -> bool:
+    """`fires` on the (labeled count, degree) pair, through the integer cutoff."""
+    return (labeled >= cutoff(phi, degree)) != (rule is Rule.ANTAGONISTIC)
 
 
 def neighbor_fraction(network, config, u: int) -> Fraction:
@@ -29,11 +36,34 @@ def naive_cascade(network, seeds, order):
     Examines `order` repeatedly until a pass changes nothing. Returns the
     labeled set and the labeling history.
     """
+    labeled, history, _ = full_pass_cascade(network, seeds, ExplicitOrder(tuple(order)))
+    return labeled, history
+
+
+def full_pass_cascade(network, seeds, mode):
+    """(labeled set, labeling history, passes) of a pass-based cascade that
+    rescans neighbors on every examination and runs every pass, the last
+    one, which labels nothing, included.
+
+    `mode` is an ExplicitOrder, or a RandomSweep, whose passes examine the
+    unlabeled nodes in a permutation drawn as the engine draws it.
+    """
+    if isinstance(mode, RandomSweep):
+        rng = make_rng(mode.rng_seed)
+
+        def next_pass(labeled):
+            pending = [u for u in range(network.n) if u not in labeled]
+            return rng.permutation(np.array(pending, dtype=np.intp)).tolist()
+    else:
+        def next_pass(labeled):
+            return mode.order
     labeled = set(seeds)
     history = []
+    passes = 0
     while True:
+        passes += 1
         changed = False
-        for u in order:
+        for u in next_pass(labeled):
             if u in labeled:
                 continue
             spec = network.nodes[u]
@@ -45,7 +75,7 @@ def naive_cascade(network, seeds, order):
                 history.append(u)
                 changed = True
         if not changed:
-            return labeled, history
+            return labeled, history, passes
 
 
 def gate_truth(kind: str, bits) -> int:

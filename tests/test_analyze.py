@@ -10,7 +10,7 @@ from cascade_logic import engine
 from cascade_logic import (DEFAULT_STATE_CAP, FixpointSet, MedianExceedance, Network,
                            NodeSpec, RandomSweep, Rule, SweepSpec, Verdict,
                            build_gate, compile_expr, compile_half_adder,
-                           enumerate_fixpoints, evaluate, fixture_path,
+                           enumerate_fixpoints, evaluate, fixture_path, generate_er,
                            make_rng, mix_seed, outcome_sensitivity,
                            run_cascade, run_sweep, GateKind,
                            schedule_sensitivity, verify_gcm_determinism)
@@ -161,6 +161,23 @@ class TestIsolatedAntagonists:
                 assert ((found.fixpoints, found.explored_states, found.truncated)
                         == rescan_fixpoints(net, seeds, cap)), (case, cap)
 
+    @pytest.mark.parametrize("n", [15, 16, 17, 31, 32, 33])
+    def test_word_width_boundary_matches_rescan(self, n):
+        # the level search keeps configurations in 16-, 32- or 64-bit words;
+        # the top ids stay unseeded, so the highest bit of a word is in play
+        rng = make_rng(1000 + n)
+        for case in range(20):
+            graph = generate_er(n, 3.0 / (n - 1), mix_seed(n, case))
+            nodes = [NodeSpec(u, Rule.ANTAGONISTIC if rng.random() < 0.5 else Rule.MONOTONE,
+                              float(rng.random())) for u in range(n)]
+            net = Network(nodes=nodes, directed=False, edges=graph.edges)
+            free = set(range(n - 6, n)) | {int(u) for u in rng.permutation(n)[:4]}
+            seeds = frozenset(range(n)) - free
+            for cap in (int(rng.integers(1, 60)), DEFAULT_STATE_CAP):
+                found = enumerate_fixpoints(net, seeds, state_cap=cap)
+                assert ((found.fixpoints, found.explored_states, found.truncated)
+                        == rescan_fixpoints(net, seeds, cap)), (case, cap)
+
     def test_memory_is_bounded(self):
         # 2^18 states; a visited set of Python ints alone would need about 17 MB
         net = isolated_antagonists(18)
@@ -213,6 +230,22 @@ class TestScheduleSensitivity:
                         int(circuit.outputs["carry"] in fp))
                        for fp in found.fixpoints}
         assert report.reference_output in projections
+
+    def test_trials_are_run_cascade_runs(self):
+        # trial t is run_cascade under RandomSweep(mix_seed(rng_seed, t))
+        circuit = compile_half_adder()
+        net, seeds = circuit.network, {circuit.inputs["a"]}
+        watched = list(circuit.outputs.values())
+        report = outcome_sensitivity(net, seeds, watched, [1, 0], trials=300, rng_seed=5)
+        outcomes = [tuple(int(u in run_cascade(net, seeds, RandomSweep(mix_seed(5, t))).final)
+                          for u in watched) for t in range(300)]
+        assert report.agree_fraction == outcomes.count((1, 0)) / 300
+        assert report.distinct_outcomes == len(set(outcomes)) > 1
+
+    def test_watched_must_be_node_ids(self, triangle):
+        with pytest.raises(ValueError, match="watched node 3"):
+            outcome_sensitivity(triangle, {0}, watched=[1, 3], reference=[1, 0],
+                                trials=5, rng_seed=1)
 
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError, match="trials"):

@@ -15,12 +15,12 @@ from cascade_logic.circuit import MAX_FAN_IN
 from cascade_logic.parser import MAX_NESTING
 from cascade_logic import (Basis, GateKind, LimitExceeded, NetworkFormatError, Rule,
                            build_gate, compile_expr, compile_half_adder,
-                           count_fires, evaluate, is_monotone_decreasing,
+                           evaluate, is_monotone_decreasing,
                            is_monotone_increasing, load_circuit, make_rng,
                            parse_expr, phi_for_gate, phi_interval, save_circuit,
                            TruthTable, truth_table, variables)
 from exprgen import random_expr, random_monotone_expr
-from oracles import eval_expr, gate_truth, monotone_by_flips
+from oracles import count_fires, eval_expr, gate_truth, monotone_by_flips
 
 BINARY_KINDS = (GateKind.OR, GateKind.AND, GateKind.NOR, GateKind.NAND)
 

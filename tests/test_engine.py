@@ -4,11 +4,11 @@ from fractions import Fraction
 import pytest
 
 from cascade_logic import (ExplicitOrder, Network, NodeSpec, RandomSweep, Rule,
-                           Topological, count_fires, cutoff, fires, is_global,
+                           Topological, cutoff, fires, is_global,
                            make_rng, mix_seed, monotone_closure, run_cascade,
                            tlu_fires, topological_order)
 from conftest import assert_stable, random_instance, small_network
-from oracles import naive_cascade, neighbor_fraction
+from oracles import count_fires, naive_cascade, neighbor_fraction
 
 
 def two_node_path(directed=False):

@@ -9,7 +9,7 @@ from cascade_logic import (GlobalFraction, MedianExceedance, Rule, SweepSpec,
                            cascade_sizes, emit_csv, parse_csv, reference_sizes,
                            rows_from_sizes, run_sweep, verify_gcm_determinism)
 from cascade_logic import _seeds
-from cascade_logic._seeds import worker_count
+from cascade_logic._seeds import mix_seed, worker_count
 from cascade_logic.cli import main
 
 
@@ -19,6 +19,18 @@ def small_spec(**overrides):
                 metric=GlobalFraction(0.5))
     base.update(overrides)
     return SweepSpec(**base)
+
+
+class TestMixSeed:
+    @pytest.mark.parametrize("master", [0, 2**64 - 1, -5])
+    def test_array_part_matches_scalar_parts(self, master):
+        parts = [0, 1, 2, 499, 2**63, 2**64 - 1]
+        got = mix_seed(master, np.array(parts, dtype=np.uint64))
+        assert got.dtype == np.uint64
+        assert got.tolist() == [mix_seed(master, p) for p in parts]
+        # a negative int64 entry wraps modulo 2^64 as a negative int part does
+        got = mix_seed(master, "graph", np.array([-1, -7, 3], dtype=np.int64))
+        assert got.tolist() == [mix_seed(master, "graph", p) for p in (-1, -7, 3)]
 
 
 class TestSpecValidation:

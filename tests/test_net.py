@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from cascade_logic import (Network, NetworkFormatError, NodeSpec, Rule,
-                           UNIFORM, assign_thresholds, generate_er,
+                           UNIFORM, assign_thresholds, cutoff, generate_er,
                            load_bundle, load_network, make_rng, save_network,
                            stats)
-from cascade_logic.net import _pair_from_linear
+from cascade_logic.net import Graph, _float_cutoffs, _pair_from_linear
 
 
 def path_network(n, rule=Rule.MONOTONE, phi=0.5, seeds=(), directed=False):
@@ -81,6 +81,21 @@ class TestPairIndexing:
         us, vs = _pair_from_linear(np.arange(m, dtype=np.int64), n)
         assert list(zip(us.tolist(), vs.tolist())) == list(combinations(range(n), 2))
 
+    @pytest.mark.parametrize("n", [2, 3, 12, 1000])
+    def test_matches_triu_indices(self, n):
+        us, vs = _pair_from_linear(np.arange(n * (n - 1) // 2, dtype=np.int64), n)
+        rows, cols = np.triu_indices(n, 1)
+        assert np.array_equal(us, rows) and np.array_equal(vs, cols)
+
+    @pytest.mark.parametrize("n, p, seed", [(1, 0.5, 1), (2, 1.0, 1), (12, 3 / 11, 7),
+                                            (300, 0.02, 3)])
+    def test_generated_graph_equals_validated_build(self, n, p, seed):
+        graph = generate_er(n, p, seed).graph
+        checked = Graph.from_edges(n, False, graph.src, graph.dst)
+        for name in ("src", "dst", "indptr", "indices", "degrees"):
+            got, want = getattr(graph, name), getattr(checked, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+
     def test_large_n_round_trip(self):
         n = 10000
         m = n * (n - 1) // 2
@@ -90,6 +105,31 @@ class TestPairIndexing:
         assert np.array_equal(back, idx)
         assert np.all(us < vs)
         assert np.all(vs < n)
+
+
+class TestFloatCutoffs:
+    def test_match_scalar_cutoff(self):
+        # every tie k/d up to degree 64 and the floats either side of it,
+        # phi 0 and 1 at several degrees, degree 0, then random draws
+        phis, degrees = [], []
+        for d in range(65):
+            for k in range(d + 1):
+                tie = k / d if d else 0.0
+                phis += [tie, float(np.nextafter(tie, 0.0)), float(np.nextafter(tie, 1.0))]
+                degrees += [d] * 3
+        for d in (0, 1, 7, 1000):
+            phis += [0.0, 1.0]
+            degrees += [d, d]
+        phis += make_rng(3).random(5000).tolist()
+        degrees += make_rng(4).integers(0, 1000, 5000).tolist()
+        got = _float_cutoffs(np.array(phis), np.array(degrees, dtype=np.int64))
+        assert got.tolist() == [cutoff(p, d) for p, d in zip(phis, degrees)]
+
+    def test_uniform_assignment_uses_them(self):
+        net = assign_thresholds(generate_er(300, 0.02, 5), UNIFORM, Rule.MONOTONE,
+                                rng_seed=6)
+        assert net.cutoff.tolist() == [cutoff(s.phi, d)
+                                       for s, d in zip(net.nodes, net.in_degrees)]
 
 
 class TestAssignThresholds:

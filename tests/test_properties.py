@@ -3,6 +3,7 @@ networks drawn by hypothesis, which is a test-only dependency."""
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,9 @@ import pytest
 from cascade_logic import (ExplicitOrder, Network, NodeSpec, RandomSweep, Rule,
                            Topological, monotone_closure, run_cascade,
                            topological_order)
+from cascade_logic.net import dumps
 from conftest import assert_stable
-from oracles import naive_cascade
+from oracles import full_pass_cascade, naive_cascade
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
@@ -97,3 +99,50 @@ def test_monotone_closure_matches_every_schedule(data, dag, rng_seed):
     assert closure == run_cascade(network, seeds, ExplicitOrder(tuple(order))).final
     if dag:
         assert closure == run_cascade(network, seeds, Topological()).final
+
+
+def schedules(data, network, rng_seed):
+    """A RandomSweep and an ExplicitOrder that covers every node, with repeats."""
+    n = network.n
+    order = data.draw(st.permutations(range(n)))
+    order += data.draw(st.lists(st.integers(0, n - 1), max_size=n))
+    return RandomSweep(rng_seed), ExplicitOrder(tuple(order))
+
+
+@PROPERTY
+@given(data=st.data(), rng_seed=st.integers(0, 2**64 - 1))
+def test_skipped_final_pass_matches_running_every_pass(data, rng_seed):
+    network, seeds = data.draw(networks())
+    for mode in schedules(data, network, rng_seed):
+        result = run_cascade(network, seeds, mode)
+        final, history, passes = full_pass_cascade(network, seeds, mode)
+        assert result.final == final
+        assert list(result.labeling_order) == history
+        assert result.passes == passes
+
+
+@PROPERTY
+@given(data=st.data(), rng_seed=st.integers(0, 2**64 - 1))
+def test_antagonistic_runs_take_at_most_two_passes(data, rng_seed):
+    # counts never fall, so an antagonistic node that fails once fails for good
+    network, seeds = data.draw(networks(rules=(Rule.ANTAGONISTIC,)))
+    for mode in schedules(data, network, rng_seed):
+        _, history, passes = full_pass_cascade(network, seeds, mode)
+        assert passes == (2 if history else 1)
+        assert run_cascade(network, seeds, mode).passes == passes
+
+
+TEXT = st.text(st.characters(blacklist_categories=()))  # lone surrogates too
+JSON_KEYS = st.one_of(TEXT, st.integers(), st.floats(), st.booleans(), st.none())
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.just(-0.0),
+              TEXT),
+    lambda inner: st.one_of(st.lists(inner), st.lists(inner).map(tuple),
+                            st.dictionaries(JSON_KEYS, inner)),
+    max_leaves=30)
+
+
+@PROPERTY
+@given(value=JSON_VALUES)
+def test_dumps_matches_json_dumps_indent_1(value):
+    assert dumps(value) == json.dumps(value, indent=1)
