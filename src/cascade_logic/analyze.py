@@ -7,14 +7,9 @@ means a schedule-independent final state, and multiple fixpoints mean the
 outcome depends on examination order.
 
 Each successor has one more labeled node than its parent, so the reachable
-configurations fall into disjoint levels by labeled count, and each level
-follows from the one before it alone. The search computes them in turn, as
-sorted arrays of bit masks in the narrowest unsigned word that holds n bits
-(16, 32 or 64), with one vectorized firing test per block of a level; it
-needs no visited set. A depth-first search remains for two cases: a search
-with more reachable configurations than its state cap, whose truncated
-result is what that search visits first, and networks above 64 nodes,
-whose configurations do not fit one word.
+configurations fall into levels by labeled count, each computed from the one
+before it alone as an array of distinct bit masks, with one vectorized firing
+test per block; a search that would pass its state cap stops between levels.
 """
 
 from __future__ import annotations
@@ -37,7 +32,9 @@ SEARCH_BLOCK_BYTES = 1 << 18
 
 @dataclass(frozen=True)
 class FixpointSet:
-    """All reachable stable configurations (exhaustive unless truncated)."""
+    """The reachable stable configurations, exhaustive unless truncated: then
+    only those in the levels of labeled count that fit whole within the
+    state cap, whose configurations `explored_states` counts."""
 
     fixpoints: frozenset[frozenset[int]]
     explored_states: int
@@ -49,154 +46,156 @@ def enumerate_fixpoints(network: Network, seeds: Optional[Iterable[int]] = None,
     """The stable configurations reachable from the seed set, searched one
     level of labeled count at a time.
 
-    Configurations are bit masks over node ids. Each move labels one node,
-    so the configurations with k labeled nodes are exactly the children of
-    those with k-1, and each level is computed from the one before it. The
-    search is exhaustive, so `explored_states` is the size of the reachable
-    set and does not depend on the search order.
-
-    If more than `state_cap` configurations are reachable, the result is
-    flagged truncated (never silently cut short): a depth-first search
-    (children in ascending node order) then replays to the cap, and its
-    first `state_cap` configurations fix the truncated output. That search
-    is also the whole search above 64 nodes, where a configuration no
-    longer fits one machine word.
+    Each move labels one node, so the configurations with k labeled nodes
+    are exactly the children of those with k-1. The search is exhaustive, so
+    `explored_states` is the size of the reachable set. If more than
+    `state_cap` configurations are reachable, the result is flagged
+    truncated (never silently cut short): the search stops before the first
+    level that would take the count past the cap, and reports the levels
+    before it, their configurations as explored and the stable ones among
+    them as fixpoints.
     """
     if not network.thresholds_assigned:
         raise ValueError("thresholds not assigned; call assign_thresholds first")
     if state_cap < 1:
         raise ValueError(f"state_cap must be >= 1, got {state_cap}")
-    n = network.n
-    seed_set = network.seeds if seeds is None else seed_ids(seeds, n)
-    graph = network.graph
-    nbr_mask = [0] * n  # in-neighbor bits of each node
-    for u, v in zip(graph.src.tolist(), graph.dst.tolist()):
-        nbr_mask[v] |= 1 << u
-        if not graph.directed:
-            nbr_mask[u] |= 1 << v
-    start = sum(1 << s for s in seed_set)
-
-    found = _by_levels(network, nbr_mask, start, state_cap) if n <= 64 else None
-    if found is None:
-        found = _depth_first(network, nbr_mask, start, state_cap)
-    fixpoints, explored, truncated = found
-    as_sets = frozenset(map(_node_ids, fixpoints))
-    return FixpointSet(fixpoints=as_sets, explored_states=explored,
-                       truncated=truncated)
+    seed_set = network.seeds if seeds is None else seed_ids(seeds, network.n)
+    member, explored, truncated = _by_levels(network, seed_set, state_cap)
+    rows, ids = np.nonzero(member)  # split the ids of all fixpoints by row
+    ends = rows.searchsorted(np.arange(1, len(member) + 1)).tolist()
+    ids = ids.tolist()
+    as_sets = frozenset(frozenset(ids[lo:hi]) for lo, hi in zip([0] + ends, ends))
+    return FixpointSet(fixpoints=as_sets, explored_states=explored, truncated=truncated)
 
 
-def _node_ids(mask: int) -> frozenset[int]:
-    """The ids of the set bits of `mask`."""
-    ids = []
-    while mask:
-        low = mask & -mask
-        ids.append(low.bit_length() - 1)
-        mask ^= low
-    return frozenset(ids)
+def _by_levels(network: Network, seeds: frozenset[int], state_cap: int):
+    """(a fixpoint x node array, nonzero where the node is labeled; the
+    explored count; whether the search was truncated).
 
-
-def _by_levels(network: Network, nbr_mask: list[int], start: int, state_cap: int):
-    """(fixpoint masks, reachable count, False), or None once more than
-    `state_cap` configurations are reachable.
-
-    A level is a sorted, de-duplicated array of masks in the narrowest
-    unsigned word that holds n bits. It is expanded in blocks whose
-    (node x configuration) arrays fit in `SEARCH_BLOCK_BYTES`. Each block's
-    children, sorted and de-duplicated, are merged into the part before them
-    while they are at least half its size, so the parts shrink geometrically
-    and together hold at most twice the next level.
+    Up to 64 nodes a level is an array of masks in the narrowest unsigned
+    word that holds n bits; above, ceil(n/64) rows of uint64 words, a column
+    per configuration, whose children are collected as (Zobrist hash, parent
+    column * n + node) columns, 16 bytes whatever n is. A block keeps its
+    (node x configuration) arrays within `SEARCH_BLOCK_BYTES`. Children are
+    de-duplicated once the new ones are as many as the distinct ones, so at
+    most twice the next level plus one block is held; once the distinct ones
+    pass the cap, the rest of the level is only tested for stability.
     """
     n = network.n
+    words = -(-n // 64)
     word = np.dtype(np.uint16 if n <= 16 else np.uint32 if n <= 32 else np.uint64)
-    bit = (word.type(1) << np.arange(n, dtype=word))[:, None]
-    in_mask = np.array(nbr_mask, dtype=word)[:, None]
-    # a count never exceeds 64, so the capped uint8 cutoffs give the same test
-    cut = np.minimum(network.cutoff, 65).astype(np.uint8)[:, None]
+    if words == 1:
+        bit = word.type(1) << np.arange(n, dtype=word)
+    else:
+        word_of = np.arange(n) >> 6
+        bit = word.type(1) << (np.arange(n) & 63).astype(word)
+    src, dst = network.graph.src, network.graph.dst
+    if not network.graph.directed:  # an edge counts toward both its ends
+        src, dst = np.concatenate((src, dst)), np.concatenate((dst, src))
+    in_mask = np.zeros((words, n), dtype=word)  # in-neighbor bits, word by word
+    np.bitwise_or.at(in_mask, (src >> 6, dst), bit[src])
+    start = sum(1 << s for s in seeds)
+    if words == 1:
+        in_mask, bit, terms = in_mask.reshape(n, 1), bit[:, None], 1
+        level = np.array([start], dtype=word)
+    else:
+        level = np.frombuffer(start.to_bytes(8 * words, "little"), dtype="<u8")[:, None]
+        # `terms` (word, mask) rows per node, its nonzero words first and
+        # then zero masks, hold all its in-neighbor bits
+        terms = max(1, int(np.count_nonzero(in_mask, axis=0).max()))
+        term_word = np.argsort(in_mask == 0, axis=0)[:terms]
+        term_mask = np.take_along_axis(in_mask, term_word, axis=0)[:, :, None]
+        key = mix_seed(n, np.arange(n))
+        hashes = np.bitwise_xor.reduce(key[list(seeds)], initial=word.type(0), keepdims=True)
+    step = max(1, SEARCH_BLOCK_BYTES // (word.itemsize * n * terms))
+    # a count never exceeds 64 per term, so the capped cutoffs give the same test
+    count_type = np.min_scalar_type(64 * terms + 1)
+    cut = np.minimum(network.cutoff, 64 * terms + 1).astype(count_type)[:, None]
     anti = network.antagonistic[:, None]
-    step = max(1, SEARCH_BLOCK_BYTES // (word.itemsize * n))
-    fixpoints: list[int] = []
-    explored = 0
-    level = np.array([start], dtype=word)
-    while level.size:
-        explored += level.size
-        if explored > state_cap:
-            return None
-        parts = []
-        for lo in range(0, level.size, step):
-            block = level[lo:lo + step]
-            child = block | bit
+    fixpoints, explored = [], 0
+    while level.shape[-1]:
+        explored += level.shape[-1]
+        room = state_cap - explored  # configurations of the next level that fit
+        parts, pending = [], 0  # parts[0] holds distinct children, the rest any
+        for lo in range(0, level.shape[-1], step):
+            block = level[..., lo:lo + step]
             # MONOTONE fires at count >= cutoff, ANTAGONISTIC below it
-            fire = (np.bitwise_count(block & in_mask) >= cut) != anti
-            fire &= child != block  # unlabeled nodes only
-            stable = ~fire.any(axis=0)
-            if stable.any():
-                fixpoints += block[stable].tolist()
-            parts.append(_sorted_unique(child.compress(fire.ravel())))
-            while len(parts) > 1 and 2 * parts[-1].size >= parts[-2].size:
-                parts[-2:] = [_sorted_unique(np.concatenate(parts[-2:]))]
-            if explored + parts[0].size > state_cap:  # parts[0] is in the next level
-                return None
-        level = parts[0] if len(parts) == 1 else _sorted_unique(np.concatenate(parts))
-    return fixpoints, explored, False
+            if words == 1:
+                child = block | bit
+                fire = (np.bitwise_count(block & in_mask) >= cut) != anti
+                fire &= child != block  # unlabeled nodes only
+            else:
+                count = np.bitwise_count(block[term_word] & term_mask)
+                fire = (count.sum(axis=0, dtype=count_type) >= cut) != anti
+                fire &= (block[word_of] & bit[:, None]) == 0  # unlabeled nodes only
+            stable = ~np.logical_or.reduce(fire, axis=0)
+            if np.count_nonzero(stable):
+                fixpoints.append(block[..., stable])
+            if parts is None:
+                continue  # the next level is already known not to fit
+            if words == 1:
+                children = child.compress(fire.ravel())
+            else:
+                node, parent = np.nonzero(fire)
+                parent += lo
+                children = np.stack((hashes[parent] ^ key[node], (parent * n + node).astype(word)))
+            parts.append(children)
+            pending += children.shape[-1]
+            if pending >= parts[0].shape[-1]:
+                parts, pending = [_distinct(parts, level, n)], 0
+                if parts[0].shape[-1] > room:
+                    parts = None
+        if parts and pending:
+            parts = [_distinct(parts, level, n)]
+        if parts is None or parts[0].shape[-1] > room:
+            break  # truncated: the search ends with a level left
+        if words == 1:
+            level = parts[0]
+        else:
+            hashes, level = parts[0][0], _child_rows(level, parts[0][1], n)
+    found = np.concatenate(fixpoints, axis=-1) if fixpoints else level[..., :0]
+    member = found[:, None] & bit.T if words == 1 else found.T[:, word_of] & bit
+    return member, explored, level.shape[-1] > 0
 
 
-def _sorted_unique(values: np.ndarray) -> np.ndarray:
-    """`values` sorted, each once: what `np.unique` returns, but `np.unique`
-    hashes the values first and took 25 times longer on 40,000 uint64 masks
-    (numpy 2.4)."""
-    if values.size < 2:
-        return values
-    values = np.sort(values)
-    keep = np.empty(values.size, dtype=bool)
+def _distinct(parts: list[np.ndarray], level: np.ndarray, n: int) -> np.ndarray:
+    """The distinct children in `parts`, which it empties to free them, of
+    the configurations `level`: masks, sorted (`np.unique` hashes them first
+    and took 25 times longer on 40,000, numpy 2.4), or (hash, reference)
+    columns. Equal children have equal hashes, so columns that share one are
+    compared by value, a bounded chunk at a time; if any two differ, the
+    columns are sorted by value instead."""
+    part = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+    parts.clear()
+    if part.shape[-1] < 2:
+        return part
+    keep = np.empty(part.shape[-1], dtype=bool)
     keep[:1] = True
-    np.not_equal(values[1:], values[:-1], out=keep[1:])
-    return values[keep]
+    if part.ndim == 1:
+        part.sort()  # in place: no one else holds the children
+        np.not_equal(part[1:], part[:-1], out=keep[1:])
+        return part[keep]
+    part = np.take(part, np.argsort(part[0]), axis=1)
+    np.not_equal(part[0, 1:], part[0, :-1], out=keep[1:])
+    same = np.flatnonzero(~keep[1:])
+    chunk = max(1, SEARCH_BLOCK_BYTES // (8 * len(level)))
+    if any((_child_rows(level, part[1, i], n) != _child_rows(level, part[1, i + 1], n)).any()
+           for i in (same[lo:lo + chunk] for lo in range(0, same.size, chunk))):
+        rows = _child_rows(level, part[1], n)
+        order = np.lexsort(rows)
+        part, rows = np.take(part, order, axis=1), np.take(rows, order, axis=1)
+        np.any(rows[:, 1:] != rows[:, :-1], axis=0, out=keep[1:])
+    return np.compress(keep, part, axis=1)
 
 
-def _depth_first(network: Network, nbr_mask: list[int], start: int, state_cap: int):
-    """(fixpoint masks, explored count, truncated) of a depth-first search
-    that stops once `state_cap` configurations are visited.
-
-    Firing a node changes the firing test only at its out-neighbors, so
-    each configuration's fireable set is its parent's, updated there.
-    """
-    n = network.n
-    cut = network.cutoff.tolist()
-    anti = network.antagonistic.tolist()
-    out = network.out_neighbors
-
-    visited: set[int] = set()
-    fixpoints: set[int] = set()
-    truncated = False
-    # (configuration, parent's fireable mask, bit just fired, nodes to re-test)
-    stack = [(start, 0, 0, range(n))]
-    while stack:
-        cfg, fireable, fired, retest = stack.pop()
-        if cfg in visited:
-            continue
-        if len(visited) >= state_cap:
-            truncated = True
-            break
-        visited.add(cfg)
-        fireable &= ~fired
-        for v in retest:
-            if not (cfg >> v) & 1:
-                # MONOTONE fires at count >= cutoff, ANTAGONISTIC below it
-                if ((cfg & nbr_mask[v]).bit_count() >= cut[v]) != anti[v]:
-                    fireable |= 1 << v
-                else:
-                    fireable &= ~(1 << v)
-        if not fireable:
-            fixpoints.add(cfg)
-            continue
-        rest = fireable
-        while rest:  # children in ascending node order
-            bit = rest & -rest
-            rest ^= bit
-            nxt = cfg | bit
-            if nxt not in visited:
-                stack.append((nxt, fireable, bit, out[bit.bit_length() - 1]))
-    return fixpoints, len(visited), truncated
+def _child_rows(level: np.ndarray, refs: np.ndarray, n: int) -> np.ndarray:
+    """The word rows of the children `refs` (parent column * n + node) of the
+    configurations `level`."""
+    parent, node = np.divmod(refs.view(np.int64), n)
+    rows = np.take(level, parent, axis=1)
+    rows.ravel()[(node >> 6) * refs.size + np.arange(refs.size)] |= (
+        np.uint64(1) << (node & 63).astype(np.uint64))
+    return rows
 
 
 @dataclass(frozen=True)

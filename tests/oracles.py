@@ -141,42 +141,40 @@ def monotone_by_flips(table, breaks) -> bool:
 
 
 def rescan_fixpoints(network, seeds, state_cap):
-    """Depth-first fixpoint search that re-tests every node in every state.
+    """Level-by-level fixpoint search that re-tests every node in every state.
 
-    Visits configurations in the same order as `enumerate_fixpoints` (children
-    pushed in ascending node order, a visited set, truncation once `state_cap`
-    states are explored), so it returns the same
-    (fixpoints, explored_states, truncated) triple, truncated searches included.
+    Each level is the set of configurations with one more labeled node than
+    the one before, built with Python ints. The search stops at the first
+    level that would take the explored count past `state_cap`, so it
+    returns the same (fixpoints, explored_states, truncated) triple as
+    `enumerate_fixpoints`, truncated searches included: the configurations
+    of the complete levels within the cap, and the stable ones among them.
     """
     n = network.n
     cut = network.cutoff.tolist()
     anti = network.antagonistic.tolist()
     nbr_mask = [sum(1 << v for v in network.in_neighbors[u]) for u in range(n)]
-    visited = set()
+    level = {sum(1 << s for s in seeds)}
+    explored = 0
     fixpoints = set()
     truncated = False
-    stack = [sum(1 << s for s in seeds)]
-    while stack:
-        cfg = stack.pop()
-        if cfg in visited:
-            continue
-        if len(visited) >= state_cap:
+    while level:
+        if explored + len(level) > state_cap:
             truncated = True
             break
-        visited.add(cfg)
-        fireable = [
-            u for u in range(n)
-            if not (cfg >> u) & 1
-            and ((cfg & nbr_mask[u]).bit_count() >= cut[u]) != anti[u]
-        ]
-        if not fireable:
-            fixpoints.add(cfg)
-            continue
-        for u in fireable:
-            nxt = cfg | (1 << u)
-            if nxt not in visited:
-                stack.append(nxt)
+        explored += len(level)
+        children = set()
+        for cfg in level:
+            fireable = [
+                u for u in range(n)
+                if not (cfg >> u) & 1
+                and ((cfg & nbr_mask[u]).bit_count() >= cut[u]) != anti[u]
+            ]
+            if not fireable:
+                fixpoints.add(cfg)
+            children.update(cfg | (1 << u) for u in fireable)
+        level = children
     as_sets = frozenset(
         frozenset(u for u in range(n) if (cfg >> u) & 1) for cfg in fixpoints
     )
-    return as_sets, len(visited), truncated
+    return as_sets, explored, truncated

@@ -3,17 +3,19 @@ import io
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from cascade_logic import analyze as analyze_module
 from cascade_logic import engine
-from cascade_logic import (DEFAULT_STATE_CAP, FixpointSet, MedianExceedance, Network,
+from cascade_logic import (Basis, DEFAULT_STATE_CAP, FixpointSet, MedianExceedance, Network,
                            NodeSpec, RandomSweep, Rule, SweepSpec, Verdict,
                            build_gate, compile_expr, compile_half_adder,
                            enumerate_fixpoints, evaluate, fixture_path, generate_er,
                            make_rng, mix_seed, outcome_sensitivity,
                            run_cascade, run_sweep, GateKind,
                            schedule_sensitivity, verify_gcm_determinism)
+from cascade_logic.circuit import input_seeds
 from cascade_logic.cli import main
 from conftest import assert_stable, random_instance, small_network
 from oracles import rescan_fixpoints
@@ -88,9 +90,9 @@ class TestEnumerateFixpoints:
 
 class TestIncrementalSearchMatchesRescan:
     def test_same_states_in_the_same_order(self):
-        # a truncated search returns whatever a depth-first search visited
-        # first, so equal triples under small caps pin that order, not only
-        # the set
+        # a truncated search covers the complete levels of labeled count
+        # that fit within the cap, so equal triples under small caps pin the
+        # level where it stops, not only the reachable set
         rng = make_rng(88)
         truncated = 0
         for case in range(1200):
@@ -140,10 +142,11 @@ class TestIsolatedAntagonists:
         assert below.truncated and below.explored_states == states - 1
         assert not at.truncated and at.explored_states == states
 
-    @pytest.mark.parametrize("n", [63, 64, 65])
+    @pytest.mark.parametrize("n", [63, 64, 65, 72, 96, 130])
     def test_word_boundary_matches_rescan(self, n):
         # the unseeded nodes are the highest ids, so the top bit of a 64-bit
-        # word is in play at n = 64; a node more takes the search past a word
+        # word is in play at n = 64; a node more takes a configuration to two
+        # words, and 130 nodes to three
         rng = make_rng(n)
         unseeded = range(n - 8, n)
         isolated = isolated_antagonists(n)
@@ -160,6 +163,8 @@ class TestIsolatedAntagonists:
                 found = enumerate_fixpoints(net, seeds, state_cap=cap)
                 assert ((found.fixpoints, found.explored_states, found.truncated)
                         == rescan_fixpoints(net, seeds, cap)), (case, cap)
+                for fp in found.fixpoints:
+                    assert_stable(net, fp)
 
     @pytest.mark.parametrize("n", [15, 16, 17, 31, 32, 33])
     def test_word_width_boundary_matches_rescan(self, n):
@@ -189,6 +194,52 @@ class TestIsolatedAntagonists:
             tracemalloc.stop()
         assert found.explored_states == 2 ** 18 and not found.truncated
         assert peak < 16 * 2**20
+
+    def test_truncated_memory_is_bounded_by_the_cap(self):
+        # two words and 40 free nodes: the levels of up to 4 labeled free
+        # nodes hold 102,091 configurations and fit under the cap, the next
+        # one holds 658,008, so the search must stop collecting its children
+        net, cap, words = isolated_antagonists(96), 110_000, 2
+        tracemalloc.start()
+        try:
+            found = enumerate_fixpoints(net, range(56), state_cap=cap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert found == FixpointSet(fixpoints=frozenset(), explored_states=102_091,
+                                    truncated=True)
+        assert peak < 6 * cap * words * 8
+
+
+class TestAboveOneWord:
+    def test_compiled_circuit_matches_rescan(self):
+        names = [f"v{i}" for i in range(14)]
+        circuit = compile_expr(" ^ ".join(names), Basis.NAND_ONLY)
+        net = circuit.network
+        assert net.n > 64
+        seeds = input_seeds(circuit, {v: i % 2 for i, v in enumerate(names)})
+        for cap in make_rng(66).integers(1, 300, 6).tolist():
+            found = enumerate_fixpoints(net, seeds, state_cap=cap)
+            assert ((found.fixpoints, found.explored_states, found.truncated)
+                    == rescan_fixpoints(net, seeds, cap)), cap
+            for fp in found.fixpoints:
+                assert_stable(net, fp)
+
+    def test_shared_hashes_are_told_apart_by_value(self, monkeypatch):
+        # with every node's key 0, all children of a level share one hash,
+        # so each de-duplication must fall back to comparing configurations
+        monkeypatch.setattr(analyze_module, "mix_seed",
+                            lambda master, nodes: np.zeros(len(nodes), dtype=np.uint64))
+        rng = make_rng(7200)
+        for case in range(12):
+            net, _ = random_instance(7200 + case, 72, 3.0,
+                                     Rule.ANTAGONISTIC if case % 2 else Rule.MONOTONE)
+            free = set(range(64, 72)) | {int(u) for u in rng.permutation(72)[:3]}
+            seeds = frozenset(range(72)) - free
+            for cap in (int(rng.integers(1, 60)), DEFAULT_STATE_CAP):
+                found = enumerate_fixpoints(net, seeds, state_cap=cap)
+                assert ((found.fixpoints, found.explored_states, found.truncated)
+                        == rescan_fixpoints(net, seeds, cap)), (case, cap)
 
 
 class TestScheduleSensitivity:
