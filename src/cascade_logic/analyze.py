@@ -75,8 +75,8 @@ def _by_levels(network: Network, seeds: frozenset[int], state_cap: int):
     Up to 64 nodes a level is an array of masks in the narrowest unsigned
     word that holds n bits; above, ceil(n/64) rows of uint64 words, a column
     per configuration, whose children are collected as (Zobrist hash, parent
-    column * n + node) columns, 16 bytes whatever n is. A block keeps its
-    (node x configuration) arrays within `SEARCH_BLOCK_BYTES`. Children are
+    column * n + node) columns, 16 bytes whatever n is. Each (node x
+    configuration) array of a block fits `SEARCH_BLOCK_BYTES`. Children are
     de-duplicated once the new ones are as many as the distinct ones, so at
     most twice the next level plus one block is held; once the distinct ones
     pass the cap, the rest of the level is only tested for stability.
@@ -107,7 +107,7 @@ def _by_levels(network: Network, seeds: frozenset[int], state_cap: int):
         term_mask = np.take_along_axis(in_mask, term_word, axis=0)[:, :, None]
         key = mix_seed(n, np.arange(n))
         hashes = np.bitwise_xor.reduce(key[list(seeds)], initial=word.type(0), keepdims=True)
-    step = max(1, SEARCH_BLOCK_BYTES // (word.itemsize * n * terms))
+    step = max(1, SEARCH_BLOCK_BYTES // (word.itemsize * n))
     # a count never exceeds 64 per term, so the capped cutoffs give the same test
     count_type = np.min_scalar_type(64 * terms + 1)
     cut = np.minimum(network.cutoff, 64 * terms + 1).astype(count_type)[:, None]
