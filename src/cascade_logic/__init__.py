@@ -26,7 +26,7 @@ from .experiments import (GlobalFraction, MedianExceedance, SweepRow,
                           SweepSpec, cascade_sizes, emit_csv, parse_csv,
                           reference_sizes, rows_from_sizes, run_sweep,
                           sweep_sizes)
-from .net import (Network, NetworkBundle, NetworkFormatError, NetworkStats,
+from .net import (Graph, Network, NetworkBundle, NetworkFormatError, NetworkStats,
                   NodeSpec, Rule, UNIFORM, assign_thresholds, cutoff,
                   generate_er, load_bundle, load_network, save_network, stats)
 from .parser import LimitExceeded, ParseError, parse_expr, variables

@@ -55,8 +55,6 @@ def enumerate_fixpoints(network: Network, seeds: Optional[Iterable[int]] = None,
     before it, their configurations as explored and the stable ones among
     them as fixpoints.
     """
-    if not network.thresholds_assigned:
-        raise ValueError("thresholds not assigned; call assign_thresholds first")
     if state_cap < 1:
         raise ValueError(f"state_cap must be >= 1, got {state_cap}")
     seed_set = network.seeds if seeds is None else seed_ids(seeds, network.n)
@@ -152,7 +150,7 @@ def _by_levels(network: Network, seeds: frozenset[int], state_cap: int):
         if words == 1:
             level = parts[0]
         else:
-            hashes, level = parts[0][0], _child_rows(level, parts[0][1], n)
+            hashes, level = parts[0][0], _child_words(level, parts[0][1], n)
     found = np.concatenate(fixpoints, axis=-1) if fixpoints else level[..., :0]
     member = found[:, None] & bit.T if words == 1 else found.T[:, word_of] & bit
     return member, explored, level.shape[-1] > 0
@@ -179,16 +177,16 @@ def _distinct(parts: list[np.ndarray], level: np.ndarray, n: int) -> np.ndarray:
     np.not_equal(part[0, 1:], part[0, :-1], out=keep[1:])
     same = np.flatnonzero(~keep[1:])
     chunk = max(1, SEARCH_BLOCK_BYTES // (8 * len(level)))
-    if any((_child_rows(level, part[1, i], n) != _child_rows(level, part[1, i + 1], n)).any()
+    if any((_child_words(level, part[1, i], n) != _child_words(level, part[1, i + 1], n)).any()
            for i in (same[lo:lo + chunk] for lo in range(0, same.size, chunk))):
-        rows = _child_rows(level, part[1], n)
+        rows = _child_words(level, part[1], n)
         order = np.lexsort(rows)
         part, rows = np.take(part, order, axis=1), np.take(rows, order, axis=1)
         np.any(rows[:, 1:] != rows[:, :-1], axis=0, out=keep[1:])
     return np.compress(keep, part, axis=1)
 
 
-def _child_rows(level: np.ndarray, refs: np.ndarray, n: int) -> np.ndarray:
+def _child_words(level: np.ndarray, refs: np.ndarray, n: int) -> np.ndarray:
     """The word rows of the children `refs` (parent column * n + node) of the
     configurations `level`."""
     parent, node = np.divmod(refs.view(np.int64), n)

@@ -30,7 +30,6 @@ from .parser import (And, Expr, LimitExceeded, Nand, Nor, Not, Or, Var, Xor,
                      parse_expr)
 
 MAX_FAN_IN = 64
-MAX_TABLE_INPUTS = 20
 MAX_TABLE_CELLS = 1 << 25  # every compiled expression of up to 20 inputs fits
 # Rows per block of a table pass: the block's node values, or its CSV text,
 # stay within this many bytes whatever the circuit's size.
@@ -118,8 +117,8 @@ class CompiledCircuit:
         if not self.network.directed:
             raise ValueError("a circuit network must be directed")
         order = topological_order(self.network)  # raises on cycles
-        n = self.network.n
-        in_deg = self.network.in_degrees
+        graph = self.network.graph
+        n, in_deg = graph.n, graph.degrees
         if not self.inputs:
             raise ValueError("a circuit needs at least one input")
         if not self.outputs:
@@ -130,8 +129,9 @@ class CompiledCircuit:
             if in_deg[nid] != 0:
                 raise ValueError(f"input {name!r} must have in-degree 0")
         reach = set(self.inputs.values())
+        ptr, flat = graph.indptr.tolist(), graph.indices.tolist()
         for u in order:
-            if any(v in reach for v in self.network.in_neighbors[u]):
+            if any(v in reach for v in flat[ptr[u]:ptr[u + 1]]):
                 reach.add(u)
         for name, nid in self.outputs.items():
             if not 0 <= nid < n:
@@ -341,9 +341,9 @@ class TruthTable:
 
     def _csv_blocks(self):
         yield ",".join(self.input_names + self.output_names) + "\n"
-        n_rows, width = self.bits.shape
+        row_count, width = self.bits.shape
         step = max(1, TABLE_BLOCK_BYTES // (2 * width))
-        for lo in range(0, n_rows, step):
+        for lo in range(0, row_count, step):
             bits = self.bits[lo:lo + step]
             text = np.full((len(bits), 2 * width), ord(","), dtype=np.uint8)
             text[:, 0::2] = bits + ord("0")
@@ -361,23 +361,20 @@ def truth_table(circuit: CompiledCircuit) -> TruthTable:
     only the input and output columns are ever kept for every row.
     """
     m = len(circuit.inputs)
-    if m > MAX_TABLE_INPUTS:
-        raise LimitExceeded(f"{m} inputs would need 2^{m} rows; the limit is "
-                            f"{MAX_TABLE_INPUTS} inputs")
-    n_rows = 1 << m
+    row_count = 1 << m
     columns = [*circuit.inputs.values(), *circuit.outputs.values()]
-    if n_rows * len(columns) > MAX_TABLE_CELLS:
+    if row_count * len(columns) > MAX_TABLE_CELLS:
         raise LimitExceeded(f"2^{m} rows of {len(columns)} columns would need "
-                            f"{n_rows * len(columns)} cells; the limit is "
+                            f"{row_count * len(columns)} cells; the limit is "
                             f"{MAX_TABLE_CELLS} cells")
     net = circuit.network
     input_ids = set(circuit.inputs.values())
     order = [u for u in topological_order(net) if u not in input_ids]
     indptr, indices = net.graph.indptr, net.graph.indices
-    bits = np.empty((n_rows, len(columns)), dtype=np.uint8)
+    bits = np.empty((row_count, len(columns)), dtype=np.uint8)
     step = max(1, TABLE_BLOCK_BYTES // net.n)
-    for lo in range(0, n_rows, step):
-        row_ids = np.arange(lo, min(lo + step, n_rows), dtype=np.int64)
+    for lo in range(0, row_count, step):
+        row_ids = np.arange(lo, min(lo + step, row_count), dtype=np.int64)
         values = np.empty((net.n, row_ids.size), dtype=np.uint8)  # one row per node
         for j, nid in enumerate(circuit.inputs.values()):
             values[nid] = (row_ids >> (m - 1 - j)) & 1

@@ -184,8 +184,8 @@ def _cmd_gen(args) -> int:
         if args.n < 2:
             raise UsageError("--z needs n >= 2")
         p = args.z / (args.n - 1)
-    network = generate_er(args.n, p, mix_seed(args.seed, "graph"))
-    network = assign_thresholds(network, _parse_phi_flag(args.phi),
+    graph = generate_er(args.n, p, mix_seed(args.seed, "graph"))
+    network = assign_thresholds(graph, _parse_phi_flag(args.phi),
                                 _parse_rule(args.rule),
                                 rng_seed=mix_seed(args.seed, "phi"))
     save_network(network, _destination(args.out))
@@ -193,7 +193,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    _print_json(dataclasses.asdict(stats(load_network(args.net))))
+    _print_json(dataclasses.asdict(stats(load_network(args.net).graph)))
     return EXIT_OK
 
 

@@ -108,12 +108,12 @@ def topological_order(network: Network) -> tuple[int, ...]:
     indeg = network.graph.degrees.tolist()
     ready = [u for u in range(n) if indeg[u] == 0]
     heapq.heapify(ready)
-    out = network.out_neighbors
+    ptr, out = network.graph.out_indptr.tolist(), network.graph.out_indices.tolist()
     order = []
     while ready:
         u = heapq.heappop(ready)
         order.append(u)
-        for v in out[u]:
+        for v in out[ptr[u]:ptr[u + 1]]:
             indeg[v] -= 1
             if indeg[v] == 0:
                 heapq.heappush(ready, v)
@@ -147,19 +147,18 @@ class _Cascade:
     is done once, so many runs pay it once."""
 
     def __init__(self, network: Network, seeds: Optional[Iterable[int]]):
-        if not network.thresholds_assigned:
-            raise ValueError("thresholds not assigned; call assign_thresholds first")
         n = network.n
         self.network = network
         self.seed_set = network.seeds if seeds is None else seed_ids(seeds, n)
         self.cut = network.cutoff.tolist()
         self.anti = network.antagonistic.tolist()
-        self.out = network.out_neighbors
+        self.ptr = network.graph.out_indptr.tolist()
+        self.out = network.graph.out_indices.tolist()
         self.labels = bytearray(n)
         self.counts = [0] * n  # labeled in-neighbors
         for s in self.seed_set:
             self.labels[s] = 1
-            for v in self.out[s]:
+            for v in self.out[self.ptr[s]:self.ptr[s + 1]]:
                 self.counts[v] += 1
         unlabeled = np.frombuffer(self.labels, dtype=np.uint8) == 0
         self.pending = np.flatnonzero(unlabeled)
@@ -198,7 +197,7 @@ class _Cascade:
         else:
             raise TypeError(f"unknown schedule mode {mode!r}")
 
-        cut, anti, out = self.cut, self.anti, self.out
+        cut, anti, ptr, out = self.cut, self.anti, self.ptr, self.out
         counts = self.counts.copy()
         monotone = self.monotone
         labeling_order: list[int] = []
@@ -213,7 +212,7 @@ class _Cascade:
                 labels[u] = 1
                 changed = True
                 labeling_order.append(u)
-                for v in out[u]:
+                for v in out[ptr[u]:ptr[u + 1]]:
                     counts[v] += 1
             if not changed or not repeat:
                 break
@@ -233,20 +232,18 @@ def monotone_closure(network: Network, seeds: Optional[Iterable[int]]) -> Config
 
     Every schedule ends in the same set under the monotone rule, so a
     worklist labels it directly, touching each edge once. Raises ValueError
-    on unassigned thresholds or any antagonistic node.
+    on any antagonistic node.
     """
-    if not network.thresholds_assigned:
-        raise ValueError("thresholds not assigned; call assign_thresholds first")
     if network.antagonistic.any():
         raise ValueError("the closure needs an all-monotone network; use run_cascade")
     seed_set = network.seeds if seeds is None else seed_ids(seeds, network.n)
     need = network.cutoff.tolist()  # labeled in-neighbors still missing
     for s in seed_set:
         need[s] = 0
-    out = network.out_neighbors
+    ptr, out = network.graph.out_indptr.tolist(), network.graph.out_indices.tolist()
     labeled = [u for u, c in enumerate(need) if c <= 0]
     for u in labeled:  # the list grows while it is walked: a FIFO worklist
-        for v in out[u]:
+        for v in out[ptr[u]:ptr[u + 1]]:
             need[v] -= 1
             if need[v] == 0:  # reached once, and only by an unlabeled node
                 labeled.append(v)

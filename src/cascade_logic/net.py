@@ -1,11 +1,12 @@
 """Cascade networks: random and hand-built graphs, thresholds, statistics, files.
 
-A :class:`Network` is a :class:`Graph` held as compressed sparse rows, plus a
-per-node rule mask and threshold ``phi``. Each threshold, float or exact
-``Fraction``, becomes an integer :func:`cutoff` on the labeled in-neighbor
-count: a monotone node fires iff the count reaches it, an antagonistic node
-iff the count stays below it. Assigning thresholds shares the graph and its
-cached adjacency views.
+A :class:`Graph` is bare: compressed sparse rows of in- and out-neighbors;
+:func:`generate_er` returns one. A :class:`Network` always has thresholds:
+a graph plus a per-node rule mask and threshold ``phi``.
+:func:`assign_thresholds` makes one from a graph and shares its arrays. Each
+threshold, float or exact ``Fraction``, becomes an integer :func:`cutoff` on
+the labeled in-neighbor count: a monotone node fires iff the count reaches
+it, an antagonistic node iff the count stays below it.
 """
 
 from __future__ import annotations
@@ -106,18 +107,24 @@ def _csr(n: int, heads: np.ndarray, tails: np.ndarray) -> tuple[np.ndarray, np.n
     return indptr, tails[order]
 
 
-def _rows(indptr: np.ndarray, indices: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    flat, ptr = indices.tolist(), indptr.tolist()
-    return tuple([tuple(flat[a:b]) for a, b in zip(ptr, ptr[1:])])
+def _ids(values) -> np.ndarray:
+    """`values` as int64, or as Python ints if some lie beyond int64 (no node does)."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
 
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """A simple graph on nodes 0..n-1 in compressed sparse row form.
+    """A bare simple graph on nodes 0..n-1 in compressed sparse row form.
 
     ``src`` and ``dst`` hold the edges in input order, undirected ones as
-    (u, v) with u < v. The in-neighbors of v (all its neighbors when
-    undirected) are ``indices[indptr[v]:indptr[v + 1]]``, in edge order.
+    (u, v) with u < v. In edge order, the in-neighbors of v, whose labels
+    count toward its fraction, are ``indices[indptr[v]:indptr[v + 1]]``, and
+    its out-neighbors, whose fractions change when it is labeled, are
+    ``out_indices[out_indptr[v]:out_indptr[v + 1]]``; undirected, both are
+    all its neighbors, and the out arrays are the in arrays.
     """
 
     n: int
@@ -126,12 +133,14 @@ class Graph:
     dst: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
+    out_indptr: np.ndarray
+    out_indices: np.ndarray
     degrees: np.ndarray  # in-degree of every node
 
     @classmethod
     def from_edges(cls, n: int, directed: bool, src, dst) -> "Graph":
         """Validate an edge list: no missing nodes, self-loops or duplicates."""
-        src, dst = np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
+        src, dst = _ids(src), _ids(dst)
         lo, hi = np.minimum(src, dst), np.maximum(src, dst)
         bad = np.flatnonzero((lo < 0) | (hi >= n) | (lo == hi))
         if bad.size:
@@ -155,41 +164,31 @@ class Graph:
         with no self-loop or duplicate, undirected ones as (min, max)."""
         if directed:
             indptr, indices = _csr(n, dst, src)
+            out_indptr, out_indices = _csr(n, src, dst)
         else:  # each edge lists v under u and u under v
             indptr, indices = _csr(n, np.column_stack((dst, src)).ravel(),
                                    np.column_stack((src, dst)).ravel())
+            out_indptr, out_indices = indptr, indices
         degrees = np.diff(indptr)
-        _frozen(src, dst, indptr, indices, degrees)
-        return cls(n, directed, src, dst, indptr, indices, degrees)
+        _frozen(src, dst, indptr, indices, out_indptr, out_indices, degrees)
+        return cls(n, directed, src, dst, indptr, indices, out_indptr, out_indices, degrees)
 
-    @cached_property
-    def in_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """Per node, the nodes whose labels count toward its fraction."""
-        return _rows(self.indptr, self.indices)
-
-    @cached_property
-    def out_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """Per node, the nodes whose fraction changes when it is labeled."""
-        if not self.directed:
-            return self.in_neighbors
-        return _rows(*_csr(self.n, self.src, self.dst))
+    edges = property(lambda self: tuple(zip(self.src.tolist(), self.dst.tolist())))
 
 
 @dataclass(frozen=True, init=False, eq=False)
 class Network:
-    """An immutable simple graph with per-node rules and thresholds.
+    """An immutable simple graph whose every node has a rule and a threshold.
 
     The constructor takes node specs and (u, v) edges, stored as (min, max)
-    when undirected. ``antagonistic``, ``phi`` and ``cutoff`` are None on a
-    freshly generated graph until :func:`assign_thresholds` runs; the engine
-    refuses to cascade on such unassigned networks. ``nodes``, ``edges`` and
-    the neighbor tuples are views derived on first use.
+    when undirected; :func:`assign_thresholds` makes one from a bare
+    :class:`Graph`. ``nodes`` is a view derived on first use.
     """
 
     graph: Graph
-    antagonistic: Optional[np.ndarray]
-    phi: Optional[tuple[PhiValue, ...]]
-    cutoff: Optional[np.ndarray]
+    antagonistic: np.ndarray
+    phi: tuple[PhiValue, ...]
+    cutoff: np.ndarray
     seeds: frozenset[int]
 
     def __init__(self, nodes: Iterable[NodeSpec], directed: bool,
@@ -202,7 +201,7 @@ class Network:
                 raise ValueError(
                     f"node ids must be dense and ordered: position {i} holds id {spec.id}"
                 )
-        pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+        pairs = _ids(list(edges)).reshape(-1, 2)
         graph = Graph.from_edges(len(nodes), directed, pairs[:, 0], pairs[:, 1])
         phi = tuple(spec.phi for spec in nodes)
         cutoffs = [cutoff(p, d) for p, d in zip(phi, graph.degrees.tolist())]
@@ -217,10 +216,9 @@ class Network:
 
     def _fill(self, graph, antagonistic, phi, cutoffs, seeds) -> None:
         seeds = seed_ids(seeds, graph.n)
-        if phi is not None:
-            antagonistic = np.asarray(antagonistic, dtype=bool)
-            cutoffs = np.asarray(cutoffs, dtype=np.int64)
-            _frozen(antagonistic, cutoffs)
+        antagonistic = np.asarray(antagonistic, dtype=bool)
+        cutoffs = np.asarray(cutoffs, dtype=np.int64)
+        _frozen(antagonistic, cutoffs)
         for name, value in (("graph", graph), ("antagonistic", antagonistic),
                             ("phi", phi), ("cutoff", cutoffs), ("seeds", seeds)):
             object.__setattr__(self, name, value)
@@ -239,22 +237,15 @@ class Network:
 
     def __repr__(self):
         return (f"Network(n={self.n}, directed={self.directed}, edges={self.graph.src.size}, "
-                f"seeds={sorted(self.seeds)}, assigned={self.thresholds_assigned})")
+                f"seeds={sorted(self.seeds)})")
 
     # views of the graph
     n = property(lambda self: self.graph.n)
     directed = property(lambda self: self.graph.directed)
-    edges = property(lambda self: tuple(zip(self.graph.src.tolist(),
-                                            self.graph.dst.tolist())))
-    in_neighbors = property(lambda self: self.graph.in_neighbors)
-    out_neighbors = property(lambda self: self.graph.out_neighbors)
-    in_degrees = property(lambda self: tuple(self.graph.degrees.tolist()))
-    thresholds_assigned = property(lambda self: self.cutoff is not None)
+    edges = property(lambda self: self.graph.edges)
 
     @cached_property
     def nodes(self) -> tuple[NodeSpec, ...]:
-        if not self.thresholds_assigned:
-            raise ValueError("thresholds not assigned; call assign_thresholds first")
         rules = (Rule.MONOTONE, Rule.ANTAGONISTIC)
         return tuple(NodeSpec(i, rules[a], p)
                      for i, (a, p) in enumerate(zip(self.antagonistic.tolist(), self.phi)))
@@ -303,11 +294,11 @@ def _pair_from_linear(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return u, idx - row_start[u] + u + 1
 
 
-def generate_er(n: int, p: float, rng_seed: int) -> Network:
+def generate_er(n: int, p: float, rng_seed: int) -> Graph:
     """Erdős–Rényi G(n, p): each of the n(n-1)/2 pairs kept with probability p.
 
-    Deterministic for fixed (n, p, rng_seed). The result has no thresholds
-    yet; call :func:`assign_thresholds` before running cascades.
+    Deterministic for fixed (n, p, rng_seed). The result is a bare graph;
+    :func:`assign_thresholds` makes it a network.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -317,21 +308,21 @@ def generate_er(n: int, p: float, rng_seed: int) -> Network:
     positions = _bernoulli_positions(m, p, make_rng(rng_seed))
     # distinct, ordered and in range by construction: no validation needed
     us, vs = _pair_from_linear(positions, n)
-    return Network._of(Graph._build(n, False, us, vs), None, None, None)
+    return Graph._build(n, False, us, vs)
 
 
-def assign_thresholds(network: Network, phi, rule: Rule,
+def assign_thresholds(graph: Graph, phi, rule: Rule,
                       rng_seed: Optional[int] = None) -> Network:
-    """Return `network` with every node given `rule` and a threshold.
+    """The network of `graph` with every node given `rule` and a threshold,
+    and no seeds.
 
     ``phi=UNIFORM`` draws thresholds independently from U[0, 1) and requires
     an ``rng_seed``; a real value in [0, 1] (float or Fraction) is assigned
-    as a constant. The result shares the input's graph. Pure: same
-    arguments, same result.
+    as a constant. The result shares `graph`. Pure: same arguments, same
+    result.
     """
     if not isinstance(rule, Rule):
         raise ValueError(f"rule must be a Rule, got {rule!r}")
-    graph = network.graph
     degrees = graph.degrees
     if phi == UNIFORM:
         if rng_seed is None:
@@ -346,34 +337,33 @@ def assign_thresholds(network: Network, phi, rule: Rule,
         by_degree = [cutoff(phi, d) for d in range(int(degrees.max()) + 1)]
         cutoffs = np.asarray(by_degree)[degrees]
     return Network._of(graph, np.full(graph.n, rule is Rule.ANTAGONISTIC), values,
-                       cutoffs, network.seeds)
+                       cutoffs)
 
 
-def stats(network: Network) -> NetworkStats:
+def stats(graph: Graph) -> NetworkStats:
     """Node count, edge count, mean degree, and average clustering coefficient.
 
     Clustering averages, over all nodes, the fraction of neighbor pairs that
     are themselves connected; nodes of degree < 2 contribute 0. Undirected
-    networks only.
+    graphs only.
     """
-    if network.directed:
+    if graph.directed:
         raise ValueError("stats requires an undirected network")
-    adj = network.in_neighbors
-    adj_sets = [set(a) for a in adj]
+    ptr, flat = graph.indptr.tolist(), graph.indices.tolist()
+    adj_sets = [set(flat[a:b]) for a, b in zip(ptr, ptr[1:])]
     total = 0.0
-    for u in range(network.n):
-        nbrs = adj[u]
-        d = len(nbrs)
+    for u, d in enumerate(graph.degrees.tolist()):
         if d < 2:
             continue
+        nbrs = flat[ptr[u]:ptr[u + 1]]
         links = sum(1 for a, b in combinations(nbrs, 2) if b in adj_sets[a])
         total += links / (d * (d - 1) / 2)
-    edge_count = network.graph.src.size
+    edge_count = graph.src.size
     return NetworkStats(
-        n=network.n,
+        n=graph.n,
         edge_count=edge_count,
-        mean_degree=2 * edge_count / network.n,
-        clustering_coefficient=total / network.n,
+        mean_degree=2 * edge_count / graph.n,
+        clustering_coefficient=total / graph.n,
     )
 
 

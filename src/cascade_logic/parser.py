@@ -28,7 +28,7 @@ MAX_NESTING = 100
 
 class LimitExceeded(ValueError):
     """An input beyond one of the package's explicit caps: expression
-    nesting, gate fan-in or truth-table inputs."""
+    nesting, gate fan-in or truth-table cells."""
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
 
 from cascade_logic import (Network, NodeSpec, Rule, UNIFORM, assign_thresholds,
                            generate_er, make_rng, mix_seed)
-from oracles import count_fires
+from oracles import count_fires, in_neighbors
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -77,11 +77,10 @@ def small_network(rng, max_nodes: int, rules=tuple(Rule), directed=None,
 
 def assert_stable(network, final) -> None:
     """One extra verification pass: no unlabeled node may fire."""
-    for u in range(network.n):
+    for u, nbrs in enumerate(in_neighbors(network)):
         if u in final:
             continue
         spec = network.nodes[u]
-        nbrs = network.in_neighbors[u]
         count = sum(1 for v in nbrs if v in final)
         assert not count_fires(spec.rule, count, len(nbrs), spec.phi), (
             f"node {u} still fires in the claimed fixpoint")

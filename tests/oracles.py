@@ -19,12 +19,27 @@ def count_fires(rule: Rule, labeled: int, degree: int, phi) -> bool:
     return (labeled >= cutoff(phi, degree)) != (rule is Rule.ANTAGONISTIC)
 
 
+def in_neighbors(network) -> list[list[int]]:
+    """Per node, the nodes whose labels count toward its fraction, from a
+    scan of the edge list: the tail of a directed edge, both ends of an
+    undirected one."""
+    nbrs = [[] for _ in range(network.n)]
+    for u, v in network.edges:
+        nbrs[v].append(u)
+        if not network.directed:
+            nbrs[u].append(v)
+    return nbrs
+
+
 def neighbor_fraction(network, config, u: int) -> Fraction:
     """Exact fraction of u's neighbors (in-neighbors when directed) in `config`.
 
     Degree-0 nodes have fraction 0 by convention.
     """
-    nbrs = network.in_neighbors[u]
+    return _fraction(in_neighbors(network)[u], config)
+
+
+def _fraction(nbrs, config) -> Fraction:
     if not nbrs:
         return Fraction(0)
     return Fraction(sum(1 for v in nbrs if v in config), len(nbrs))
@@ -57,6 +72,7 @@ def full_pass_cascade(network, seeds, mode):
     else:
         def next_pass(labeled):
             return mode.order
+    nbrs = in_neighbors(network)
     labeled = set(seeds)
     history = []
     passes = 0
@@ -67,7 +83,7 @@ def full_pass_cascade(network, seeds, mode):
             if u in labeled:
                 continue
             spec = network.nodes[u]
-            nu = neighbor_fraction(network, labeled, u)
+            nu = _fraction(nbrs[u], labeled)
             # a float threshold meets the rounded quotient, a Fraction the exact one
             if fires(spec.rule, nu if isinstance(spec.phi, Fraction) else float(nu),
                      spec.phi):
@@ -153,7 +169,7 @@ def rescan_fixpoints(network, seeds, state_cap):
     n = network.n
     cut = network.cutoff.tolist()
     anti = network.antagonistic.tolist()
-    nbr_mask = [sum(1 << v for v in network.in_neighbors[u]) for u in range(n)]
+    nbr_mask = [sum(1 << v for v in nbrs) for nbrs in in_neighbors(network)]
     level = {sum(1 << s for s in seeds)}
     explored = 0
     fixpoints = set()

@@ -82,11 +82,6 @@ class TestEnumerateFixpoints:
         found = enumerate_fixpoints(path)
         assert found.fixpoints == {frozenset({0, 1}), frozenset({0, 2})}
 
-    def test_unassigned_network_rejected(self):
-        from cascade_logic import generate_er
-        with pytest.raises(ValueError, match="thresholds"):
-            enumerate_fixpoints(generate_er(4, 0.5, 0), {0})
-
 
 class TestIncrementalSearchMatchesRescan:
     def test_same_states_in_the_same_order(self):

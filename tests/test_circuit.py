@@ -20,7 +20,7 @@ from cascade_logic import (Basis, GateKind, LimitExceeded, NetworkFormatError, R
                            parse_expr, phi_for_gate, phi_interval, save_circuit,
                            TruthTable, truth_table, variables)
 from exprgen import random_expr, random_monotone_expr
-from oracles import count_fires, eval_expr, gate_truth, monotone_by_flips
+from oracles import count_fires, eval_expr, gate_truth, in_neighbors, monotone_by_flips
 
 BINARY_KINDS = (GateKind.OR, GateKind.AND, GateKind.NOR, GateKind.NAND)
 
@@ -506,10 +506,11 @@ class TestCompileWork:
 
 def dead_nodes(circuit):
     """Non-input nodes from which no output is reachable."""
+    nbrs = in_neighbors(circuit.network)
     live = set(circuit.outputs.values())
     stack = list(live)
     while stack:
-        for v in circuit.network.in_neighbors[stack.pop()]:
+        for v in nbrs[stack.pop()]:
             if v not in live:
                 live.add(v)
                 stack.append(v)

@@ -10,7 +10,7 @@ import cascade_logic
 from cascade_logic import cli as cli_module
 from cascade_logic import experiments as experiments_module
 from cascade_logic import fixture_path, load_network
-from cascade_logic.circuit import MAX_FAN_IN, MAX_TABLE_CELLS, MAX_TABLE_INPUTS
+from cascade_logic.circuit import MAX_FAN_IN, MAX_TABLE_CELLS
 from cascade_logic.cli import main
 from cascade_logic.parser import MAX_NESTING
 from conftest import GOLDEN
@@ -138,14 +138,16 @@ class TestCompileEvalTable:
         assert "'a'" in error["message"]
 
     def test_table_above_input_limit_is_resource_error(self, cli, tmp_path):
+        # 21 inputs and one output are 2^21 rows of 22 cells: past the cell cap
         target = tmp_path / "wide.json"
-        wide = " | ".join(f"v{i}" for i in range(MAX_TABLE_INPUTS + 1))
+        wide = " | ".join(f"v{i}" for i in range(21))
         assert cli("compile", "--expr", wide, "--out", str(target))[0] == 0
         code, out, err = cli("table", "--net", str(target), "--out", str(tmp_path / "t.csv"))
         assert (code, out) == (3, "")
         error = json.loads(err)["error"]
         assert error["kind"] == "resource"
-        assert f"limit is {MAX_TABLE_INPUTS} inputs" in error["message"]
+        assert error["message"] == (f"2^21 rows of 22 columns would need {(1 << 21) * 22} "
+                                    f"cells; the limit is {MAX_TABLE_CELLS} cells")
         assert not (tmp_path / "t.csv").exists()
 
     def test_table_above_cell_limit_is_resource_error(self, cli, tmp_path):
@@ -358,6 +360,21 @@ class TestErrorPaths:
         code, _, err = cli("stats", "--net", str(bad))
         assert code == 2
         assert "line" in json.loads(err)["error"]["message"]
+
+    @pytest.mark.parametrize("command", ["stats", "table"])
+    @pytest.mark.parametrize("endpoint", [10 ** 20, -10 ** 20])
+    def test_endpoint_outside_int64_exits_2(self, cli, tmp_path, command, endpoint):
+        # no node id lies outside int64, so it is a missing node like any other
+        doc = {"directed": command == "table",
+               "nodes": [{"id": i, "rule": "gcm", "phi": 0.5} for i in range(2)],
+               "edges": [[0, 1], [0, endpoint]], "seeds": [],
+               "inputs": {"a": 0}, "outputs": {"out": 1}}
+        target = tmp_path / "net.json"
+        target.write_text(json.dumps(doc))
+        code, out, err = cli(command, "--net", str(target))
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": {
+            "kind": "input", "message": f"edge (0, {endpoint}) references a missing node"}}
 
     @pytest.mark.parametrize("argv", [["stats", "--help"], ["-h"], ["sweep", "-h"]])
     def test_help_returns_0(self, cli, argv):

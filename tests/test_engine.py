@@ -139,11 +139,6 @@ class TestRunCascade:
         b = run_cascade(net, seeds, RandomSweep(11))
         assert a == b
 
-    def test_unassigned_network_rejected(self):
-        from cascade_logic import generate_er
-        with pytest.raises(ValueError, match="thresholds"):
-            run_cascade(generate_er(5, 0.5, 1), {0}, RandomSweep(0))
-
     def test_bad_seed_rejected(self):
         with pytest.raises(ValueError, match="seed"):
             run_cascade(two_node_path(), {7}, RandomSweep(0))
@@ -254,11 +249,6 @@ class TestMonotoneClosure:
         net = Network(nodes=nodes, directed=False, edges=((0, 1),))
         with pytest.raises(ValueError, match="monotone"):
             monotone_closure(net, {0})
-
-    def test_unassigned_network_rejected(self):
-        from cascade_logic import generate_er
-        with pytest.raises(ValueError, match="thresholds"):
-            monotone_closure(generate_er(5, 0.5, 1), {0})
 
     def test_bad_seed_rejected(self):
         with pytest.raises(ValueError, match="seed"):

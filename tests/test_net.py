@@ -53,16 +53,13 @@ class TestGenerateEr:
         assert abs(np.mean(counts) - expected) <= 0.05 * expected
 
     def test_degree_sum_is_twice_edge_count(self):
-        net = generate_er(123, 0.05, 3)
-        assert sum(net.in_degrees) == 2 * len(net.edges)
+        graph = generate_er(123, 0.05, 3)
+        assert graph.degrees.sum() == 2 * len(graph.edges)
 
     def test_simple_graph_invariants(self):
         net = generate_er(80, 0.2, 11)
         assert all(u < v for u, v in net.edges)
         assert len(set(net.edges)) == len(net.edges)
-
-    def test_fresh_network_is_unassigned(self):
-        assert not generate_er(5, 0.5, 0).thresholds_assigned
 
     @pytest.mark.parametrize("p", [-0.1, 1.5])
     def test_invalid_p(self, p):
@@ -90,9 +87,11 @@ class TestPairIndexing:
     @pytest.mark.parametrize("n, p, seed", [(1, 0.5, 1), (2, 1.0, 1), (12, 3 / 11, 7),
                                             (300, 0.02, 3)])
     def test_generated_graph_equals_validated_build(self, n, p, seed):
-        graph = generate_er(n, p, seed).graph
+        graph = generate_er(n, p, seed)
+        assert type(graph) is Graph
         checked = Graph.from_edges(n, False, graph.src, graph.dst)
-        for name in ("src", "dst", "indptr", "indices", "degrees"):
+        for name in ("src", "dst", "indptr", "indices", "out_indptr", "out_indices",
+                     "degrees"):
             got, want = getattr(graph, name), getattr(checked, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), name
 
@@ -129,7 +128,7 @@ class TestFloatCutoffs:
         net = assign_thresholds(generate_er(300, 0.02, 5), UNIFORM, Rule.MONOTONE,
                                 rng_seed=6)
         assert net.cutoff.tolist() == [cutoff(s.phi, d)
-                                       for s, d in zip(net.nodes, net.in_degrees)]
+                                       for s, d in zip(net.nodes, net.graph.degrees.tolist())]
 
 
 class TestAssignThresholds:
@@ -137,7 +136,6 @@ class TestAssignThresholds:
         net = assign_thresholds(generate_er(50, 0.1, 1), 0.18, Rule.MONOTONE)
         assert all(spec.phi == 0.18 for spec in net.nodes)
         assert all(spec.rule is Rule.MONOTONE for spec in net.nodes)
-        assert net.thresholds_assigned
 
     def test_uniform_is_deterministic_per_seed(self):
         base = generate_er(40, 0.1, 1)
@@ -172,19 +170,16 @@ class TestAssignThresholds:
         base = generate_er(10, 0.3, 2)
         edges = base.edges
         assigned = assign_thresholds(base, 0.3, Rule.MONOTONE)
-        assert base.phi is None and base.cutoff is None
-        assert not base.thresholds_assigned
-        with pytest.raises(ValueError, match="thresholds"):
-            base.nodes
-        assert base.edges == edges
-        assert assigned.graph is base.graph  # topology is shared, not copied
+        assert base.edges == edges == assigned.edges
+        assert assigned.graph is base  # topology is shared, not copied
+        assert assigned.seeds == frozenset()
 
 
 class TestStats:
     def test_triangle(self):
         nodes = tuple(NodeSpec(i, Rule.MONOTONE, 0.5) for i in range(3))
         tri = Network(nodes=nodes, directed=False, edges=((0, 1), (0, 2), (1, 2)))
-        result = stats(tri)
+        result = stats(tri.graph)
         assert result.clustering_coefficient == 1.0
         assert result.mean_degree == 2.0
         assert result.edge_count == 3
@@ -193,7 +188,7 @@ class TestStats:
         nodes = tuple(NodeSpec(i, Rule.MONOTONE, 0.5) for i in range(5))
         star = Network(nodes=nodes, directed=False,
                        edges=tuple((0, i) for i in range(1, 5)))
-        assert stats(star).clustering_coefficient == 0.0
+        assert stats(star.graph).clustering_coefficient == 0.0
 
     def test_er_clustering_tracks_z_over_n(self):
         # ER expectation is z/(n-1); allow a factor-2 band on the 20-seed mean
@@ -213,7 +208,7 @@ class TestStats:
 
     def test_directed_rejected(self):
         with pytest.raises(ValueError, match="undirected"):
-            stats(path_network(3, directed=True))
+            stats(path_network(3, directed=True).graph)
 
     def test_matches_networkx(self):
         nx = pytest.importorskip("networkx")
@@ -259,6 +254,12 @@ class TestNetworkValidation:
         with pytest.raises(ValueError, match="seed"):
             Network(nodes=nodes, directed=False, edges=(), seeds=frozenset({3}))
 
+    @pytest.mark.parametrize("endpoint", [2 ** 63, -2 ** 63 - 1])
+    def test_endpoint_outside_int64_is_a_missing_node(self, endpoint):
+        nodes = tuple(NodeSpec(i, Rule.MONOTONE, 0.5) for i in range(2))
+        with pytest.raises(ValueError, match=rf"edge \(1, {endpoint}\) references a missing"):
+            Network(nodes=nodes, directed=False, edges=((0, 1), (1, endpoint)))
+
     def test_empty_network_rejected(self):
         with pytest.raises(ValueError, match="at least one node"):
             Network(nodes=(), directed=False, edges=())
@@ -271,7 +272,7 @@ class TestNetworkValidation:
 class TestAdjacencyViews:
     @pytest.mark.parametrize("directed", [False, True])
     def test_views_match_edge_list_scan(self, directed):
-        # neighbor tuples list the edges in input order, as a plain scan does
+        # CSR rows list the edges in input order, as a plain scan does
         rng = np.random.default_rng(17)
         for case in range(30):
             n = 2 + case % 15
@@ -293,9 +294,16 @@ class TestAdjacencyViews:
                 if not directed:
                     ins[u].append(v)
                     outs[v].append(u)
-            assert net.in_neighbors == tuple(tuple(a) for a in ins)
-            assert net.out_neighbors == tuple(tuple(a) for a in outs)
-            assert net.in_degrees == tuple(len(a) for a in ins)
+            graph = net.graph
+            for v in range(n):
+                a, b = graph.indptr[v], graph.indptr[v + 1]
+                assert graph.indices[a:b].tolist() == ins[v]
+                a, b = graph.out_indptr[v], graph.out_indptr[v + 1]
+                assert graph.out_indices[a:b].tolist() == outs[v]
+            assert graph.degrees.tolist() == [len(a) for a in ins]
+            if not directed:  # all neighbors either way: one pair of arrays
+                assert graph.out_indptr is graph.indptr
+                assert graph.out_indices is graph.indices
 
 
 class TestSerialization:
