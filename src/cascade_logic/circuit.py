@@ -7,9 +7,10 @@ antagonistic rule; a one-input antagonistic node is a NOT (any phi in
 (0, 1]). Compiled thresholds are exact Fractions so the >=/< tie-breaks at
 interval boundaries behave exactly.
 
-Circuits are DAGs with named in-degree-0 input nodes; evaluating assigns the
-1-inputs as cascade seeds and reads outputs as membership in the final
-labeled set under the topological schedule.
+Circuits are DAGs with named in-degree-0 input nodes that never fire on
+their own; evaluating assigns the 1-inputs as cascade seeds and reads
+outputs as membership in the final labeled set under the topological
+schedule.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .engine import Topological, run_cascade, topological_order
-from .net import (Network, NetworkFormatError, NodeSpec, Rule, load_bundle,
+from .net import (Graph, Network, NetworkFormatError, Rule, load_bundle,
                   save_network, write_text)
 from .parser import (And, Expr, LimitExceeded, Nand, Nor, Not, Or, Var, Xor,
                      parse_expr)
@@ -107,7 +108,10 @@ def phi_for_gate(kind: GateKind, fan_in: int) -> GateAssignment:
 
 @dataclass(frozen=True)
 class CompiledCircuit:
-    """A directed acyclic cascade network with named input and output nodes."""
+    """A directed acyclic cascade network with named input and output nodes.
+
+    Each input has in-degree 0 and stays unlabeled unless seeded, so a 0 bit
+    means unlabeled; each output is reachable from some input."""
 
     network: Network
     inputs: dict[str, int]
@@ -128,6 +132,9 @@ class CompiledCircuit:
                 raise ValueError(f"input {name!r} references a missing node")
             if in_deg[nid] != 0:
                 raise ValueError(f"input {name!r} must have in-degree 0")
+            # evaluate would label it where the table reads a 0 bit
+            if (0 >= self.network.cutoff[nid]) != self.network.antagonistic[nid]:
+                raise ValueError(f"input {name!r} fires on its own, with no seed")
         reach = set(self.inputs.values())
         ptr, flat = graph.indptr.tolist(), graph.indices.tolist()
         for u in order:
@@ -145,15 +152,17 @@ class _Builder:
     sub-circuits share one node and the result is a DAG, not a tree."""
 
     def __init__(self):
-        self.nodes: list[NodeSpec] = []
-        self.edges: list[tuple[int, int]] = []
+        self.antagonistic: list[bool] = []
+        self.phi: list[Fraction] = []
+        self.src: list[int] = []
+        self.dst: list[int] = []
         self.inputs: dict[str, int] = {}
         self._memo: dict = {}
 
     def _new_node(self, rule: Rule, phi) -> int:
-        nid = len(self.nodes)
-        self.nodes.append(NodeSpec(nid, rule, phi))
-        return nid
+        self.antagonistic.append(rule is Rule.ANTAGONISTIC)
+        self.phi.append(phi)
+        return len(self.phi) - 1
 
     def input_node(self, name: str) -> int:
         if name not in self.inputs:
@@ -173,13 +182,14 @@ class _Builder:
             return self._memo[key]
         assign = phi_for_gate(kind, len(children))
         nid = self._new_node(assign.rule, assign.phi)
-        for c in children:
-            self.edges.append((c, nid))
+        self.src += children
+        self.dst += (nid,) * len(children)
         self._memo[key] = nid
         return nid
 
     def network(self) -> Network:
-        return Network(nodes=self.nodes, directed=True, edges=self.edges)
+        graph = Graph.from_edges(len(self.phi), True, self.src, self.dst)
+        return Network(graph, self.antagonistic, self.phi)
 
 
 def _xor(builder: _Builder, kind: GateKind, x: int, y: int) -> int:
@@ -258,11 +268,10 @@ def build_gate(kind: GateKind, fan_in: int, phi=None,
     the gate node's threshold or rule (for boundary experiments)."""
     assign = phi_for_gate(kind, fan_in)
     gate_id = fan_in
-    nodes = tuple(NodeSpec(i, Rule.MONOTONE, Fraction(1, 2)) for i in range(fan_in))
-    nodes += (NodeSpec(gate_id, assign.rule if rule is None else rule,
-                       assign.phi if phi is None else phi),)
-    network = Network(nodes=nodes, directed=True,
-                      edges=[(i, gate_id) for i in range(fan_in)])
+    rule = assign.rule if rule is None else rule
+    network = Network(Graph.from_edges(fan_in + 1, True, range(fan_in), [gate_id] * fan_in),
+                      [False] * fan_in + [rule is Rule.ANTAGONISTIC],
+                      [Fraction(1, 2)] * fan_in + [assign.phi if phi is None else phi])
     return CompiledCircuit(network=network,
                            inputs={f"x{i}": i for i in range(fan_in)},
                            outputs={"out": gate_id})
@@ -285,15 +294,11 @@ def compile_half_adder() -> CompiledCircuit:
 
 def input_seeds(circuit: CompiledCircuit, assignment: Mapping[str, int]) -> frozenset[int]:
     """Seed set for an input assignment; the assignment must cover the inputs exactly."""
-    missing = set(circuit.inputs) - set(assignment)
-    extra = set(assignment) - set(circuit.inputs)
-    if missing or extra:
-        parts = []
-        if missing:
-            parts.append(f"missing {sorted(missing)}")
-        if extra:
-            parts.append(f"unexpected {sorted(extra)}")
-        raise ValueError("assignment must cover the inputs exactly: " + ", ".join(parts))
+    problems = [f"{word} {sorted(names)}" for word, names in
+                (("missing", set(circuit.inputs) - set(assignment)),
+                 ("unexpected", set(assignment) - set(circuit.inputs))) if names]
+    if problems:
+        raise ValueError("assignment must cover the inputs exactly: " + ", ".join(problems))
     return frozenset(circuit.inputs[name] for name, bit in assignment.items() if bit)
 
 

@@ -37,6 +37,7 @@ EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 
 JOBS_ENV = "CASCADE_LOGIC_JOBS"
+MAX_Z_VALUES = 1 << 16  # a start:stop:step range longer than this is refused
 
 
 class UsageError(Exception):
@@ -134,10 +135,16 @@ def _parse_z_range(text: str) -> tuple[float, ...]:
             start, stop, step = (float(p) for p in parts)
             if step <= 0:
                 raise UsageError("--z step must be positive")
-            count = int((stop - start) / step + 1e-9) + 1
+            span = (stop - start) / step + 1e-9
+            if span >= MAX_Z_VALUES:  # counted before any value is built
+                raise LimitExceeded(f"--z range {text!r} has more than "
+                                    f"{MAX_Z_VALUES} values")
+            count = int(span) + 1
             if count < 1:
                 raise UsageError(f"empty z range {text!r}")
             return tuple(start + i * step for i in range(count))
+    except LimitExceeded:
+        raise
     except ValueError:
         pass
     raise UsageError(f"--z must be a value or start:stop:step, got {text!r}")

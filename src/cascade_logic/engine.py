@@ -10,7 +10,6 @@ toward the fractions seen later in the same pass.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
@@ -98,28 +97,8 @@ def tlu_fires(weights: Sequence[float], inputs: Sequence, degree: int, phi) -> b
 
 
 def topological_order(network: Network) -> tuple[int, ...]:
-    """All node ids in dependency order (Kahn's algorithm, smallest id first).
-
-    Raises ValueError for undirected or cyclic networks.
-    """
-    if not network.directed:
-        raise ValueError("topological order requires a directed network")
-    n = network.n
-    indeg = network.graph.degrees.tolist()
-    ready = [u for u in range(n) if indeg[u] == 0]
-    heapq.heapify(ready)
-    ptr, out = network.graph.out_indptr.tolist(), network.graph.out_indices.tolist()
-    order = []
-    while ready:
-        u = heapq.heappop(ready)
-        order.append(u)
-        for v in out[ptr[u]:ptr[u + 1]]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                heapq.heappush(ready, v)
-    if len(order) < n:
-        raise ValueError("network contains a cycle")
-    return tuple(order)
+    """The network's `Graph.topological_order`, built once per graph."""
+    return network.graph.topological_order
 
 
 def run_cascade(network: Network, seeds: Optional[Iterable[int]],

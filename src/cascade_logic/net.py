@@ -1,20 +1,22 @@
 """Cascade networks: random and hand-built graphs, thresholds, statistics, files.
 
 A :class:`Graph` is bare: compressed sparse rows of in- and out-neighbors;
-:func:`generate_er` returns one. A :class:`Network` always has thresholds:
-a graph plus a per-node rule mask and threshold ``phi``.
-:func:`assign_thresholds` makes one from a graph and shares its arrays. Each
-threshold, float or exact ``Fraction``, becomes an integer :func:`cutoff` on
-the labeled in-neighbor count: a monotone node fires iff the count reaches
-it, an antagonistic node iff the count stays below it.
+:func:`generate_er` returns one. A :class:`Network` is a graph plus two
+columns, the ``antagonistic`` rule mask and the threshold ``phi``, and
+``cutoff`` is derived from them: each threshold, float or exact
+``Fraction``, becomes an integer :func:`cutoff` on the labeled in-neighbor
+count. A monotone node fires iff the count reaches it, an antagonistic node
+iff the count stays below it. :func:`assign_thresholds` makes a network from
+a graph and shares its arrays.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from json.encoder import encode_basestring_ascii as _encode_str
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -40,19 +42,12 @@ class Rule(Enum):
 
 @dataclass(frozen=True)
 class NodeSpec:
-    """One node: dense integer id, labeling rule, threshold in [0, 1]."""
+    """One node as :attr:`Network.nodes` yields it: its id (position), its
+    rule and its threshold as stored, a float or the very ``Fraction``."""
 
     id: int
     rule: Rule
     phi: PhiValue
-
-    def __post_init__(self):
-        if self.id < 0:
-            raise ValueError(f"node id must be non-negative, got {self.id}")
-        if not isinstance(self.rule, Rule):
-            raise ValueError(f"rule must be a Rule, got {self.rule!r}")
-        if not 0 <= self.phi <= 1:
-            raise ValueError(f"phi must lie in [0, 1], got {self.phi}")
 
 
 def cutoff(phi: PhiValue, degree: int) -> int:
@@ -74,13 +69,13 @@ def cutoff(phi: PhiValue, degree: int) -> int:
 
 
 def _float_cutoffs(phi: np.ndarray, degrees: np.ndarray) -> np.ndarray:
-    """`cutoff` of each float threshold in [0, 1] at its node's degree, by
-    the same IEEE operations over arrays."""
-    # at degree 0 the loop divides by 1 and ends at 0 if phi <= 0 else 1
-    divisor = np.maximum(degrees, 1)
-    c = np.maximum(np.ceil(phi * degrees) - 1, 0)
-    while (low := c / divisor < phi).any():
-        c += low
+    """`cutoff` of each float threshold in [0, 1] at its node's degree: the
+    same test of the float quotient against phi, over arrays."""
+    # the answer is floor(phi * degree) or one more, as (floor - 1) / degree falls
+    # short of phi and (floor + 1) / degree tops it by about 1/degree, far beyond
+    # rounding; at degree 0 the quotient's divisor is 1, giving 0 if phi <= 0 else 1
+    c = np.floor(phi * degrees)
+    c += c / np.maximum(degrees, 1) < phi
     return c.astype(np.int64)
 
 
@@ -96,6 +91,16 @@ def seed_ids(seeds: Iterable[int], n: int) -> frozenset[int]:
 def _frozen(*arrays: np.ndarray) -> None:
     for a in arrays:
         a.flags.writeable = False
+
+
+def _phi_column(values) -> np.ndarray:
+    """A new array of the thresholds: float64, or object when any is a
+    Fraction, with every other entry made a float."""
+    phi = np.asarray(values)
+    if phi.dtype == object and any(isinstance(p, Fraction) for p in phi.flat):
+        return np.array([p if isinstance(p, Fraction) else float(p) for p in phi.flat],
+                        dtype=object).reshape(phi.shape)
+    return phi.astype(np.float64)
 
 
 def _csr(n: int, heads: np.ndarray, tails: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -175,65 +180,77 @@ class Graph:
 
     edges = property(lambda self: tuple(zip(self.src.tolist(), self.dst.tolist())))
 
+    @cached_property
+    def topological_order(self) -> tuple[int, ...]:
+        """All node ids in dependency order (Kahn's algorithm, smallest id
+        first), built on first use. Raises ValueError when undirected or cyclic."""
+        if not self.directed:
+            raise ValueError("topological order requires a directed network")
+        indeg = self.degrees.tolist()
+        ready = [u for u in range(self.n) if indeg[u] == 0]
+        heapq.heapify(ready)
+        ptr, out = self.out_indptr.tolist(), self.out_indices.tolist()
+        order = []
+        while ready:
+            u = heapq.heappop(ready)
+            order.append(u)
+            for v in out[ptr[u]:ptr[u + 1]]:
+                indeg[v] -= 1
+                if indeg[v] == 0:
+                    heapq.heappush(ready, v)
+        if len(order) < self.n:
+            raise ValueError("network contains a cycle")
+        return tuple(order)
 
-@dataclass(frozen=True, init=False, eq=False)
+
+@dataclass(frozen=True, eq=False)
 class Network:
-    """An immutable simple graph whose every node has a rule and a threshold.
+    """A graph plus a boolean ``antagonistic`` mask and a threshold ``phi``
+    per node, and optional seeds; ``cutoff`` is derived.
 
-    The constructor takes node specs and (u, v) edges, stored as (min, max)
-    when undirected; :func:`assign_thresholds` makes one from a bare
-    :class:`Graph`. ``nodes`` is a view derived on first use.
+    ``phi`` is stored as float64, or as an object array when any threshold is
+    an exact ``Fraction`` (other entries become floats). ``nodes`` is a view
+    derived on first use.
     """
 
     graph: Graph
     antagonistic: np.ndarray
-    phi: tuple[PhiValue, ...]
-    cutoff: np.ndarray
-    seeds: frozenset[int]
+    phi: np.ndarray
+    seeds: frozenset[int] = frozenset()
+    cutoff: np.ndarray = field(init=False)
 
-    def __init__(self, nodes: Iterable[NodeSpec], directed: bool,
-                 edges: Iterable[tuple[int, int]], seeds: Iterable[int] = frozenset()):
-        nodes = tuple(nodes)
-        if not nodes:
+    def __post_init__(self):
+        n = self.graph.n
+        if n < 1:
             raise ValueError("network must have at least one node")
-        for i, spec in enumerate(nodes):
-            if spec.id != i:
-                raise ValueError(
-                    f"node ids must be dense and ordered: position {i} holds id {spec.id}"
-                )
-        pairs = _ids(list(edges)).reshape(-1, 2)
-        graph = Graph.from_edges(len(nodes), directed, pairs[:, 0], pairs[:, 1])
-        phi = tuple(spec.phi for spec in nodes)
-        cutoffs = [cutoff(p, d) for p, d in zip(phi, graph.degrees.tolist())]
-        self._fill(graph, [spec.rule is Rule.ANTAGONISTIC for spec in nodes],
-                   phi, cutoffs, seeds)
-
-    @classmethod
-    def _of(cls, graph: Graph, antagonistic, phi, cutoffs, seeds=frozenset()) -> "Network":
-        network = cls.__new__(cls)
-        network._fill(graph, antagonistic, phi, cutoffs, seeds)
-        return network
-
-    def _fill(self, graph, antagonistic, phi, cutoffs, seeds) -> None:
-        seeds = seed_ids(seeds, graph.n)
-        antagonistic = np.asarray(antagonistic, dtype=bool)
-        cutoffs = np.asarray(cutoffs, dtype=np.int64)
-        _frozen(antagonistic, cutoffs)
-        for name, value in (("graph", graph), ("antagonistic", antagonistic),
-                            ("phi", phi), ("cutoff", cutoffs), ("seeds", seeds)):
+        antagonistic = np.array(self.antagonistic)
+        phi = _phi_column(self.phi)
+        if antagonistic.dtype != bool or antagonistic.shape != (n,) or phi.shape != (n,):
+            raise ValueError(f"antagonistic needs {n} booleans and phi {n} thresholds")
+        # a float column's min and max show its range, nan included; a Fraction
+        # column is compared exactly, in Python, where a float nan raises no warning
+        ends = phi.tolist() if phi.dtype == object else (phi.min(), phi.max())
+        if not all(0 <= p <= 1 for p in ends):
+            i = next(i for i, p in enumerate(phi.tolist()) if not 0 <= p <= 1)
+            raise ValueError(f"phi must lie in [0, 1], got {phi[i]} at node {i}")
+        degrees = self.graph.degrees
+        cutoffs = (_float_cutoffs(phi, degrees) if phi.dtype != object else np.array(
+            [cutoff(p, d) for p, d in zip(phi.tolist(), degrees.tolist())], dtype=np.int64))
+        _frozen(antagonistic, phi, cutoffs)
+        for name, value in (("antagonistic", antagonistic), ("phi", phi),
+                            ("seeds", seed_ids(self.seeds, n)), ("cutoff", cutoffs)):
             object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         if not isinstance(other, Network):
             return NotImplemented
         a, b = self.graph, other.graph
-        return ((a.n, a.directed, self.seeds, self.phi)
-                == (b.n, b.directed, other.seeds, other.phi)
-                and all(map(np.array_equal, (a.src, a.dst, self.antagonistic),
-                            (b.src, b.dst, other.antagonistic))))
+        return ((a.n, a.directed, self.seeds) == (b.n, b.directed, other.seeds)
+                and all(map(np.array_equal, (a.src, a.dst, self.antagonistic, self.phi),
+                            (b.src, b.dst, other.antagonistic, other.phi))))
 
     def __hash__(self):
-        return hash((self.n, self.directed, self.seeds, self.phi))
+        return hash((self.n, self.directed, self.seeds, tuple(self.phi.tolist())))
 
     def __repr__(self):
         return (f"Network(n={self.n}, directed={self.directed}, edges={self.graph.src.size}, "
@@ -247,8 +264,8 @@ class Network:
     @cached_property
     def nodes(self) -> tuple[NodeSpec, ...]:
         rules = (Rule.MONOTONE, Rule.ANTAGONISTIC)
-        return tuple(NodeSpec(i, rules[a], p)
-                     for i, (a, p) in enumerate(zip(self.antagonistic.tolist(), self.phi)))
+        return tuple(NodeSpec(i, rules[a], p) for i, (a, p)
+                     in enumerate(zip(self.antagonistic.tolist(), self.phi.tolist())))
 
 
 @dataclass(frozen=True)
@@ -316,28 +333,20 @@ def assign_thresholds(graph: Graph, phi, rule: Rule,
     """The network of `graph` with every node given `rule` and a threshold,
     and no seeds.
 
-    ``phi=UNIFORM`` draws thresholds independently from U[0, 1) and requires
-    an ``rng_seed``; a real value in [0, 1] (float or Fraction) is assigned
-    as a constant. The result shares `graph`. Pure: same arguments, same
-    result.
+    ``phi=UNIFORM`` draws the ``phi`` column independently from U[0, 1) and
+    requires an ``rng_seed``; a real value in [0, 1] (float or Fraction) is
+    assigned to every node. The result shares `graph`. Pure: same
+    arguments, same result.
     """
     if not isinstance(rule, Rule):
         raise ValueError(f"rule must be a Rule, got {rule!r}")
-    degrees = graph.degrees
     if phi == UNIFORM:
         if rng_seed is None:
             raise ValueError("uniform threshold assignment requires rng_seed")
-        draws = make_rng(rng_seed).random(graph.n)
-        values = tuple(draws.tolist())
-        cutoffs = _float_cutoffs(draws, degrees)
+        values = make_rng(rng_seed).random(graph.n)
     else:
-        if not 0 <= phi <= 1:
-            raise ValueError(f"constant phi must lie in [0, 1], got {phi}")
-        values = (phi,) * graph.n
-        by_degree = [cutoff(phi, d) for d in range(int(degrees.max()) + 1)]
-        cutoffs = np.asarray(by_degree)[degrees]
-    return Network._of(graph, np.full(graph.n, rule is Rule.ANTAGONISTIC), values,
-                       cutoffs)
+        values = np.full(graph.n, phi)
+    return Network(graph, np.full(graph.n, rule is Rule.ANTAGONISTIC), values)
 
 
 def stats(graph: Graph) -> NetworkStats:
@@ -532,7 +541,7 @@ def load_bundle(source) -> NetworkBundle:
     _expect(isinstance(doc["edges"], list), "edges must be a list")
     _expect(isinstance(doc["seeds"], list), "seeds must be a list")
 
-    parsed: dict[int, NodeSpec] = {}
+    parsed: dict[int, tuple[bool, float]] = {}
     for i, raw in enumerate(doc["nodes"]):
         where = f"nodes[{i}]"
         _expect(isinstance(raw, dict), f"{where} must be an object")
@@ -544,31 +553,30 @@ def load_bundle(source) -> NetworkBundle:
         phi = _as_number(raw["phi"], f"{where}.phi")
         _expect(0.0 <= phi <= 1.0, f"{where}.phi must lie in [0, 1], got {phi}")
         _expect(nid not in parsed, f"{where}.id: duplicate node id {nid}")
-        parsed[nid] = NodeSpec(nid, _RULE_NAMES[raw["rule"]], phi)
+        parsed[nid] = (_RULE_NAMES[raw["rule"]] is Rule.ANTAGONISTIC, phi)
     n = len(parsed)
     _expect(set(parsed) == set(range(n)),
             f"node ids must be exactly 0..{n - 1}")
-    nodes = tuple(parsed[i] for i in range(n))
+    antagonistic, phis = zip(*(parsed[i] for i in range(n)))
 
-    edges = []
+    src, dst = [], []
     for i, raw in enumerate(doc["edges"]):
         where = f"edges[{i}]"
         _expect(isinstance(raw, list) and len(raw) == 2, f"{where} must be a pair [u, v]")
-        edges.append((_as_index(raw[0], f"{where}[0]"), _as_index(raw[1], f"{where}[1]")))
+        src.append(_as_index(raw[0], f"{where}[0]"))
+        dst.append(_as_index(raw[1], f"{where}[1]"))
     seeds = [_as_index(s, f"seeds[{i}]") for i, s in enumerate(doc["seeds"])]
 
     try:
-        network = Network(nodes=nodes, directed=doc["directed"], edges=edges,
-                          seeds=seeds)
+        network = Network(Graph.from_edges(n, doc["directed"], src, dst),
+                          antagonistic, phis, seeds)
     except ValueError as e:
         raise NetworkFormatError(str(e)) from None
 
-    inputs = _parse_ports(doc, "inputs")
-    outputs = _parse_ports(doc, "outputs")
+    inputs, outputs = (_parse_ports(doc, key) for key in ("inputs", "outputs"))
     for key, ports in (("inputs", inputs), ("outputs", outputs)):
-        if ports:
-            for name, nid in ports.items():
-                _expect(0 <= nid < n, f"{key}[{name!r}] references a missing node")
+        for name, nid in (ports or {}).items():
+            _expect(0 <= nid < n, f"{key}[{name!r}] references a missing node")
     return NetworkBundle(network=network, inputs=inputs, outputs=outputs)
 
 

@@ -8,11 +8,21 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
 
-from cascade_logic import (Network, NodeSpec, Rule, UNIFORM, assign_thresholds,
+from cascade_logic import (Graph, Network, Rule, UNIFORM, assign_thresholds,
                            generate_er, make_rng, mix_seed)
 from oracles import count_fires, in_neighbors
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def network_of(n: int, directed: bool, edges, rule=Rule.MONOTONE, phi=0.5,
+               seeds=frozenset()) -> Network:
+    """The network of (u, v) `edges` on nodes 0..n-1. `rule` and `phi` are
+    one value for every node or a sequence of one per node."""
+    rules = [rule] * n if isinstance(rule, Rule) else rule
+    phis = [phi] * n if isinstance(phi, (int, float, Fraction)) else phi
+    graph = Graph.from_edges(n, directed, [u for u, _ in edges], [v for _, v in edges])
+    return Network(graph, [r is Rule.ANTAGONISTIC for r in rules], phis, seeds)
 
 
 def triangle_network() -> Network:
@@ -22,9 +32,8 @@ def triangle_network() -> Network:
     first fires (fraction 1/2 < 0.75) and then blocks the other (1 >= 0.75),
     so the final state depends on the order.
     """
-    nodes = tuple(NodeSpec(i, Rule.ANTAGONISTIC, 0.75) for i in range(3))
-    return Network(nodes=nodes, directed=False, edges=((0, 1), (0, 2), (1, 2)),
-                   seeds=frozenset({0}))
+    return network_of(3, False, ((0, 1), (0, 2), (1, 2)), Rule.ANTAGONISTIC, 0.75,
+                      seeds={0})
 
 
 def random_instance(seed: int, n: int, z: float, rule: Rule,
@@ -59,7 +68,7 @@ def small_network(rng, max_nodes: int, rules=tuple(Rule), directed=None,
         degree[v] += 1
         if not directed:
             degree[u] += 1
-    nodes = []
+    node_rules, phis = [], []
     for u in range(n):
         d = degree[u]
         pick = rng.random()
@@ -69,10 +78,10 @@ def small_network(rng, max_nodes: int, rules=tuple(Rule), directed=None,
             phi = Fraction(int(rng.integers(2)))
         else:
             phi = Fraction(int(rng.integers(0, 25)), 24)
-        rule = rules[int(rng.integers(len(rules)))]
-        nodes.append(NodeSpec(u, rule, phi if rng.integers(2) else float(phi)))
+        node_rules.append(rules[int(rng.integers(len(rules)))])
+        phis.append(phi if rng.integers(2) else float(phi))
     seeds = frozenset(int(s) for s in rng.permutation(n)[:int(rng.integers(0, 4))])
-    return Network(nodes=nodes, directed=directed, edges=edges), seeds
+    return network_of(n, directed, edges, node_rules, phis), seeds
 
 
 def assert_stable(network, final) -> None:

@@ -9,7 +9,7 @@ import pytest
 from cascade_logic import analyze as analyze_module
 from cascade_logic import engine
 from cascade_logic import (Basis, DEFAULT_STATE_CAP, FixpointSet, MedianExceedance, Network,
-                           NodeSpec, RandomSweep, Rule, SweepSpec, Verdict,
+                           RandomSweep, Rule, SweepSpec, Verdict,
                            build_gate, compile_expr, compile_half_adder,
                            enumerate_fixpoints, evaluate, fixture_path, generate_er,
                            make_rng, mix_seed, outcome_sensitivity,
@@ -17,7 +17,7 @@ from cascade_logic import (Basis, DEFAULT_STATE_CAP, FixpointSet, MedianExceedan
                            schedule_sensitivity, verify_gcm_determinism)
 from cascade_logic.circuit import input_seeds
 from cascade_logic.cli import main
-from conftest import assert_stable, random_instance, small_network
+from conftest import assert_stable, network_of, random_instance, small_network
 from oracles import rescan_fixpoints
 
 
@@ -55,9 +55,7 @@ class TestEnumerateFixpoints:
             assert simulated.final in found.fixpoints
 
     def test_no_seeds_all_monotone_positive_phi_is_inert(self):
-        nodes = tuple(NodeSpec(i, Rule.MONOTONE, 0.4) for i in range(6))
-        net = Network(nodes=nodes, directed=False,
-                      edges=((0, 1), (1, 2), (3, 4)))
+        net = network_of(6, False, ((0, 1), (1, 2), (3, 4)), phi=0.4)
         found = enumerate_fixpoints(net, set())
         assert found.fixpoints == {frozenset()}
 
@@ -74,11 +72,8 @@ class TestEnumerateFixpoints:
 
     def test_acyclic_networks_can_still_be_order_dependent(self):
         # a 3-node path with antagonistic ends: no cycle, two final states
-        nodes = (NodeSpec(0, Rule.ANTAGONISTIC, 0.75),
-                 NodeSpec(1, Rule.ANTAGONISTIC, 0.75),
-                 NodeSpec(2, Rule.ANTAGONISTIC, 0.75))
-        path = Network(nodes=nodes, directed=False, edges=((0, 1), (1, 2)),
-                       seeds=frozenset({0}))
+        path = network_of(3, False, ((0, 1), (1, 2)), Rule.ANTAGONISTIC, 0.75,
+                          seeds={0})
         found = enumerate_fixpoints(path)
         assert found.fixpoints == {frozenset({0, 1}), frozenset({0, 2})}
 
@@ -115,8 +110,7 @@ class TestIncrementalSearchMatchesRescan:
 def isolated_antagonists(k: int) -> Network:
     """k nodes and no edges, all antagonistic with phi 1/2, so cutoff 1: a
     count of 0 is always below it, and every unlabeled node can fire."""
-    nodes = tuple(NodeSpec(i, Rule.ANTAGONISTIC, 0.5) for i in range(k))
-    return Network(nodes=nodes, directed=False, edges=())
+    return network_of(k, False, (), Rule.ANTAGONISTIC, 0.5)
 
 
 class TestIsolatedAntagonists:
@@ -168,9 +162,8 @@ class TestIsolatedAntagonists:
         rng = make_rng(1000 + n)
         for case in range(20):
             graph = generate_er(n, 3.0 / (n - 1), mix_seed(n, case))
-            nodes = [NodeSpec(u, Rule.ANTAGONISTIC if rng.random() < 0.5 else Rule.MONOTONE,
-                              float(rng.random())) for u in range(n)]
-            net = Network(nodes=nodes, directed=False, edges=graph.edges)
+            columns = [(rng.random() < 0.5, float(rng.random())) for _ in range(n)]
+            net = Network(graph, *zip(*columns))
             free = set(range(n - 6, n)) | {int(u) for u in rng.permutation(n)[:4]}
             seeds = frozenset(range(n)) - free
             for cap in (int(rng.integers(1, 60)), DEFAULT_STATE_CAP):

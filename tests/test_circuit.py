@@ -13,12 +13,14 @@ import pytest
 from cascade_logic import circuit as circuit_module
 from cascade_logic.circuit import MAX_FAN_IN
 from cascade_logic.parser import MAX_NESTING
-from cascade_logic import (Basis, GateKind, LimitExceeded, NetworkFormatError, Rule,
-                           build_gate, compile_expr, compile_half_adder,
+from cascade_logic import (Basis, CompiledCircuit, GateKind, Graph, LimitExceeded,
+                           NetworkFormatError, Rule, build_gate, compile_expr,
+                           compile_half_adder,
                            evaluate, is_monotone_decreasing,
                            is_monotone_increasing, load_circuit, make_rng,
                            parse_expr, phi_for_gate, phi_interval, save_circuit,
                            TruthTable, truth_table, variables)
+from conftest import network_of, small_network
 from exprgen import random_expr, random_monotone_expr
 from oracles import count_fires, eval_expr, gate_truth, in_neighbors, monotone_by_flips
 
@@ -375,6 +377,59 @@ def test_table_cell_guard(monkeypatch):
     monkeypatch.setattr(circuit_module, "MAX_TABLE_CELLS", 15)
     with pytest.raises(LimitExceeded, match="limit is 15 cells"):
         truth_table(adder)
+
+
+class TestSelfFiringInputs:
+    """An input must stay unlabeled when its bit is 0, as the table assumes."""
+
+    @pytest.mark.parametrize("rule, phi, fires", [
+        (Rule.ANTAGONISTIC, 0.5, True), (Rule.MONOTONE, 0.0, True),
+        (Rule.ANTAGONISTIC, 0.0, False), (Rule.MONOTONE, Fraction(1, 2), False)])
+    def test_input_that_fires_on_its_own_rejected(self, rule, phi, fires):
+        net = network_of(3, True, ((0, 2), (1, 2)), [rule, Rule.MONOTONE, Rule.MONOTONE],
+                         [phi, 0.5, 0.5])
+        ports = dict(inputs={"a": 0, "b": 1}, outputs={"out": 2})
+        if fires:
+            with pytest.raises(ValueError, match="input 'a' fires on its own"):
+                CompiledCircuit(network=net, **ports)
+        else:
+            assert truth_table(CompiledCircuit(network=net, **ports)).rows == \
+                ((0,), (1,), (1,), (1,))
+
+    def test_random_dag_tables_equal_row_by_row_evaluation(self):
+        # inputs are the inert in-degree-0 nodes; outputs every node they reach
+        rng = make_rng(4242)
+        checked = 0
+        for case in range(300):
+            net, _ = small_network(rng, 7, dag=True)
+            graph = net.graph
+            inert = (0 >= net.cutoff) == net.antagonistic
+            sources = np.flatnonzero((graph.degrees == 0) & inert).tolist()
+            if not sources:
+                continue
+            reach = set(sources)
+            for u in graph.topological_order:
+                if any(v in reach for v in graph.indices[graph.indptr[u]:graph.indptr[u + 1]]):
+                    reach.add(u)
+            circuit = CompiledCircuit(network=net, inputs={f"i{u}": u for u in sources},
+                                      outputs={f"o{u}": u for u in sorted(reach)})
+            assert tuple(map(tuple, truth_table(circuit).bits.tolist())) == \
+                rows_by_evaluate(circuit), case
+            checked += 1
+        assert checked > 200
+
+
+def test_topological_order_built_once_per_circuit(monkeypatch, tmp_path):
+    target = tmp_path / "xor.json"
+    save_circuit(compile_expr("a ^ b ^ c", Basis.NAND_ONLY), target)
+    builds = []
+    build = Graph.topological_order.func
+    monkeypatch.setattr(Graph.topological_order, "func",
+                        lambda graph: builds.append(graph) or build(graph))
+    circuit = load_circuit(target)
+    evaluate(circuit, {"a": 1, "b": 0, "c": 1})
+    truth_table(circuit)
+    assert builds == [circuit.network.graph]
 
 
 def rows_by_evaluate(circuit):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -11,8 +12,8 @@ from cascade_logic import cli as cli_module
 from cascade_logic import experiments as experiments_module
 from cascade_logic import fixture_path, load_network
 from cascade_logic.circuit import MAX_FAN_IN, MAX_TABLE_CELLS
-from cascade_logic.cli import main
-from cascade_logic.parser import MAX_NESTING
+from cascade_logic.cli import MAX_Z_VALUES, _parse_z_range, main
+from cascade_logic.parser import MAX_NESTING, LimitExceeded
 from conftest import GOLDEN
 
 FIXTURES = ["or2", "and2", "nor2", "nand2", "not1", "half_adder"]
@@ -340,6 +341,26 @@ class TestSweep:
         assert cli(*argv, flag, str(tmp_path / "out.json"))[0] == 0
         assert len(calls) == 2
 
+    def test_z_range_above_the_cap_exits_3_without_building_it(self, cli):
+        # a step of 1e-9 asks for 10^9 + 1 values; they are counted, not built
+        tracemalloc.start()
+        try:
+            code, out, err = cli("sweep", "--n", "30", "--z", "0.5:1.5:1e-9", "--phi", "0.2",
+                                 "--rule", "gcm", "--realizations", "2", "--seed", "5")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {"error": {"kind": "resource", "message":
+            f"--z range '0.5:1.5:1e-9' has more than {MAX_Z_VALUES} values"}}
+        assert peak < 2**20
+
+    def test_z_range_cap_boundary(self):
+        assert len(_parse_z_range(f"0:{MAX_Z_VALUES - 1}:1")) == MAX_Z_VALUES
+        for text in (f"0:{MAX_Z_VALUES}:1", "0:inf:1"):
+            with pytest.raises(LimitExceeded):
+                _parse_z_range(text)
+
     def test_bad_metric(self, cli):
         code, _, err = cli("sweep", "--n", "40", "--z", "2", "--phi", "0.18",
                            "--rule", "agcm", "--realizations", "5", "--seed", "3",
@@ -375,6 +396,23 @@ class TestErrorPaths:
         assert (code, out) == (2, "")
         assert json.loads(err) == {"error": {
             "kind": "input", "message": f"edge (0, {endpoint}) references a missing node"}}
+
+    @pytest.mark.parametrize("command", ["eval", "table"])
+    def test_circuit_input_that_fires_on_its_own_exits_2(self, cli, tmp_path, command):
+        # an antagonistic input with cutoff 1 labels itself when its bit is 0
+        doc = {"directed": True,
+               "nodes": [{"id": 0, "rule": "agcm", "phi": 0.5},
+                         {"id": 1, "rule": "gcm", "phi": 0.5},
+                         {"id": 2, "rule": "gcm", "phi": 0.5}],
+               "edges": [[0, 2], [1, 2]], "seeds": [],
+               "inputs": {"a": 0, "b": 1}, "outputs": {"out": 2}}
+        target = tmp_path / "net.json"
+        target.write_text(json.dumps(doc))
+        argv = ["--assign", "a=0,b=0"] if command == "eval" else []
+        code, out, err = cli(command, "--net", str(target), *argv)
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["kind"] == "input" and error["message"].startswith("input 'a' fires")
 
     @pytest.mark.parametrize("argv", [["stats", "--help"], ["-h"], ["sweep", "-h"]])
     def test_help_returns_0(self, cli, argv):

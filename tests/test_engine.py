@@ -3,17 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from cascade_logic import (ExplicitOrder, Network, NodeSpec, RandomSweep, Rule,
+from cascade_logic import (ExplicitOrder, RandomSweep, Rule,
                            Topological, cutoff, fires, is_global,
                            make_rng, mix_seed, monotone_closure, run_cascade,
                            tlu_fires, topological_order)
-from conftest import assert_stable, random_instance, small_network
+from conftest import assert_stable, network_of, random_instance, small_network
 from oracles import count_fires, naive_cascade, neighbor_fraction
 
 
 def two_node_path(directed=False):
-    nodes = (NodeSpec(0, Rule.MONOTONE, 0.5), NodeSpec(1, Rule.MONOTONE, 0.5))
-    return Network(nodes=nodes, directed=directed, edges=((0, 1),))
+    return network_of(2, directed, ((0, 1),))
 
 
 class TestNeighborFraction:
@@ -24,8 +23,7 @@ class TestNeighborFraction:
         assert neighbor_fraction(triangle, {0, 2}, 1) == 1.0
 
     def test_degree_zero_is_zero(self):
-        nodes = (NodeSpec(0, Rule.MONOTONE, 0.5), NodeSpec(1, Rule.MONOTONE, 0.5))
-        net = Network(nodes=nodes, directed=False, edges=())
+        net = network_of(2, False, ())
         assert neighbor_fraction(net, {0}, 1) == 0.0
 
     def test_directed_uses_in_neighbors(self):
@@ -152,18 +150,14 @@ class TestRunCascade:
             run_cascade(two_node_path(), {0}, Topological())
 
     def test_topological_rejects_cycles(self):
-        nodes = tuple(NodeSpec(i, Rule.MONOTONE, 0.5) for i in range(2))
-        loop = Network(nodes=nodes, directed=True, edges=((0, 1), (1, 0)))
+        loop = network_of(2, True, ((0, 1), (1, 0)))
         with pytest.raises(ValueError, match="cycle"):
             run_cascade(loop, set(), Topological())
 
     def test_degree_zero_conventions(self):
         # isolated monotone node fires only at phi = 0; antagonistic at phi > 0
-        nodes = (NodeSpec(0, Rule.MONOTONE, 0.0),
-                 NodeSpec(1, Rule.MONOTONE, 0.2),
-                 NodeSpec(2, Rule.ANTAGONISTIC, 0.2),
-                 NodeSpec(3, Rule.ANTAGONISTIC, 0.0))
-        net = Network(nodes=nodes, directed=False, edges=())
+        net = network_of(4, False, (), [Rule.MONOTONE, Rule.MONOTONE, Rule.ANTAGONISTIC,
+                                        Rule.ANTAGONISTIC], [0.0, 0.2, 0.2, 0.0])
         result = run_cascade(net, set(), ExplicitOrder((0, 1, 2, 3)))
         assert result.final == {0, 2}
 
@@ -237,16 +231,13 @@ class TestMonotoneClosure:
             assert monotone_closure(net, seeds) == result.final
 
     def test_degree_zero_and_seed_conventions(self):
-        nodes = (NodeSpec(0, Rule.MONOTONE, 0.0), NodeSpec(1, Rule.MONOTONE, 0.2),
-                 NodeSpec(2, Rule.MONOTONE, 1.0), NodeSpec(3, Rule.MONOTONE, 1.0))
-        net = Network(nodes=nodes, directed=False, edges=((2, 3),), seeds={1})
+        net = network_of(4, False, ((2, 3),), phi=[0.0, 0.2, 1.0, 1.0], seeds={1})
         assert monotone_closure(net, set()) == {0}
         assert monotone_closure(net, None) == {0, 1}
         assert monotone_closure(net, {2}) == {0, 2, 3}
 
     def test_antagonistic_node_rejected(self):
-        nodes = (NodeSpec(0, Rule.MONOTONE, 0.5), NodeSpec(1, Rule.ANTAGONISTIC, 0.5))
-        net = Network(nodes=nodes, directed=False, edges=((0, 1),))
+        net = network_of(2, False, ((0, 1),), [Rule.MONOTONE, Rule.ANTAGONISTIC])
         with pytest.raises(ValueError, match="monotone"):
             monotone_closure(net, {0})
 
@@ -262,8 +253,7 @@ class TestIsGlobal:
         assert is_global(result, 1.0)
 
     def test_half_exactly_counts(self):
-        nodes = tuple(NodeSpec(i, Rule.MONOTONE, 1.0) for i in range(2))
-        net = Network(nodes=nodes, directed=False, edges=())
+        net = network_of(2, False, (), phi=1.0)
         result = run_cascade(net, {0}, RandomSweep(0))
         assert result.size_fraction == 0.5
         assert is_global(result, 0.5)
@@ -277,6 +267,5 @@ class TestIsGlobal:
 
 
 def test_topological_order_is_deterministic():
-    nodes = tuple(NodeSpec(i, Rule.MONOTONE, 0.5) for i in range(4))
-    net = Network(nodes=nodes, directed=True, edges=((0, 2), (1, 2), (2, 3)))
+    net = network_of(4, True, ((0, 2), (1, 2), (2, 3)))
     assert topological_order(net) == (0, 1, 2, 3)

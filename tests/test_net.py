@@ -1,22 +1,22 @@
 import json
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from cascade_logic import (Network, NetworkFormatError, NodeSpec, Rule,
+from cascade_logic import (Network, NetworkFormatError, Rule,
                            UNIFORM, assign_thresholds, cutoff, generate_er,
                            load_bundle, load_network, make_rng, save_network,
                            stats)
 from cascade_logic.net import Graph, _float_cutoffs, _pair_from_linear
+from conftest import network_of
 
 
 def path_network(n, rule=Rule.MONOTONE, phi=0.5, seeds=(), directed=False):
-    nodes = tuple(NodeSpec(i, rule, phi) for i in range(n))
     edges = tuple((i, i + 1) for i in range(n - 1))
-    return Network(nodes=nodes, directed=directed, edges=edges,
-                   seeds=frozenset(seeds))
+    return network_of(n, directed, edges, rule, phi, seeds)
 
 
 class TestGenerateEr:
@@ -119,8 +119,9 @@ class TestFloatCutoffs:
         for d in (0, 1, 7, 1000):
             phis += [0.0, 1.0]
             degrees += [d, d]
-        phis += make_rng(3).random(5000).tolist()
+        phis += make_rng(3).random(7000).tolist()
         degrees += make_rng(4).integers(0, 1000, 5000).tolist()
+        degrees += make_rng(5).integers(1000, 2**40, 2000).tolist()  # one step still holds
         got = _float_cutoffs(np.array(phis), np.array(degrees, dtype=np.int64))
         assert got.tolist() == [cutoff(p, d) for p, d in zip(phis, degrees)]
 
@@ -177,18 +178,14 @@ class TestAssignThresholds:
 
 class TestStats:
     def test_triangle(self):
-        nodes = tuple(NodeSpec(i, Rule.MONOTONE, 0.5) for i in range(3))
-        tri = Network(nodes=nodes, directed=False, edges=((0, 1), (0, 2), (1, 2)))
-        result = stats(tri.graph)
+        result = stats(Graph.from_edges(3, False, (0, 0, 1), (1, 2, 2)))
         assert result.clustering_coefficient == 1.0
         assert result.mean_degree == 2.0
         assert result.edge_count == 3
 
     def test_star_has_no_triangles(self):
-        nodes = tuple(NodeSpec(i, Rule.MONOTONE, 0.5) for i in range(5))
-        star = Network(nodes=nodes, directed=False,
-                       edges=tuple((0, i) for i in range(1, 5)))
-        assert stats(star.graph).clustering_coefficient == 0.0
+        star = Graph.from_edges(5, False, (0, 0, 0, 0), (1, 2, 3, 4))
+        assert stats(star).clustering_coefficient == 0.0
 
     def test_er_clustering_tracks_z_over_n(self):
         # ER expectation is z/(n-1); allow a factor-2 band on the 20-seed mean
@@ -226,47 +223,56 @@ class TestStats:
 
 class TestNetworkValidation:
     def test_self_loop_rejected(self):
-        nodes = tuple(NodeSpec(i, Rule.MONOTONE, 0.5) for i in range(2))
         with pytest.raises(ValueError, match="self-loop"):
-            Network(nodes=nodes, directed=False, edges=((0, 0),))
+            Graph.from_edges(2, False, (0,), (0,))
 
     def test_duplicate_edge_rejected_after_normalization(self):
-        nodes = tuple(NodeSpec(i, Rule.MONOTONE, 0.5) for i in range(3))
         with pytest.raises(ValueError, match="duplicate"):
-            Network(nodes=nodes, directed=False, edges=((0, 1), (1, 0)))
+            Graph.from_edges(3, False, (0, 1), (1, 0))
 
     def test_directed_antiparallel_pair_allowed(self):
-        nodes = tuple(NodeSpec(i, Rule.MONOTONE, 0.5) for i in range(2))
-        net = Network(nodes=nodes, directed=True, edges=((0, 1), (1, 0)))
-        assert len(net.edges) == 2
+        assert len(Graph.from_edges(2, True, (0, 1), (1, 0)).edges) == 2
 
     def test_undirected_edges_normalized(self):
-        nodes = tuple(NodeSpec(i, Rule.MONOTONE, 0.5) for i in range(3))
-        net = Network(nodes=nodes, directed=False, edges=((2, 0),))
-        assert net.edges == ((0, 2),)
-
-    def test_dense_ids_required(self):
-        with pytest.raises(ValueError, match="dense"):
-            Network(nodes=(NodeSpec(1, Rule.MONOTONE, 0.5),), directed=False, edges=())
+        assert Graph.from_edges(3, False, (2,), (0,)).edges == ((0, 2),)
 
     def test_bad_seed_rejected(self):
-        nodes = (NodeSpec(0, Rule.MONOTONE, 0.5),)
         with pytest.raises(ValueError, match="seed"):
-            Network(nodes=nodes, directed=False, edges=(), seeds=frozenset({3}))
+            network_of(1, False, (), seeds={3})
 
     @pytest.mark.parametrize("endpoint", [2 ** 63, -2 ** 63 - 1])
     def test_endpoint_outside_int64_is_a_missing_node(self, endpoint):
-        nodes = tuple(NodeSpec(i, Rule.MONOTONE, 0.5) for i in range(2))
         with pytest.raises(ValueError, match=rf"edge \(1, {endpoint}\) references a missing"):
-            Network(nodes=nodes, directed=False, edges=((0, 1), (1, endpoint)))
+            Graph.from_edges(2, False, (0, 1), (1, endpoint))
 
     def test_empty_network_rejected(self):
         with pytest.raises(ValueError, match="at least one node"):
-            Network(nodes=(), directed=False, edges=())
+            Network(Graph.from_edges(0, False, (), ()), (), ())
 
     def test_phi_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="phi"):
-            NodeSpec(0, Rule.MONOTONE, 1.25)
+        with pytest.raises(ValueError, match=r"phi must lie in \[0, 1\], got 1.25 at node 1"):
+            network_of(3, False, (), phi=[0.5, 1.25, 0.5])
+
+    @pytest.mark.parametrize("phi", [-0.5, math.nan, Fraction(5, 4), Fraction(-1, 3)])
+    def test_phi_range_checked_in_mixed_columns(self, phi):
+        with pytest.raises(ValueError, match="phi must lie in"):
+            network_of(3, False, (), phi=[0.5, phi, Fraction(1, 2)])
+
+    def test_columns_must_match_the_graph(self):
+        graph = Graph.from_edges(3, False, (), ())
+        for antagonistic, phi in (([False] * 3, [0.5, 0.5]), ([False] * 2, [0.5] * 3),
+                                  ([Rule.MONOTONE] * 3, [0.5] * 3), ([0, 1, 0], [0.5] * 3)):
+            with pytest.raises(ValueError, match="needs 3 booleans and phi 3 thresholds"):
+                Network(graph, antagonistic, phi)
+
+    def test_columns_are_read_only_copies(self):
+        # integer thresholds become floats; the caller's arrays stay writable
+        anti, phi = np.zeros(2, dtype=bool), np.array([0, 1])
+        net = Network(Graph.from_edges(2, False, (0,), (1,)), anti, phi)
+        assert net.phi.dtype == np.float64 and net.phi.tolist() == [0.0, 1.0]
+        assert not net.phi.flags.writeable and not net.antagonistic.flags.writeable
+        anti[0] = True
+        assert anti.flags.writeable and not net.antagonistic[0]
 
 
 class TestAdjacencyViews:
@@ -282,8 +288,7 @@ class TestAdjacencyViews:
                 pairs = {p for p in pairs if p[0] < p[1] or (p[1], p[0]) not in pairs}
             edges = sorted(pairs)
             rng.shuffle(edges)
-            nodes = tuple(NodeSpec(i, Rule.MONOTONE, 0.5) for i in range(n))
-            net = Network(nodes=nodes, directed=directed, edges=edges)
+            net = network_of(n, directed, edges)
             stored = [(min(u, v), max(u, v)) if not directed else (u, v) for u, v in edges]
             assert net.edges == tuple(stored)
             ins = [[] for _ in range(n)]
@@ -310,8 +315,7 @@ class TestSerialization:
     def test_round_trip_identity(self, tmp_path):
         net = assign_thresholds(generate_er(40, 0.15, 3), UNIFORM,
                                 Rule.ANTAGONISTIC, rng_seed=4)
-        net = Network(nodes=net.nodes, directed=False, edges=net.edges,
-                      seeds=frozenset({1, 5}))
+        net = Network(net.graph, net.antagonistic, net.phi, seeds={1, 5})
         target = tmp_path / "net.json"
         save_network(net, target)
         assert load_network(target) == net

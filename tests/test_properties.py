@@ -6,13 +6,13 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from cascade_logic import (ExplicitOrder, Network, NodeSpec, RandomSweep, Rule,
-                           Topological, monotone_closure, run_cascade,
-                           topological_order)
+from cascade_logic import (ExplicitOrder, Network, RandomSweep, Rule, Topological,
+                           cutoff, monotone_closure, run_cascade, topological_order)
 from cascade_logic.net import dumps
-from conftest import assert_stable
+from conftest import assert_stable, network_of
 from oracles import full_pass_cascade, naive_cascade
 
 pytest.importorskip("hypothesis")
@@ -25,14 +25,17 @@ PROPERTY = settings(deadline=None, derandomize=True, database=None)
 
 
 @st.composite
-def thresholds(draw, degree: int):
+def thresholds(draw, degree: int, exact=None):
     """A threshold in [0, 1], often a boundary k/degree where the >= / <
-    tie decides, as an exact Fraction or as a float."""
+    tie decides, as an exact Fraction or as a float (drawn unless `exact`
+    says which)."""
     if degree and draw(st.booleans()):
         phi = Fraction(draw(st.integers(0, degree)), degree)
     else:
         phi = draw(st.fractions(0, 1, max_denominator=2 * MAX_NODES))
-    return phi if draw(st.booleans()) else float(phi)
+    if exact is None:
+        exact = draw(st.booleans())
+    return phi if exact else float(phi)
 
 
 @st.composite
@@ -53,10 +56,24 @@ def networks(draw, dag: bool = False, rules=tuple(Rule)):
         degree[v] += 1
         if not directed:
             degree[u] += 1
-    nodes = [NodeSpec(u, draw(st.sampled_from(rules)), draw(thresholds(degree[u])))
-             for u in range(n)]
+    columns = [(draw(st.sampled_from(rules)), draw(thresholds(degree[u]))) for u in range(n)]
     seeds = draw(st.frozensets(st.integers(0, n - 1), max_size=n))
-    return Network(nodes=nodes, directed=directed, edges=edges), seeds
+    return network_of(n, directed, edges, *zip(*columns)), seeds
+
+
+@PROPERTY
+@given(data=st.data(), exact=st.sampled_from((False, True, None)))
+def test_constructor_cutoffs_match_scalar_cutoff(data, exact):
+    # float, Fraction and mixed columns at the tie points k/d of either kind of graph
+    graph = data.draw(networks())[0].graph
+    degrees = graph.degrees.tolist()
+    phi = [data.draw(thresholds(d, exact)) for d in degrees]
+    network = Network(graph, [False] * graph.n, phi)
+    assert network.cutoff.tolist() == [cutoff(p, d) for p, d in zip(phi, degrees)]
+    has_fraction = any(isinstance(p, Fraction) for p in phi)
+    assert network.phi.dtype == (object if has_fraction else np.float64)
+    # the view gives back each threshold as it was passed, float or Fraction
+    assert [(type(s.phi), s.phi) for s in network.nodes] == [(type(p), p) for p in phi]
 
 
 @PROPERTY
