@@ -19,9 +19,8 @@ from .circuit import (Basis, CompiledCircuit, GateAssignment, GateKind,
                       load_circuit, phi_for_gate, phi_interval, save_circuit,
                       truth_table)
 from .engine import (CascadeResult, Configuration, ExplicitOrder, RandomSweep,
-                     ScheduleMode, Topological, fires, is_global,
-                     monotone_closure, run_cascade, tlu_fires,
-                     topological_order)
+                     ScheduleMode, Topological, is_global, monotone_closure,
+                     run_cascade, settle, topological_order)
 from .experiments import (GlobalFraction, MedianExceedance, SweepRow,
                           SweepSpec, cascade_sizes, emit_csv, parse_csv,
                           reference_sizes, rows_from_sizes, run_sweep,

@@ -15,10 +15,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .parser import LimitExceeded
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 GENERATOR_NAME = "numpy-pcg64"
+MAX_TASKS = 1 << 20  # realizations, instances or trials that one call may ask for
 
 
 def _mix(z: int) -> int:
@@ -54,6 +57,13 @@ def mix_seed(master: int, *parts):
 def make_rng(seed: int) -> np.random.Generator:
     """A PCG64-backed generator for the given 64-bit seed."""
     return np.random.Generator(np.random.PCG64(int(seed) & _MASK64))
+
+
+def check_task_count(count: int, what: str) -> None:
+    """Raise LimitExceeded when `count` passes MAX_TASKS; called before any
+    task or sub-seed is built."""
+    if count > MAX_TASKS:
+        raise LimitExceeded(f"{count} {what} exceed the limit of {MAX_TASKS}")
 
 
 def worker_count(jobs: Optional[int], tasks: int) -> int:

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ._seeds import make_rng, map_tasks, mix_seed
+from ._seeds import check_task_count, make_rng, map_tasks, mix_seed
 from .circuit import CompiledCircuit, evaluate, input_seeds
 from .engine import RandomSweep, _Cascade
 from .net import Network, Rule, assign_thresholds, generate_er, seed_ids, UNIFORM
@@ -214,13 +214,14 @@ def outcome_sensitivity(network: Network, seeds: Iterable[int],
     ``run_cascade(network, seeds, RandomSweep(mix_seed(rng_seed, t)))``."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    check_task_count(trials, "trials")
     ref = tuple(int(b) for b in reference)
     if len(ref) != len(watched):
         raise ValueError("reference must have one bit per watched node")
     for u in watched:
         if not 0 <= u < network.n:
             raise ValueError(f"watched node {u} is not a node id")
-    cascade = _Cascade(network, seeds)
+    cascade = _Cascade(network, seed_ids(seeds, network.n))
     agree = 0
     seen = set()
     for seed in mix_seed(rng_seed, np.arange(trials, dtype=np.uint64)).tolist():
@@ -278,6 +279,7 @@ def verify_gcm_determinism(n: int, z: float, instances: int, rng_seed: int,
     """
     if instances < 1:
         raise ValueError(f"instances must be >= 1, got {instances}")
+    check_task_count(instances, "instances")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > 1 and not 0 < z < n - 1:

@@ -10,7 +10,9 @@ interval boundaries behave exactly.
 Circuits are DAGs with named in-degree-0 input nodes that never fire on
 their own; evaluating assigns the 1-inputs as cascade seeds and reads
 outputs as membership in the final labeled set under the topological
-schedule.
+schedule. That run is the one-row case of the engine's `settle`, and
+`truth_table` runs the same pass on blocks of rows, one bit per row, so a
+table equals row-by-row evaluation by construction.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .engine import Topological, run_cascade, topological_order
+from .engine import Topological, run_cascade, settle, topological_order
 from .net import (Graph, Network, NetworkFormatError, Rule, load_bundle,
                   save_network, write_text)
 from .parser import (And, Expr, LimitExceeded, Nand, Nor, Not, Or, Var, Xor,
@@ -32,8 +34,8 @@ from .parser import (And, Expr, LimitExceeded, Nand, Nor, Not, Or, Var, Xor,
 
 MAX_FAN_IN = 64
 MAX_TABLE_CELLS = 1 << 25  # every compiled expression of up to 20 inputs fits
-# Rows per block of a table pass: the block's node values, or its CSV text,
-# stay within this many bytes whatever the circuit's size.
+# Rows per block of a table pass: the block's node values (a bit per node and
+# row) or its CSV text stay within this many bytes whatever the circuit's size.
 TABLE_BLOCK_BYTES = 1 << 18
 
 
@@ -188,7 +190,9 @@ class _Builder:
         return nid
 
     def network(self) -> Network:
-        graph = Graph.from_edges(len(self.phi), True, self.src, self.dst)
+        # valid by construction: each gate's children are distinct ids below its own
+        graph = Graph._build(len(self.phi), True, np.array(self.src, dtype=np.int64),
+                             np.array(self.dst, dtype=np.int64))
         return Network(graph, self.antagonistic, self.phi)
 
 
@@ -269,8 +273,9 @@ def build_gate(kind: GateKind, fan_in: int, phi=None,
     assign = phi_for_gate(kind, fan_in)
     gate_id = fan_in
     rule = assign.rule if rule is None else rule
-    network = Network(Graph.from_edges(fan_in + 1, True, range(fan_in), [gate_id] * fan_in),
-                      [False] * fan_in + [rule is Rule.ANTAGONISTIC],
+    graph = Graph._build(fan_in + 1, True, np.arange(fan_in, dtype=np.int64),
+                         np.full(fan_in, gate_id, dtype=np.int64))
+    network = Network(graph, [False] * fan_in + [rule is Rule.ANTAGONISTIC],
                       [Fraction(1, 2)] * fan_in + [assign.phi if phi is None else phi])
     return CompiledCircuit(network=network,
                            inputs={f"x{i}": i for i in range(fan_in)},
@@ -306,8 +311,8 @@ def evaluate(circuit: CompiledCircuit, assignment: Mapping[str, int]) -> dict[st
     """Evaluate the circuit on one input assignment.
 
     Inputs assigned 1 become cascade seeds; the run uses the topological
-    schedule, and each output bit is membership of its node in the final
-    labeled set.
+    schedule, one row of `settle`, and each output bit is membership of its
+    node in the final labeled set.
     """
     seeds = input_seeds(circuit, assignment)
     result = run_cascade(circuit.network, seeds, Topological())
@@ -359,11 +364,11 @@ class TruthTable:
 def truth_table(circuit: CompiledCircuit) -> TruthTable:
     """Evaluate all 2^m input assignments in binary counting order.
 
-    Rows are computed one block at a time, in one vectorized pass per node
-    along the same topological schedule `evaluate` uses, with the same
-    integer cutoff test; the result equals calling `evaluate` row by row.
-    A block's node values fit in `TABLE_BLOCK_BYTES` (or are one row), so
-    only the input and output columns are ever kept for every row.
+    Each block of rows is one `settle` pass with the inputs' bits fixed, and
+    `evaluate` is its one-row case, so the table equals row-by-row
+    evaluation by construction. A block's node values fit in
+    `TABLE_BLOCK_BYTES` (or are one row); only the input and output columns
+    of every row are kept.
     """
     m = len(circuit.inputs)
     row_count = 1 << m
@@ -372,21 +377,18 @@ def truth_table(circuit: CompiledCircuit) -> TruthTable:
         raise LimitExceeded(f"2^{m} rows of {len(columns)} columns would need "
                             f"{row_count * len(columns)} cells; the limit is "
                             f"{MAX_TABLE_CELLS} cells")
-    net = circuit.network
-    input_ids = set(circuit.inputs.values())
-    order = [u for u in topological_order(net) if u not in input_ids]
-    indptr, indices = net.graph.indptr, net.graph.indices
     bits = np.empty((row_count, len(columns)), dtype=np.uint8)
-    step = max(1, TABLE_BLOCK_BYTES // net.n)
+    step = max(1, 8 * TABLE_BLOCK_BYTES // circuit.network.n)
     for lo in range(0, row_count, step):
         row_ids = np.arange(lo, min(lo + step, row_count), dtype=np.int64)
-        values = np.empty((net.n, row_ids.size), dtype=np.uint8)  # one row per node
-        for j, nid in enumerate(circuit.inputs.values()):
-            values[nid] = (row_ids >> (m - 1 - j)) & 1
-        for u in order:
-            counts = values[indices[indptr[u]:indptr[u + 1]]].sum(axis=0)
-            values[u] = (counts >= net.cutoff[u]) != net.antagonistic[u]
-        bits[lo:lo + row_ids.size] = values[columns].T
+        size = row_ids.size
+        fixed = {nid: int.from_bytes(np.packbits((row_ids >> (m - 1 - j)) & 1,
+                                                 bitorder="little").tobytes(), "little")
+                 for j, nid in enumerate(circuit.inputs.values())}
+        value = settle(circuit.network, fixed, (1 << size) - 1)
+        for j, nid in enumerate(columns):
+            packed = np.frombuffer(value[nid].to_bytes(-(-size // 8), "little"), np.uint8)
+            bits[lo:lo + size, j] = np.unpackbits(packed, count=size, bitorder="little")
     return TruthTable(input_names=tuple(circuit.inputs),
                       output_names=tuple(circuit.outputs), bits=bits)
 

@@ -6,12 +6,15 @@ labeled-neighbor fraction nu reaches its threshold (nu >= phi); an
 ANTAGONISTIC node labels itself while the fraction is still below it
 (nu < phi). Labels are never removed, and a node labeled mid-pass counts
 toward the fractions seen later in the same pass.
+
+On a directed acyclic network :func:`settle` runs one pass in dependency order
+for many rows at once; a `Topological` run is its one-row case, by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Union
 
 import numpy as np
 
@@ -69,36 +72,42 @@ class CascadeResult:
     passes: int
 
 
-def fires(rule: Rule, nu, phi) -> bool:
-    """The labeling predicate: MONOTONE fires at nu >= phi, ANTAGONISTIC at nu < phi.
-
-    Mixed float/Fraction arguments compare exactly.
-    """
-    if rule is Rule.MONOTONE:
-        return nu >= phi
-    if rule is Rule.ANTAGONISTIC:
-        return nu < phi
-    raise ValueError(f"unknown rule {rule!r}")
-
-
-def tlu_fires(weights: Sequence[float], inputs: Sequence, degree: int, phi) -> bool:
-    """Threshold-logic-unit form of the antagonistic rule.
-
-    Fires when (w . x) / degree < phi, with x read as 0/1 bits. With unit
-    weights this is exactly fires(ANTAGONISTIC, nu, phi) for nu the labeled
-    fraction of `degree` neighbors.
-    """
-    if degree < 1:
-        raise ValueError(f"degree must be >= 1, got {degree}")
-    if len(weights) != degree or len(inputs) != degree:
-        raise ValueError("weights and inputs must both have length `degree`")
-    dot = sum(w * (1 if x else 0) for w, x in zip(weights, inputs))
-    return dot / degree < phi
-
-
 def topological_order(network: Network) -> tuple[int, ...]:
     """The network's `Graph.topological_order`, built once per graph."""
     return network.graph.topological_order
+
+
+def settle(network: Network, fixed: Mapping[int, int], ones: int) -> list[int]:
+    """Every node's labels after one pass in dependency order, for many rows
+    at once: bit r of a node's int is its label in row r; `ones` sets them all.
+    `fixed` nodes keep theirs. Each other node sums its in-neighbors' labels
+    into bit-sliced count planes, O(d log d) int operations at in-degree d.
+    """
+    cut, anti = network.cutoff.tolist(), network.antagonistic.tolist()
+    ptr, nbrs = network.graph.indptr.tolist(), network.graph.indices.tolist()
+    value = [0] * network.n
+    for u in topological_order(network):
+        if u in fixed:
+            value[u] = fixed[u]
+            continue
+        planes = []  # planes[b]: the rows whose count has binary digit b set
+        for v in nbrs[ptr[u]:ptr[u + 1]]:
+            carry, b = value[v], 0  # add 1 in these rows, with a ripple carry
+            while carry:
+                if b == len(planes):
+                    planes.append(0)
+                planes[b], carry = planes[b] ^ carry, planes[b] & carry
+                b += 1
+        # MONOTONE fires at count >= cutoff, ANTAGONISTIC below it; the test
+        # runs from the lowest digit up
+        c, fired = cut[u], ones
+        for plane in planes:
+            fired = fired & plane if c & 1 else fired | plane
+            c >>= 1
+        if c:  # the cutoff is above every count
+            fired = 0
+        value[u] = fired ^ ones if anti[u] else fired
+    return value
 
 
 def run_cascade(network: Network, seeds: Optional[Iterable[int]],
@@ -109,9 +118,14 @@ def run_cascade(network: Network, seeds: Optional[Iterable[int]],
     to nodes examined after it. The run is deterministic given the mode,
     including RandomSweep's rng_seed.
     """
-    cascade = _Cascade(network, seeds)
-    _, labeling_order, passes = cascade.run(mode)
-    final = cascade.seed_set.union(labeling_order)
+    seed_set = network.seeds if seeds is None else seed_ids(seeds, network.n)
+    if isinstance(mode, Topological):  # the one-row settle, with the seeds fixed to 1
+        value = settle(network, dict.fromkeys(seed_set, 1), 1)
+        labeling_order = [u for u in topological_order(network) if value[u] and u not in seed_set]
+        passes = 1
+    else:
+        _, labeling_order, passes = _Cascade(network, seed_set).run(mode)
+    final = seed_set.union(labeling_order)
     return CascadeResult(
         final=final,
         size_fraction=len(final) / network.n,
@@ -121,14 +135,14 @@ def run_cascade(network: Network, seeds: Optional[Iterable[int]],
 
 
 class _Cascade:
-    """Runs of one network from one seed set. The set-up that does not depend
-    on the schedule (validation, per-node lists, the seeds' neighbor counts)
+    """Runs of one network from one checked seed set. The set-up that does
+    not depend on the schedule (per-node lists, the seeds' neighbor counts)
     is done once, so many runs pay it once."""
 
-    def __init__(self, network: Network, seeds: Optional[Iterable[int]]):
+    def __init__(self, network: Network, seed_set: frozenset[int]):
         n = network.n
         self.network = network
-        self.seed_set = network.seeds if seeds is None else seed_ids(seeds, n)
+        self.seed_set = seed_set
         self.cut = network.cutoff.tolist()
         self.anti = network.antagonistic.tolist()
         self.ptr = network.graph.out_indptr.tolist()
@@ -147,7 +161,6 @@ class _Cascade:
         """(labels, labeling order, passes) of one run under `mode`."""
         n = self.network.n
         labels = bytearray(self.labels)
-        repeat = True  # pass until one labels nothing
         if isinstance(mode, RandomSweep):
             rng = make_rng(mode.rng_seed)
 
@@ -167,12 +180,6 @@ class _Cascade:
 
             def next_pass():
                 return mode.order
-        elif isinstance(mode, Topological):
-            repeat = False
-            single_pass = topological_order(self.network)
-
-            def next_pass():
-                return single_pass
         else:
             raise TypeError(f"unknown schedule mode {mode!r}")
 
@@ -193,7 +200,7 @@ class _Cascade:
                 labeling_order.append(u)
                 for v in out[ptr[u]:ptr[u + 1]]:
                     counts[v] += 1
-            if not changed or not repeat:
+            if not changed:
                 break
             # The pass examined every unlabeled node. An antagonistic one
             # failed its test, and counts never fall, so it fails again; so

@@ -18,9 +18,10 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ._seeds import GENERATOR_NAME, make_rng, map_tasks, mix_seed
+from ._seeds import GENERATOR_NAME, check_task_count, make_rng, map_tasks, mix_seed
 from .engine import RandomSweep, monotone_closure, run_cascade
-from .net import Rule, assign_thresholds, generate_er, read_text, write_text
+from .net import (Rule, assign_thresholds, check_er_size, generate_er, read_text,
+                  write_text)
 
 
 @dataclass(frozen=True)
@@ -75,6 +76,9 @@ class SweepSpec:
             raise ValueError(f"realizations must be >= 1, got {self.realizations}")
         if not 1 <= self.seeds_per_run <= self.n:
             raise ValueError(f"seeds_per_run must lie in [1, n], got {self.seeds_per_run}")
+        check_er_size(self.n, max(self.z_values) / (self.n - 1))
+        check_task_count(self.realizations * len(self.z_values),
+                         "realizations over all z values")
 
 
 @dataclass(frozen=True)

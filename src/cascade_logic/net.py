@@ -27,10 +27,14 @@ from typing import Iterable, Mapping, Optional, Union
 import numpy as np
 
 from ._seeds import make_rng
+from .parser import LimitExceeded
 
 PhiValue = Union[float, Fraction]
 
 UNIFORM = "uniform"
+# the largest random graph that may be asked for, checked before any draw
+MAX_NODES = 1 << 20
+MAX_EXPECTED_EDGES = 1 << 22
 
 
 class Rule(Enum):
@@ -311,16 +315,29 @@ def _pair_from_linear(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return u, idx - row_start[u] + u + 1
 
 
+def check_er_size(n: int, p: float) -> None:
+    """Raise LimitExceeded when G(n, p) has more than MAX_NODES nodes or
+    more than MAX_EXPECTED_EDGES expected edges, n(n-1)p/2."""
+    if n > MAX_NODES:
+        raise LimitExceeded(f"n = {n} exceeds the limit of {MAX_NODES} nodes")
+    expected = n * (n - 1) / 2 * p
+    if expected > MAX_EXPECTED_EDGES:
+        raise LimitExceeded(f"n = {n} and p = {p:.6g} expect {expected:.6g} edges; "
+                            f"the limit is {MAX_EXPECTED_EDGES}")
+
+
 def generate_er(n: int, p: float, rng_seed: int) -> Graph:
     """Erdős–Rényi G(n, p): each of the n(n-1)/2 pairs kept with probability p.
 
     Deterministic for fixed (n, p, rng_seed). The result is a bare graph;
-    :func:`assign_thresholds` makes it a network.
+    :func:`assign_thresholds` makes it a network. Sizes past
+    :func:`check_er_size` raise LimitExceeded before anything is drawn.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
+    check_er_size(n, p)
     m = n * (n - 1) // 2
     positions = _bernoulli_positions(m, p, make_rng(rng_seed))
     # distinct, ordered and in range by construction: no validation needed

@@ -8,10 +8,38 @@ package's optimized paths.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
-from cascade_logic import ExplicitOrder, RandomSweep, Rule, cutoff, fires, make_rng
+from cascade_logic import ExplicitOrder, RandomSweep, Rule, cutoff, make_rng
+
+
+def fires(rule: Rule, nu, phi) -> bool:
+    """The labeling predicate: MONOTONE fires at nu >= phi, ANTAGONISTIC at nu < phi.
+
+    Mixed float/Fraction arguments compare exactly.
+    """
+    if rule is Rule.MONOTONE:
+        return nu >= phi
+    if rule is Rule.ANTAGONISTIC:
+        return nu < phi
+    raise ValueError(f"unknown rule {rule!r}")
+
+
+def tlu_fires(weights: Sequence[float], inputs: Sequence, degree: int, phi) -> bool:
+    """Threshold-logic-unit form of the antagonistic rule.
+
+    Fires when (w . x) / degree < phi, with x read as 0/1 bits. With unit
+    weights this is exactly fires(ANTAGONISTIC, nu, phi) for nu the labeled
+    fraction of `degree` neighbors.
+    """
+    if degree < 1:
+        raise ValueError(f"degree must be >= 1, got {degree}")
+    if len(weights) != degree or len(inputs) != degree:
+        raise ValueError("weights and inputs must both have length `degree`")
+    dot = sum(w * (1 if x else 0) for w, x in zip(weights, inputs))
+    return dot / degree < phi
 
 
 def count_fires(rule: Rule, labeled: int, degree: int, phi) -> bool:

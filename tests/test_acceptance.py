@@ -14,13 +14,14 @@ from cascade_logic import (Basis, ExplicitOrder, GateKind, GlobalFraction,
                            MedianExceedance, RandomSweep, Rule, SweepSpec,
                            build_gate, cascade_sizes, compile_expr,
                            compile_half_adder, enumerate_fixpoints, evaluate,
-                           fires, fixture_path, is_monotone_increasing,
+                           fixture_path, is_monotone_increasing,
                            load_network, make_rng, mix_seed, phi_interval,
                            reference_sizes, rows_from_sizes, run_cascade,
-                           schedule_sensitivity, tlu_fires, truth_table)
+                           schedule_sensitivity, truth_table)
 from cascade_logic.cli import main
 from conftest import random_instance
 from exprgen import random_expr, random_monotone_expr
+from oracles import fires, tlu_fires
 
 
 @contextmanager
@@ -147,12 +148,22 @@ def test_criterion_07_tlu_equivalence():
             phis = sorted({Fraction(num, den)
                            for den in range(1, deg + 1)
                            for num in range(den + 1)} | {Fraction(0), Fraction(1)})
+            # the engine: a one-gate circuit at each probe threshold, its first
+            # `labeled` inputs set; a Fraction threshold meets the exact fraction
+            gates = {(probe, type(probe)): build_gate(
+                         GateKind.NAND if deg > 1 else GateKind.NOT, deg, phi=probe)
+                     for phi in phis for probe in (phi, float(phi))}
             for labeled in range(deg + 1):
                 x = [1] * labeled + [0] * (deg - labeled)
                 for phi in phis:
                     for probe in (phi, float(phi)):
                         expected = fires(Rule.ANTAGONISTIC, labeled / deg, probe)
                         assert tlu_fires([1] * deg, x, deg, probe) == expected
+                        exact = isinstance(probe, Fraction)
+                        nu = Fraction(labeled, deg) if exact else labeled / deg
+                        row = {f"x{i}": bit for i, bit in enumerate(x)}
+                        assert evaluate(gates[probe, type(probe)], row) == {
+                            "out": int(fires(Rule.ANTAGONISTIC, nu, probe))}
 
 
 def test_criterion_08_monotonicity():

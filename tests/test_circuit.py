@@ -419,6 +419,36 @@ class TestSelfFiringInputs:
         assert checked > 200
 
 
+def test_majority_file_table_equals_row_by_row_evaluation(tmp_path):
+    # a node the compiler never emits: 3 of 5 inputs, cutoff 3 of in-degree 5
+    target = tmp_path / "majority.json"
+    target.write_text(json.dumps({
+        "directed": True,
+        "nodes": [{"id": i, "rule": "gcm", "phi": 0.5} for i in range(5)]
+                 + [{"id": 5, "rule": "gcm", "phi": 0.6}],
+        "edges": [[i, 5] for i in range(5)], "seeds": [],
+        "inputs": {f"x{i}": i for i in range(5)}, "outputs": {"maj": 5}}))
+    circuit = load_circuit(target)
+    assert circuit.network.cutoff[5] == 3
+    table = truth_table(circuit)
+    assert tuple(map(tuple, table.bits.tolist())) == rows_by_evaluate(circuit)
+    assert [row[0] for row in table.rows] == [
+        int(sum(bits) >= 3) for bits in product((0, 1), repeat=5)]
+
+
+@pytest.mark.parametrize("basis", list(Basis), ids=lambda b: b.value)
+def test_compiled_edges_pass_full_validation(basis):
+    # the compiler hands its edges to Graph._build unchecked
+    rng = make_rng(1313)
+    for i in range(100):
+        graph = compile_expr(random_expr(rng, max_depth=5, max_vars=8), basis).network.graph
+        checked = Graph.from_edges(graph.n, True, graph.src, graph.dst)
+        for name in ("src", "dst", "indptr", "indices", "out_indptr", "out_indices",
+                     "degrees"):
+            mine, theirs = getattr(graph, name), getattr(checked, name)
+            assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs), (i, name)
+
+
 def test_topological_order_built_once_per_circuit(monkeypatch, tmp_path):
     target = tmp_path / "xor.json"
     save_circuit(compile_expr("a ^ b ^ c", Basis.NAND_ONLY), target)
@@ -442,8 +472,9 @@ def rows_by_evaluate(circuit):
 class TestBlockedTable:
     @staticmethod
     def three_row_blocks(monkeypatch, circuit):
-        # 2^m rows never split evenly into blocks of three
-        monkeypatch.setattr(circuit_module, "TABLE_BLOCK_BYTES", 3 * circuit.network.n)
+        # a block holds 8 * TABLE_BLOCK_BYTES // n rows: here 3 to 5 rows for
+        # n >= 2, never a multiple of 8, so packed bytes end part-way
+        monkeypatch.setattr(circuit_module, "TABLE_BLOCK_BYTES", -(-3 * circuit.network.n // 8))
 
     @pytest.mark.parametrize("basis", list(Basis), ids=lambda b: b.value)
     def test_blocks_equal_row_by_row_evaluation(self, monkeypatch, basis):
@@ -453,6 +484,17 @@ class TestBlockedTable:
             self.three_row_blocks(monkeypatch, circuit)
             assert tuple(map(tuple, truth_table(circuit).bits.tolist())) == \
                 rows_by_evaluate(circuit), i
+
+    @pytest.mark.parametrize("basis", list(Basis), ids=lambda b: b.value)
+    def test_small_blocks_equal_the_default(self, monkeypatch, basis):
+        rng = make_rng(2720)
+        for i in range(20):
+            circuit = compile_expr(random_expr(rng, max_depth=5, max_vars=6 + i % 5), basis)
+            default = truth_table(circuit).bits
+            for block_bytes in (1, -(-3 * circuit.network.n // 8)):
+                monkeypatch.setattr(circuit_module, "TABLE_BLOCK_BYTES", block_bytes)
+                assert np.array_equal(truth_table(circuit).bits, default), i
+                monkeypatch.undo()
 
     def test_half_adder_blocks(self, monkeypatch):
         adder = compile_half_adder()

@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 
 import cascade_logic
+from cascade_logic import _seeds as seeds_module
 from cascade_logic import cli as cli_module
 from cascade_logic import experiments as experiments_module
+from cascade_logic import net as net_module
 from cascade_logic import fixture_path, load_network
 from cascade_logic.circuit import MAX_FAN_IN, MAX_TABLE_CELLS
 from cascade_logic.cli import MAX_Z_VALUES, _parse_z_range, main
@@ -288,6 +290,67 @@ class TestSensitivityAndVerify:
         assert code == 3
         assert json.loads(out)["verdict"] == "inconclusive"
         assert json.loads(err)["error"]["kind"] == "resource"
+
+
+class TestSizeCaps:
+    """Every size flag is checked before anything of its size is built."""
+
+    SWEEP = ("sweep", "--phi", "0.2", "--rule", "gcm", "--seed", "5", "--jobs", "1")
+    SENSITIVITY = ("sensitivity", "--net", str(fixture_path("half_adder.json")),
+                   "--assign", "a=1,b=0", "--seed", "4")
+
+    @pytest.mark.parametrize("argv", [
+        ("gen", "--n", "10000000000", "--z", "3", "--seed", "1"),
+        ("gen", "--n", "100000", "--p", "1", "--seed", "1"),
+        SWEEP + ("--n", "10000000000", "--z", "3", "--realizations", "1"),
+        SWEEP + ("--n", "1048576", "--z", "10", "--realizations", "1"),
+        SWEEP + ("--n", "10", "--z", "1:8:1", "--realizations", "1000000000"),
+        ("verify-gcm", "--n", "8", "--z", "2", "--instances", "1000000000", "--seed", "1"),
+        SENSITIVITY + ("--trials", "1000000000"),
+    ], ids=lambda argv: " ".join(argv[:1] + argv[-4:]))
+    def test_past_a_cap_exits_3_without_building(self, cli, argv):
+        tracemalloc.start()
+        try:
+            code, out, err = cli(*argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"]["kind"] == "resource"
+        assert peak < 2**20
+
+    def test_node_cap_boundary(self, cli, monkeypatch):
+        monkeypatch.setattr(net_module, "MAX_NODES", 30)
+        for n, code in (("30", 0), ("31", 3)):
+            assert cli("gen", "--n", n, "--z", "2", "--seed", "1")[0] == code
+            assert cli(*self.SWEEP, "--n", n, "--z", "2", "--realizations", "2")[0] == code
+
+    def test_edge_cap_boundary(self, cli, monkeypatch):
+        # K10 has 45 edges; at n = 33 and z = 4, p = 1/8 expects 66
+        for cap, code in ((45, 0), (44, 3)):
+            monkeypatch.setattr(net_module, "MAX_EXPECTED_EDGES", cap)
+            assert cli("gen", "--n", "10", "--p", "1", "--seed", "1")[0] == code
+        calls = []
+        real = experiments_module._realization_sizes
+        monkeypatch.setattr(experiments_module, "_realization_sizes",
+                            lambda task: calls.append(task) or real(task))
+        for cap, code in ((66, 0), (65, 3)):
+            monkeypatch.setattr(net_module, "MAX_EXPECTED_EDGES", cap)
+            calls.clear()
+            assert cli(*self.SWEEP, "--n", "33", "--z", "1:4:1", "--realizations", "1")[0] == code
+            # the largest z is checked before the smaller ones run
+            assert len(calls) == (4 if code == 0 else 0)
+
+    def test_task_cap_boundary(self, cli, monkeypatch):
+        monkeypatch.setattr(seeds_module, "MAX_TASKS", 4)
+        for k, code in (("4", 0), ("5", 3)):
+            assert cli(*self.SWEEP, "--n", "20", "--z", "2", "--realizations", k)[0] == code
+            assert cli("verify-gcm", "--n", "8", "--z", "2", "--instances", k,
+                       "--seed", "1")[0] == code
+            assert cli(*self.SENSITIVITY, "--trials", k)[0] == code
+        # a sweep's tasks are its realizations at every z value
+        assert cli(*self.SWEEP, "--n", "20", "--z", "1:2:1", "--realizations", "2")[0] == 0
+        assert cli(*self.SWEEP, "--n", "20", "--z", "1:3:1", "--realizations", "2")[0] == 3
 
 
 class TestSweep:

@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 
 from cascade_logic import (ExplicitOrder, RandomSweep, Rule,
-                           Topological, cutoff, fires, is_global,
+                           Topological, cutoff, is_global,
                            make_rng, mix_seed, monotone_closure, run_cascade,
-                           tlu_fires, topological_order)
+                           settle, topological_order)
 from conftest import assert_stable, network_of, random_instance, small_network
-from oracles import count_fires, naive_cascade, neighbor_fraction
+from oracles import (count_fires, fires, in_neighbors, naive_cascade, neighbor_fraction,
+                     tlu_fires)
 
 
 def two_node_path(directed=False):
@@ -269,3 +270,85 @@ class TestIsGlobal:
 def test_topological_order_is_deterministic():
     net = network_of(4, True, ((0, 2), (1, 2), (2, 3)))
     assert topological_order(net) == (0, 1, 2, 3)
+
+
+def wide_dag(rng, n=80, wide=(63, 64, 65)):
+    """A random DAG of mixed rules whose ids are not in dependency order.
+    Its last nodes take the `wide` fan-ins in turn and the others at most 4,
+    so some have none. Each threshold is 0, 1 or a tie point k/d, as a float
+    or a Fraction; at in-degree 0 a threshold above 0 is a cutoff above it."""
+    rank = rng.permutation(n).tolist()  # the i-th node in dependency order
+    edges, rules, phis = [], [None] * n, [None] * n
+    for i in range(n):
+        if i >= n - 4 * len(wide):
+            d = wide[i % len(wide)]
+        else:
+            d = int(rng.integers(0, min(i, 4) + 1))
+        edges += [(rank[j], rank[i]) for j in rng.choice(i, size=d, replace=False).tolist()]
+        if d and rng.random() < 0.7:
+            phi = Fraction(int(rng.integers(0, d + 1)), d)
+        else:
+            phi = Fraction(int(rng.integers(2)))
+        rules[rank[i]] = (Rule.MONOTONE, Rule.ANTAGONISTIC)[int(rng.integers(2))]
+        phis[rank[i]] = phi if rng.integers(2) else float(phi)
+    return network_of(n, True, edges, rules, phis)
+
+
+def settled_by_rescan(network, fixed, rows):
+    """Per row r, the labeled set of one pass in dependency order that
+    recounts each node's labeled in-neighbors, with node u of `fixed`
+    labeled iff bit r of fixed[u] is set."""
+    nbrs = in_neighbors(network)
+    result = []
+    for r in range(rows):
+        labeled = {u for u, bits in fixed.items() if bits >> r & 1}
+        for u in topological_order(network):
+            spec = network.nodes[u]
+            count = sum(1 for v in nbrs[u] if v in labeled)
+            if u not in fixed and count_fires(spec.rule, count, len(nbrs[u]), spec.phi):
+                labeled.add(u)
+        result.append(labeled)
+    return result
+
+
+class TestSettle:
+    def test_random_dags_match_naive_cascade_in_topological_order(self):
+        rng = make_rng(1606)
+        for case in range(40):
+            net = wide_dag(rng)
+            seeds = frozenset(rng.choice(net.n, size=int(rng.integers(0, 40)),
+                                         replace=False).tolist())
+            result = run_cascade(net, seeds, Topological())
+            final, history = naive_cascade(net, seeds, topological_order(net))
+            assert (result.final, list(result.labeling_order)) == (final, history), case
+            assert result.passes == 1
+
+    def test_many_rows_match_a_rescan_per_row(self):
+        rng = make_rng(1607)
+        for case in range(20):
+            net = wide_dag(rng)
+            rows = int(rng.integers(1, 130))  # across the 64-bit word boundaries too
+            fixed = {u: int.from_bytes(rng.bytes(17), "little") % (1 << rows)
+                     for u in rng.choice(net.n, size=20, replace=False).tolist()}
+            value = settle(net, fixed, (1 << rows) - 1)
+            by_row = [{u for u in range(net.n) if value[u] >> r & 1} for r in range(rows)]
+            assert by_row == settled_by_rescan(net, fixed, rows), case
+
+    @pytest.mark.parametrize("phi", [Fraction(1, 2), 0.5, Fraction(2049, 4096)])
+    def test_4096_in_neighbors_at_the_tie(self, phi):
+        # inputs 0..4095 feed a monotone node 4096 and an antagonistic node 4097
+        wide = 1 << 12
+        edges = [(i, g) for g in (wide, wide + 1) for i in range(wide)]
+        net = network_of(wide + 2, True, edges,
+                         [Rule.MONOTONE] * (wide + 1) + [Rule.ANTAGONISTIC], phi)
+        cut = cutoff(phi, wide)
+        counts = (2047, 2048, 2049)
+        fixed = {i: sum(1 << r for r, k in enumerate(counts) if i < k) for i in range(wide)}
+        value = settle(net, fixed, 0b111)
+        expected = sum(1 << r for r, k in enumerate(counts) if k >= cut)
+        assert (value[wide], value[wide + 1]) == (expected, expected ^ 0b111)
+        for k in counts:
+            result = run_cascade(net, range(k), Topological())
+            final, history = naive_cascade(net, set(range(k)), topological_order(net))
+            assert (result.final, list(result.labeling_order)) == (final, history)
+            assert (wide in final, wide + 1 in final) == (k >= cut, k < cut)
