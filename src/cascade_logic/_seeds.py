@@ -10,7 +10,6 @@ carry run metadata record the generator under ``GENERATOR_NAME``.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -78,6 +77,8 @@ def map_tasks(fn: Callable, tasks: Sequence, jobs: Optional[int]) -> list:
     workers = worker_count(jobs, len(tasks))
     if workers == 1:
         return [fn(t) for t in tasks]
+    # imported here: the pool's modules cost every start of the command line
+    from concurrent.futures import ProcessPoolExecutor
     chunk = max(1, len(tasks) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks, chunksize=chunk))

@@ -21,7 +21,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -92,11 +92,13 @@ _GATE_RULES = {
 }
 
 
+@cache
 def phi_for_gate(kind: GateKind, fan_in: int) -> GateAssignment:
     """Canonical threshold assignment for a gate.
 
     OR/NOR take 1/k (the included interval endpoint), AND/NAND the midpoint
-    (2k-1)/(2k), NOT/BUF 1/2.
+    (2k-1)/(2k), NOT/BUF 1/2. The assignment is immutable and made once per
+    (kind, fan_in); a fan-in that no gate takes raises and is not kept.
     """
     lo, hi = phi_interval(kind, fan_in)
     if kind in (GateKind.OR, GateKind.NOR):
@@ -123,8 +125,9 @@ class CompiledCircuit:
         if not self.network.directed:
             raise ValueError("a circuit network must be directed")
         order = topological_order(self.network)  # raises on cycles
-        graph = self.network.graph
-        n, in_deg = graph.n, graph.degrees
+        network, graph = self.network, self.network.graph
+        n, in_deg = graph.n, graph.degrees.tolist()
+        cut, anti = network.cutoff.tolist(), network.antagonistic.tolist()
         if not self.inputs:
             raise ValueError("a circuit needs at least one input")
         if not self.outputs:
@@ -135,12 +138,12 @@ class CompiledCircuit:
             if in_deg[nid] != 0:
                 raise ValueError(f"input {name!r} must have in-degree 0")
             # evaluate would label it where the table reads a 0 bit
-            if (0 >= self.network.cutoff[nid]) != self.network.antagonistic[nid]:
+            if (0 >= cut[nid]) != anti[nid]:
                 raise ValueError(f"input {name!r} fires on its own, with no seed")
         reach = set(self.inputs.values())
         ptr, flat = graph.indptr.tolist(), graph.indices.tolist()
         for u in order:
-            if any(v in reach for v in flat[ptr[u]:ptr[u + 1]]):
+            if not reach.isdisjoint(flat[ptr[u]:ptr[u + 1]]):
                 reach.add(u)
         for name, nid in self.outputs.items():
             if not 0 <= nid < n:
@@ -361,6 +364,20 @@ class TruthTable:
             yield text.tobytes().decode()
 
 
+def _counter_bits(k: int, lo: int, size: int) -> int:
+    """Bit k of the row ids lo..lo+size-1, row lo's in bit 0: cut from the
+    bytes of the repeating pattern of bit k over all row ids, so no array
+    of row ids is made."""
+    if k < 3:  # a period within each byte: 0b10101010, 0b11001100, 0b11110000
+        period = bytes((0xAA, 0xCC, 0xF0)[k:k + 1])
+    else:  # 2^(k-3) bytes of 0s, then as many of 1s
+        period = bytes(1 << (k - 3)) + b"\xff" * (1 << (k - 3))
+    first, count = lo // 8, (lo % 8 + size + 7) // 8
+    skip = first % len(period)
+    stream = (period * ((skip + count) // len(period) + 1))[skip:skip + count]
+    return (int.from_bytes(stream, "little") >> lo % 8) & ((1 << size) - 1)
+
+
 def truth_table(circuit: CompiledCircuit) -> TruthTable:
     """Evaluate all 2^m input assignments in binary counting order.
 
@@ -380,10 +397,8 @@ def truth_table(circuit: CompiledCircuit) -> TruthTable:
     bits = np.empty((row_count, len(columns)), dtype=np.uint8)
     step = max(1, 8 * TABLE_BLOCK_BYTES // circuit.network.n)
     for lo in range(0, row_count, step):
-        row_ids = np.arange(lo, min(lo + step, row_count), dtype=np.int64)
-        size = row_ids.size
-        fixed = {nid: int.from_bytes(np.packbits((row_ids >> (m - 1 - j)) & 1,
-                                                 bitorder="little").tobytes(), "little")
+        size = min(step, row_count - lo)
+        fixed = {nid: _counter_bits(m - 1 - j, lo, size)
                  for j, nid in enumerate(circuit.inputs.values())}
         value = settle(circuit.network, fixed, (1 << size) - 1)
         for j, nid in enumerate(columns):

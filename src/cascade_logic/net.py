@@ -5,9 +5,14 @@ A :class:`Graph` is bare: compressed sparse rows of in- and out-neighbors;
 columns, the ``antagonistic`` rule mask and the threshold ``phi``, and
 ``cutoff`` is derived from them: each threshold, float or exact
 ``Fraction``, becomes an integer :func:`cutoff` on the labeled in-neighbor
-count. A monotone node fires iff the count reaches it, an antagonistic node
-iff the count stays below it. :func:`assign_thresholds` makes a network from
-a graph and shares its arrays.
+count, an exact one over integer arrays of numerators and denominators. A
+monotone node fires iff the count reaches it, an antagonistic node iff the
+count stays below it. :func:`assign_thresholds` makes a network from a graph
+and shares its arrays.
+
+Network files are read into the columns and written from them:
+:func:`load_bundle` checks each node, edge and seed inline as it reads it,
+and builds an error message only for the first that fails.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ UNIFORM = "uniform"
 # the largest random graph that may be asked for, checked before any draw
 MAX_NODES = 1 << 20
 MAX_EXPECTED_EDGES = 1 << 22
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 class Rule(Enum):
@@ -81,6 +87,40 @@ def _float_cutoffs(phi: np.ndarray, degrees: np.ndarray) -> np.ndarray:
     c = np.floor(phi * degrees)
     c += c / np.maximum(degrees, 1) < phi
     return c.astype(np.int64)
+
+
+def _cutoffs(phi: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """`cutoff` of each threshold of a `_phi_column` at its node's degree,
+    once all are checked to lie in [0, 1]. Floats take `_float_cutoffs`; an
+    exact num/den takes ceil(num * max(degree, 1) / den) over integer arrays,
+    which at degree 0 is 0 if num is 0 else 1, in int64 where the products
+    fit and in Python ints otherwise."""
+    if phi.dtype != object:
+        # the min and max show the range, nan included
+        if not 0 <= phi.min() <= phi.max() <= 1:
+            _out_of_range(phi, (phi >= 0) & (phi <= 1))
+        return _float_cutoffs(phi, degrees)
+    exact = np.array([isinstance(p, Fraction) for p in phi.tolist()], dtype=bool)
+    fractions = phi[exact].tolist()
+    num, den = _ids([p.numerator for p in fractions]), _ids([p.denominator for p in fractions])
+    floats = phi[~exact].astype(np.float64)
+    inside = np.empty(phi.shape, dtype=bool)
+    inside[exact] = (num >= 0) & (num <= den)  # den > 0
+    inside[~exact] = (floats >= 0) & (floats <= 1)
+    if not inside.all():
+        _out_of_range(phi, inside)
+    cutoffs = np.empty(phi.shape, dtype=np.int64)
+    cutoffs[~exact] = _float_cutoffs(floats, degrees[~exact])
+    scale = np.maximum(degrees[exact], 1)
+    if den.dtype == object or den.size and den.max() > _INT64_MAX // scale.max():
+        num = num.astype(object)  # num * scale in Python ints
+    cutoffs[exact] = -(-num * scale // den)
+    return cutoffs
+
+
+def _out_of_range(phi: np.ndarray, inside: np.ndarray):
+    i = int(inside.argmin())
+    raise ValueError(f"phi must lie in [0, 1], got {phi[i]} at node {i}")
 
 
 def seed_ids(seeds: Iterable[int], n: int) -> frozenset[int]:
@@ -231,15 +271,7 @@ class Network:
         phi = _phi_column(self.phi)
         if antagonistic.dtype != bool or antagonistic.shape != (n,) or phi.shape != (n,):
             raise ValueError(f"antagonistic needs {n} booleans and phi {n} thresholds")
-        # a float column's min and max show its range, nan included; a Fraction
-        # column is compared exactly, in Python, where a float nan raises no warning
-        ends = phi.tolist() if phi.dtype == object else (phi.min(), phi.max())
-        if not all(0 <= p <= 1 for p in ends):
-            i = next(i for i, p in enumerate(phi.tolist()) if not 0 <= p <= 1)
-            raise ValueError(f"phi must lie in [0, 1], got {phi[i]} at node {i}")
-        degrees = self.graph.degrees
-        cutoffs = (_float_cutoffs(phi, degrees) if phi.dtype != object else np.array(
-            [cutoff(p, d) for p, d in zip(phi.tolist(), degrees.tolist())], dtype=np.int64))
+        cutoffs = _cutoffs(phi, self.graph.degrees)
         _frozen(antagonistic, phi, cutoffs)
         for name, value in (("antagonistic", antagonistic), ("phi", phi),
                             ("seeds", seed_ids(self.seeds, n)), ("cutoff", cutoffs)):
@@ -423,7 +455,8 @@ class NetworkBundle:
 
 _TOP_KEYS = {"directed", "nodes", "edges", "seeds", "inputs", "outputs"}
 _NODE_KEYS = {"id", "rule", "phi"}
-_RULE_NAMES = {r.value: r for r in Rule}
+_RULE_NAMES = (Rule.MONOTONE.value, Rule.ANTAGONISTIC.value)  # by the antagonistic flag
+_AGCM = Rule.ANTAGONISTIC.value
 
 
 def read_text(source) -> str:
@@ -460,16 +493,16 @@ def _dumps(value, newline: str) -> str:
         if not value:
             return "[]"
         inner = newline + " "
-        if all(type(v) is int for v in value):  # the common case, in one map
-            items = map(int.__repr__, value)
-        else:
-            items = [_dumps(v, inner) for v in value]
+        # a scalar item is encoded by its exact type's function, in one lookup
+        items = [leaf(v) if (leaf := _LEAVES.get(type(v))) else _dumps(v, inner)
+                 for v in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if isinstance(value, dict):
         if not value:
             return "{}"
         inner = newline + " "
-        items = [_encode_str(k if isinstance(k, str) else _scalar(k)) + ": " + _dumps(v, inner)
+        items = [_encode_str(k if isinstance(k, str) else _scalar(k)) + ": "
+                 + (leaf(v) if (leaf := _LEAVES.get(type(v))) else _dumps(v, inner))
                  for k, v in value.items()]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     return _scalar(value)
@@ -487,24 +520,34 @@ def _scalar(value) -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value in (math.inf, -math.inf):
-            return "Infinity" if value > 0 else "-Infinity"
-        return float.__repr__(value)
+        return _float_text(value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value in (math.inf, -math.inf):
+        return "Infinity" if value > 0 else "-Infinity"
+    return float.__repr__(value)
+
+
+_LEAVES = {str: _encode_str, int: int.__repr__, float: _float_text, bool: _scalar,
+           type(None): _scalar}
 
 
 def save_network(network: Network, destination, *,
                  inputs: Optional[Mapping[str, int]] = None,
                  outputs: Optional[Mapping[str, int]] = None) -> None:
-    """Write `network` as a JSON document to a path or open text file."""
+    """Write `network` as a JSON document to a path or open text file,
+    straight from its columns: no per-node view is built."""
+    graph = network.graph
+    phi = network.phi.astype(np.float64).tolist()  # each Fraction as its nearest float
     doc: dict = {
-        "directed": network.directed,
-        "nodes": [
-            {"id": s.id, "rule": s.rule.value, "phi": float(s.phi)} for s in network.nodes
-        ],
-        "edges": [[u, v] for u, v in network.edges],
+        "directed": graph.directed,
+        "nodes": [{"id": i, "rule": _RULE_NAMES[a], "phi": p}
+                  for i, (a, p) in enumerate(zip(network.antagonistic.tolist(), phi))],
+        "edges": np.column_stack((graph.src, graph.dst)).tolist(),
         "seeds": sorted(network.seeds),
     }
     if inputs is not None:
@@ -519,28 +562,54 @@ def _expect(cond: bool, message: str) -> None:
         raise NetworkFormatError(message)
 
 
-def _as_number(value, where: str) -> float:
-    _expect(isinstance(value, (int, float)) and not isinstance(value, bool),
-            f"{where} must be a number, got {value!r}")
-    return float(value)
+def _not_an_integer(where: str, value) -> NetworkFormatError:
+    return NetworkFormatError(f"{where} must be an integer, got {value!r}")
 
 
-def _as_index(value, where: str) -> int:
-    _expect(isinstance(value, int) and not isinstance(value, bool),
-            f"{where} must be an integer, got {value!r}")
-    return value
+def _node_error(i: int, raw) -> NetworkFormatError:
+    """The error of node `i`, which fails a check: the first that fails of
+    its shape, its id's type, its rule and its phi."""
+    where = f"nodes[{i}]"
+    if type(raw) is not dict:
+        return NetworkFormatError(f"{where} must be an object")
+    if raw.keys() != _NODE_KEYS:
+        return NetworkFormatError(f"{where} must have exactly the keys id, rule, phi")
+    nid, rule, phi = raw["id"], raw["rule"], raw["phi"]
+    if type(nid) is not int:
+        return _not_an_integer(f"{where}.id", nid)
+    if rule not in _RULE_NAMES:
+        return NetworkFormatError(f"{where}.rule: unknown rule name {rule!r}")
+    if type(phi) is not float and type(phi) is not int:
+        return NetworkFormatError(f"{where}.phi must be a number, got {phi!r}")
+    try:
+        phi = float(phi)
+    except OverflowError:  # an integer past the float range, shown as written
+        pass
+    return NetworkFormatError(f"{where}.phi must lie in [0, 1], got {phi}")
 
 
 def _parse_ports(doc: dict, key: str) -> Optional[dict[str, int]]:
     if key not in doc:
         return None
     raw = doc[key]
-    _expect(isinstance(raw, dict), f"{key} must be an object of name -> node id")
-    return {str(name): _as_index(v, f"{key}[{name!r}]") for name, v in raw.items()}
+    if type(raw) is not dict:
+        raise NetworkFormatError(f"{key} must be an object of name -> node id")
+    for name, nid in raw.items():
+        if type(nid) is not int:
+            raise _not_an_integer(f"{key}[{name!r}]", nid)
+    return raw
 
 
 def load_bundle(source) -> NetworkBundle:
-    """Parse a network file (path or open text file), validating the schema."""
+    """Parse a network file (path or open text file), validating the schema.
+
+    Every node, edge and seed is checked as it is read into the columns, and
+    a message is built only for the first that fails. The checks run in this
+    order: each node's shape, id type, rule, phi and repeated id; the ids'
+    range; each edge's shape and endpoint types; each seed's type; the
+    graph's own edge checks (missing nodes, self-loops, duplicates); the
+    seeds' range; the ports.
+    """
     try:
         doc = json.loads(read_text(source))
     except json.JSONDecodeError as e:
@@ -548,42 +617,49 @@ def load_bundle(source) -> NetworkBundle:
             f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}"
         ) from None
 
-    _expect(isinstance(doc, dict), "top level must be a JSON object")
-    unknown = set(doc) - _TOP_KEYS
-    _expect(not unknown, f"unknown top-level keys: {sorted(unknown)}")
+    _expect(type(doc) is dict, "top level must be a JSON object")
+    unknown = doc.keys() - _TOP_KEYS
+    if unknown:
+        raise NetworkFormatError(f"unknown top-level keys: {sorted(unknown)}")
     for key in ("directed", "nodes", "edges", "seeds"):
-        _expect(key in doc, f"missing required key {key!r}")
-    _expect(isinstance(doc["directed"], bool), "directed must be a boolean")
-    _expect(isinstance(doc["nodes"], list) and doc["nodes"], "nodes must be a non-empty list")
-    _expect(isinstance(doc["edges"], list), "edges must be a list")
-    _expect(isinstance(doc["seeds"], list), "seeds must be a list")
+        if key not in doc:
+            raise NetworkFormatError(f"missing required key {key!r}")
+    nodes, edges, seeds = doc["nodes"], doc["edges"], doc["seeds"]
+    _expect(type(doc["directed"]) is bool, "directed must be a boolean")
+    _expect(type(nodes) is list and nodes, "nodes must be a non-empty list")
+    _expect(type(edges) is list, "edges must be a list")
+    _expect(type(seeds) is list, "seeds must be a list")
 
-    parsed: dict[int, tuple[bool, float]] = {}
-    for i, raw in enumerate(doc["nodes"]):
-        where = f"nodes[{i}]"
-        _expect(isinstance(raw, dict), f"{where} must be an object")
-        _expect(set(raw) == _NODE_KEYS,
-                f"{where} must have exactly the keys id, rule, phi")
-        nid = _as_index(raw["id"], f"{where}.id")
-        _expect(raw["rule"] in _RULE_NAMES,
-                f"{where}.rule: unknown rule name {raw['rule']!r}")
-        phi = _as_number(raw["phi"], f"{where}.phi")
-        _expect(0.0 <= phi <= 1.0, f"{where}.phi must lie in [0, 1], got {phi}")
-        _expect(nid not in parsed, f"{where}.id: duplicate node id {nid}")
-        parsed[nid] = (_RULE_NAMES[raw["rule"]] is Rule.ANTAGONISTIC, phi)
-    n = len(parsed)
-    _expect(set(parsed) == set(range(n)),
-            f"node ids must be exactly 0..{n - 1}")
-    antagonistic, phis = zip(*(parsed[i] for i in range(n)))
+    n = len(nodes)
+    antagonistic, phis = [False] * n, [None] * n  # by id
+    stray = set()  # ids outside 0..n-1, each an error once all nodes pass
+    for i, raw in enumerate(nodes):
+        if type(raw) is not dict or raw.keys() != _NODE_KEYS:
+            raise _node_error(i, raw)
+        nid, rule, phi = raw["id"], raw["rule"], raw["phi"]
+        if (type(nid) is not int or rule not in _RULE_NAMES
+                or type(phi) is not float and type(phi) is not int or not 0 <= phi <= 1):
+            raise _node_error(i, raw)
+        if 0 <= nid < n and phis[nid] is None:
+            antagonistic[nid], phis[nid] = rule == _AGCM, phi
+        elif 0 <= nid < n or nid in stray:
+            raise NetworkFormatError(f"nodes[{i}].id: duplicate node id {nid}")
+        else:
+            stray.add(nid)
+    if stray:
+        raise NetworkFormatError(f"node ids must be exactly 0..{n - 1}")
 
-    src, dst = [], []
-    for i, raw in enumerate(doc["edges"]):
-        where = f"edges[{i}]"
-        _expect(isinstance(raw, list) and len(raw) == 2, f"{where} must be a pair [u, v]")
-        src.append(_as_index(raw[0], f"{where}[0]"))
-        dst.append(_as_index(raw[1], f"{where}[1]"))
-    seeds = [_as_index(s, f"seeds[{i}]") for i, s in enumerate(doc["seeds"])]
+    for i, edge in enumerate(edges):
+        if type(edge) is not list or len(edge) != 2:
+            raise NetworkFormatError(f"edges[{i}] must be a pair [u, v]")
+        if type(edge[0]) is not int or type(edge[1]) is not int:
+            j = int(type(edge[0]) is int)
+            raise _not_an_integer(f"edges[{i}][{j}]", edge[j])
+    for i, s in enumerate(seeds):
+        if type(s) is not int:
+            raise _not_an_integer(f"seeds[{i}]", s)
 
+    src, dst = zip(*edges) if edges else ((), ())
     try:
         network = Network(Graph.from_edges(n, doc["directed"], src, dst),
                           antagonistic, phis, seeds)
@@ -593,7 +669,8 @@ def load_bundle(source) -> NetworkBundle:
     inputs, outputs = (_parse_ports(doc, key) for key in ("inputs", "outputs"))
     for key, ports in (("inputs", inputs), ("outputs", outputs)):
         for name, nid in (ports or {}).items():
-            _expect(0 <= nid < n, f"{key}[{name!r}] references a missing node")
+            if not 0 <= nid < n:
+                raise NetworkFormatError(f"{key}[{name!r}] references a missing node")
     return NetworkBundle(network=network, inputs=inputs, outputs=outputs)
 
 

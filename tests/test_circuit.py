@@ -531,6 +531,27 @@ class TestBlockedTable:
         header = ",".join([*circuit.inputs, "out"]) + "\n"
         assert target.stat().st_size == len(header) + (1 << 20) * 2 * 21
 
+    def test_wide_table_memory(self):
+        # the benchmark's 16-input table: 29 nodes in one block of 65,536
+        # rows, a 1.06 MB result; the bound was fixed before the first run
+        circuit = compile_expr(table_golden_exprs()["wide"])
+        tracemalloc.start()
+        try:
+            truth_table(circuit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.70 * 2**20
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 7, 12, 19])
+    def test_counter_bits_match_row_ids(self, k):
+        rng = make_rng(k)
+        for lo, size in [(0, 1), (0, 8), (5, 3), *rng.integers(1, 1 << 21, (20, 2)).tolist()]:
+            rows = np.arange(lo, lo + size)
+            want = int.from_bytes(np.packbits((rows >> k) & 1, bitorder="little").tobytes(),
+                                  "little")
+            assert circuit_module._counter_bits(k, lo, size) == want
+
 
 # sha256 of save_circuit output per basis and expression. Node ids are the
 # first-emission order of each basis rewrite; any change to it changes files.

@@ -527,12 +527,16 @@ class TestParserOnce:
         assert seen == [3, 5, 2, 1]
 
 
-def run_module(module, *argv):
-    """`python -m module *argv` in a child process that imports this package."""
+def run_python(*argv):
+    """`python *argv` in a child process that imports this package."""
     path = [str(Path(cascade_logic.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    return subprocess.run([sys.executable, "-m", module, *argv],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+
+
+def run_module(module, *argv):
+    """`python -m module *argv` in a child process that imports this package."""
+    return run_python("-m", module, *argv)
 
 
 def test_module_entry_point_runs():
@@ -549,3 +553,13 @@ def test_cli_module_runs_as_a_program():
     usage = run_module("cascade_logic.cli", "stats")
     assert (usage.returncode, usage.stdout) == (1, "")
     assert json.loads(usage.stderr)["error"]["kind"] == "usage"
+
+
+def test_compile_imports_no_process_pool(tmp_path):
+    # only --jobs above 1 starts a pool, so only it loads the pool's modules
+    argv = ["compile", "--expr", "a ^ b", "--out", str(tmp_path / "c.json")]
+    result = run_python("-c", "import sys\nfrom cascade_logic.cli import main\n"
+                        f"assert main({argv!r}) == 0\n"
+                        "print(sorted({'multiprocessing', 'concurrent.futures.process'}"
+                        " & set(sys.modules)))")
+    assert (result.returncode, result.stderr, result.stdout) == (0, "", "[]\n")

@@ -1,3 +1,4 @@
+import concurrent.futures
 import io
 import os
 
@@ -8,7 +9,6 @@ import cascade_logic.experiments as experiments
 from cascade_logic import (GlobalFraction, MedianExceedance, Rule, SweepSpec,
                            cascade_sizes, emit_csv, parse_csv, reference_sizes,
                            rows_from_sizes, run_sweep, verify_gcm_determinism)
-from cascade_logic import _seeds
 from cascade_logic._seeds import mix_seed, worker_count
 from cascade_logic.cli import main
 
@@ -91,7 +91,8 @@ class TestDeterminism:
             def map(self, fn, tasks, chunksize=1):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(_seeds, "ProcessPoolExecutor", SerialPool)
+        # map_tasks imports the pool class when it starts one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         spec = small_spec(z_values=(2.0,), realizations=3)
         serial = cascade_sizes(spec, jobs=1)
         assert started == []

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 from fractions import Fraction
@@ -10,7 +11,7 @@ from cascade_logic import (Network, NetworkFormatError, Rule,
                            UNIFORM, assign_thresholds, cutoff, generate_er,
                            load_bundle, load_network, make_rng, save_network,
                            stats)
-from cascade_logic.net import Graph, _float_cutoffs, _pair_from_linear
+from cascade_logic.net import Graph, _cutoffs, _float_cutoffs, _pair_from_linear
 from conftest import network_of
 
 
@@ -123,6 +124,17 @@ class TestFloatCutoffs:
         degrees += make_rng(4).integers(0, 1000, 5000).tolist()
         degrees += make_rng(5).integers(1000, 2**40, 2000).tolist()  # one step still holds
         got = _float_cutoffs(np.array(phis), np.array(degrees, dtype=np.int64))
+        assert got.tolist() == [cutoff(p, d) for p, d in zip(phis, degrees)]
+
+    @pytest.mark.parametrize("phis, degrees", [
+        # num and den fit in int64 but num * degree does not
+        ([Fraction(2**62 - 1, 2**62), Fraction(2**63 - 3, 2**63 - 1), Fraction(1, 3), 1 / 3,
+          Fraction(0)], [4, 5, 3, 3, 0]),
+        # num and den past 2^64, near and at ties k/d
+        ([Fraction(3 * 2**70 - 1, 4 * 2**70), Fraction(2**64, 2**64 + 1),
+          Fraction(2**80 + 1, 3 * 2**80), Fraction(1, 3), 0.75], [4, 1000, 3, 3, 4])])
+    def test_exact_cutoffs_past_int64(self, phis, degrees):
+        got = _cutoffs(np.array(phis, dtype=object), np.array(degrees))
         assert got.tolist() == [cutoff(p, d) for p, d in zip(phis, degrees)]
 
     def test_uniform_assignment_uses_them(self):
@@ -384,6 +396,16 @@ class TestSerialization:
         target.write_text(json.dumps(doc))
         with pytest.raises(NetworkFormatError, match="weights"):
             load_network(target)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("rule", ["gcm"], "nodes[0].rule: unknown rule name ['gcm']"),
+        ("phi", 10**400, f"nodes[0].phi must lie in [0, 1], got {10**400}")])
+    def test_unhashable_rule_and_huge_phi_are_format_errors(self, field, value, message):
+        node = {"id": 0, "rule": "gcm", "phi": 0.5, field: value}
+        doc = {"directed": False, "nodes": [node], "edges": [], "seeds": []}
+        with pytest.raises(NetworkFormatError) as caught:
+            load_network(io.StringIO(json.dumps(doc)))
+        assert str(caught.value) == message
 
     def test_non_dense_ids_rejected(self, tmp_path):
         doc = {"directed": False,

@@ -3,6 +3,7 @@ networks drawn by hypothesis, which is a test-only dependency."""
 
 from __future__ import annotations
 
+import io
 import json
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ import pytest
 
 from cascade_logic import (ExplicitOrder, Network, RandomSweep, Rule, Topological,
                            cutoff, monotone_closure, run_cascade, topological_order)
-from cascade_logic.net import dumps
+from cascade_logic.net import dumps, load_bundle, save_network
 from conftest import assert_stable, network_of
 from oracles import full_pass_cascade, naive_cascade
 
@@ -68,6 +69,15 @@ def test_constructor_cutoffs_match_scalar_cutoff(data, exact):
     graph = data.draw(networks())[0].graph
     degrees = graph.degrees.tolist()
     phi = [data.draw(thresholds(d, exact)) for d in degrees]
+    if data.draw(st.booleans()):
+        # one exact threshold just off a tie k/d, its numerator and
+        # denominator beyond 2^64
+        i = data.draw(st.integers(0, graph.n - 1))
+        d = max(degrees[i], 1)
+        k = data.draw(st.integers(1, d))
+        off = -1 if k == d else data.draw(st.sampled_from((-1, 1)))
+        phi[i] = Fraction(k * 2**65 + off, d * 2**65)
+        assert phi[i].numerator > 2**64 and phi[i].denominator > 2**64
     network = Network(graph, [False] * graph.n, phi)
     assert network.cutoff.tolist() == [cutoff(p, d) for p, d in zip(phi, degrees)]
     has_fraction = any(isinstance(p, Fraction) for p in phi)
@@ -163,3 +173,34 @@ JSON_VALUES = st.recursive(
 @given(value=JSON_VALUES)
 def test_dumps_matches_json_dumps_indent_1(value):
     assert dumps(value) == json.dumps(value, indent=1)
+
+
+def saved_the_old_way(network, inputs, outputs) -> str:
+    """The network file as written from the per-node view."""
+    doc = {"directed": network.directed,
+           "nodes": [{"id": s.id, "rule": s.rule.value, "phi": float(s.phi)}
+                     for s in network.nodes],
+           "edges": [[u, v] for u, v in network.edges],
+           "seeds": sorted(network.seeds)}
+    for key, ports in (("inputs", inputs), ("outputs", outputs)):
+        if ports is not None:
+            doc[key] = {str(k): int(v) for k, v in ports.items()}
+    return json.dumps(doc, indent=1) + "\n"
+
+
+@PROPERTY
+@given(data=st.data(), instance=networks())
+def test_network_file_round_trip(data, instance):
+    # float, Fraction and mixed columns, either kind of graph, seeds and ports
+    drawn, seeds = instance
+    network = Network(drawn.graph, drawn.antagonistic, drawn.phi, seeds)
+    ports = st.none() | st.dictionaries(TEXT, st.integers(0, network.n - 1), max_size=3)
+    inputs, outputs = data.draw(ports), data.draw(ports)
+    out = io.StringIO()
+    save_network(network, out, inputs=inputs, outputs=outputs)
+    assert out.getvalue() == saved_the_old_way(network, inputs, outputs)
+    bundle = load_bundle(io.StringIO(out.getvalue()))
+    # a Fraction comes back as its nearest float
+    assert bundle.network == Network(network.graph, network.antagonistic,
+                                     network.phi.astype(np.float64), seeds)
+    assert (bundle.inputs, bundle.outputs) == (inputs, outputs)
