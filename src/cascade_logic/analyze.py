@@ -8,8 +8,9 @@ outcome depends on examination order.
 
 Each successor has one more labeled node than its parent, so the reachable
 configurations fall into levels by labeled count, each computed from the one
-before it alone as an array of distinct bit masks, with one vectorized firing
-test per block; a search that would pass its state cap stops between levels.
+before it alone as an array of distinct bit masks, with one firing test per
+block on the counts of labeled in-neighbors (the graph's in-neighbor arrays);
+a search that would pass its state cap stops between levels.
 """
 
 from __future__ import annotations
@@ -87,11 +88,9 @@ def _by_levels(network: Network, seeds: frozenset[int], state_cap: int):
     else:
         word_of = np.arange(n) >> 6
         bit = word.type(1) << (np.arange(n) & 63).astype(word)
-    src, dst = network.graph.src, network.graph.dst
-    if not network.graph.directed:  # an edge counts toward both its ends
-        src, dst = np.concatenate((src, dst)), np.concatenate((dst, src))
+    tails, heads = network.graph.indices, np.repeat(np.arange(n), network.graph.degrees)
     in_mask = np.zeros((words, n), dtype=word)  # in-neighbor bits, word by word
-    np.bitwise_or.at(in_mask, (src >> 6, dst), bit[src])
+    np.bitwise_or.at(in_mask, (tails >> 6, heads), bit[tails])
     start = sum(1 << s for s in seeds)
     if words == 1:
         in_mask, bit, terms = in_mask.reshape(n, 1), bit[:, None], 1
@@ -117,15 +116,16 @@ def _by_levels(network: Network, seeds: frozenset[int], state_cap: int):
         parts, pending = [], 0  # parts[0] holds distinct children, the rest any
         for lo in range(0, level.shape[-1], step):
             block = level[..., lo:lo + step]
-            # MONOTONE fires at count >= cutoff, ANTAGONISTIC below it
             if words == 1:
                 child = block | bit
-                fire = (np.bitwise_count(block & in_mask) >= cut) != anti
-                fire &= child != block  # unlabeled nodes only
+                count = np.bitwise_count(block & in_mask)
+                unlabeled = child != block
             else:
-                count = np.bitwise_count(block[term_word] & term_mask)
-                fire = (count.sum(axis=0, dtype=count_type) >= cut) != anti
-                fire &= (block[word_of] & bit[:, None]) == 0  # unlabeled nodes only
+                count = np.bitwise_count(block[term_word] & term_mask).sum(0, dtype=count_type)
+                unlabeled = (block[word_of] & bit[:, None]) == 0
+            # MONOTONE fires at count >= cutoff, ANTAGONISTIC below it
+            fire = (count >= cut) != anti
+            fire &= unlabeled
             stable = ~np.logical_or.reduce(fire, axis=0)
             if np.count_nonzero(stable):
                 fixpoints.append(block[..., stable])

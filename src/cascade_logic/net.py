@@ -11,8 +11,8 @@ count stays below it. :func:`assign_thresholds` makes a network from a graph
 and shares its arrays.
 
 Network files are read into the columns and written from them:
-:func:`load_bundle` checks each node, edge and seed inline as it reads it,
-and builds an error message only for the first that fails.
+:func:`load_bundle` tests each rule once per node, edge and seed as it reads
+it, and raises the message of the first rule that fails on the spot.
 """
 
 from __future__ import annotations
@@ -566,28 +566,6 @@ def _not_an_integer(where: str, value) -> NetworkFormatError:
     return NetworkFormatError(f"{where} must be an integer, got {value!r}")
 
 
-def _node_error(i: int, raw) -> NetworkFormatError:
-    """The error of node `i`, which fails a check: the first that fails of
-    its shape, its id's type, its rule and its phi."""
-    where = f"nodes[{i}]"
-    if type(raw) is not dict:
-        return NetworkFormatError(f"{where} must be an object")
-    if raw.keys() != _NODE_KEYS:
-        return NetworkFormatError(f"{where} must have exactly the keys id, rule, phi")
-    nid, rule, phi = raw["id"], raw["rule"], raw["phi"]
-    if type(nid) is not int:
-        return _not_an_integer(f"{where}.id", nid)
-    if rule not in _RULE_NAMES:
-        return NetworkFormatError(f"{where}.rule: unknown rule name {rule!r}")
-    if type(phi) is not float and type(phi) is not int:
-        return NetworkFormatError(f"{where}.phi must be a number, got {phi!r}")
-    try:
-        phi = float(phi)
-    except OverflowError:  # an integer past the float range, shown as written
-        pass
-    return NetworkFormatError(f"{where}.phi must lie in [0, 1], got {phi}")
-
-
 def _parse_ports(doc: dict, key: str) -> Optional[dict[str, int]]:
     if key not in doc:
         return None
@@ -603,9 +581,10 @@ def _parse_ports(doc: dict, key: str) -> Optional[dict[str, int]]:
 def load_bundle(source) -> NetworkBundle:
     """Parse a network file (path or open text file), validating the schema.
 
-    Every node, edge and seed is checked as it is read into the columns, and
-    a message is built only for the first that fails. The checks run in this
-    order: each node's shape, id type, rule, phi and repeated id; the ids'
+    Every node, edge and seed is checked as it is read into the columns, one
+    rule at a time, and the first rule that fails raises its message there.
+    The checks run in this order: each node's object type, keys, id type,
+    rule name, phi type, phi range and repeated id; the ids'
     range; each edge's shape and endpoint types; each seed's type; the
     graph's own edge checks (missing nodes, self-loops, duplicates); the
     seeds' range; the ports.
@@ -634,12 +613,23 @@ def load_bundle(source) -> NetworkBundle:
     antagonistic, phis = [False] * n, [None] * n  # by id
     stray = set()  # ids outside 0..n-1, each an error once all nodes pass
     for i, raw in enumerate(nodes):
-        if type(raw) is not dict or raw.keys() != _NODE_KEYS:
-            raise _node_error(i, raw)
+        if type(raw) is not dict:
+            raise NetworkFormatError(f"nodes[{i}] must be an object")
+        if raw.keys() != _NODE_KEYS:
+            raise NetworkFormatError(f"nodes[{i}] must have exactly the keys id, rule, phi")
         nid, rule, phi = raw["id"], raw["rule"], raw["phi"]
-        if (type(nid) is not int or rule not in _RULE_NAMES
-                or type(phi) is not float and type(phi) is not int or not 0 <= phi <= 1):
-            raise _node_error(i, raw)
+        if type(nid) is not int:
+            raise _not_an_integer(f"nodes[{i}].id", nid)
+        if rule not in _RULE_NAMES:
+            raise NetworkFormatError(f"nodes[{i}].rule: unknown rule name {rule!r}")
+        if type(phi) is not float and type(phi) is not int:
+            raise NetworkFormatError(f"nodes[{i}].phi must be a number, got {phi!r}")
+        if not 0 <= phi <= 1:
+            try:
+                phi = float(phi)
+            except OverflowError:  # an integer past the float range, shown as written
+                pass
+            raise NetworkFormatError(f"nodes[{i}].phi must lie in [0, 1], got {phi}")
         if 0 <= nid < n and phis[nid] is None:
             antagonistic[nid], phis[nid] = rule == _AGCM, phi
         elif 0 <= nid < n or nid in stray:

@@ -13,6 +13,9 @@ node ("a ^ b ^ c" is a single 3-input XOR, as "a & b & c" is a single
 parentheses, start a fresh node. Each "!" and each "(" opens one nesting
 level, and more than MAX_NESTING open levels raise LimitExceeded, so the
 depth of every parsed AST is bounded.
+
+The tokens are the match objects of one regex scan; a non-space character
+that starts no token is a ParseError at its position, before any parsing.
 """
 
 from __future__ import annotations
@@ -80,32 +83,14 @@ class ParseError(ValueError):
         self.position = position
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>@&|@\||[!&^|()]))")
+_TOKEN_RE = re.compile(r"(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>@&|@\||[!&^|()])|(?P<bad>\S)")
 
 
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    is_ident: bool
-    position: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {stripped[0]!r}", at)
-        if m.group("ident"):
-            tokens.append(_Token(m.group("ident"), True, m.start("ident")))
-        else:
-            tokens.append(_Token(m.group("op"), False, m.start("op")))
-        pos = m.end()
+def _tokenize(text: str) -> list[re.Match]:
+    tokens = list(_TOKEN_RE.finditer(text))
+    for m in tokens:
+        if m.lastgroup == "bad":
+            raise ParseError(f"unexpected character {m[0]!r}", m.start())
     return tokens
 
 
@@ -123,7 +108,7 @@ class _Parser:
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else None
 
-    def advance(self) -> _Token:
+    def advance(self) -> re.Match:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
@@ -133,7 +118,7 @@ class _Parser:
             raise ParseError("empty expression", 0)
         node = self.binary(0)
         if (tok := self.peek()) is not None:
-            raise ParseError(f"unexpected {tok.text!r}", tok.position)
+            raise ParseError(f"unexpected {tok[0]!r}", tok.start())
         return node
 
     def binary(self, level: int) -> Expr:
@@ -142,36 +127,36 @@ class _Parser:
             return self.unary()
         ops = _LEVELS[level]
         node = self.binary(level + 1)
-        while (tok := self.peek()) is not None and tok.text in ops:
+        while (tok := self.peek()) is not None and tok[0] in ops:
             args = [node]
-            while (t := self.peek()) is not None and t.text == tok.text:
+            while (t := self.peek()) is not None and t[0] == tok[0]:
                 self.advance()
                 args.append(self.binary(level + 1))
-            node = ops[tok.text](tuple(args))
+            node = ops[tok[0]](tuple(args))
         return node
 
     def unary(self) -> Expr:
         tok = self.peek()
         if tok is None:
             raise ParseError("unexpected end of input", len(self.text))
-        if tok.is_ident:
+        if tok.lastgroup == "ident":
             self.advance()
-            return Var(tok.text)
-        if tok.text not in ("!", "("):
-            raise ParseError(f"unexpected {tok.text!r}", tok.position)
+            return Var(tok[0])
+        if tok[0] not in ("!", "("):
+            raise ParseError(f"unexpected {tok[0]!r}", tok.start())
         if self.nesting == MAX_NESTING:
             raise LimitExceeded(f"expression nests deeper than {MAX_NESTING} levels "
-                                f"(at position {tok.position})")
+                                f"(at position {tok.start()})")
         self.advance()
         self.nesting += 1
-        if tok.text == "!":
+        if tok[0] == "!":
             node = Not(self.unary())
         else:
             node = self.binary(0)
             closing = self.peek()
-            if closing is None or closing.text != ")":
+            if closing is None or closing[0] != ")":
                 raise ParseError("expected ')'",
-                                 closing.position if closing else len(self.text))
+                                 closing.start() if closing else len(self.text))
             self.advance()
         self.nesting -= 1
         return node
