@@ -34,6 +34,9 @@ from .parser import (And, Expr, LimitExceeded, Nand, Nor, Not, Or, Var, Xor,
 
 MAX_FAN_IN = 64
 MAX_TABLE_CELLS = 1 << 25  # every compiled expression of up to 20 inputs fits
+# blocks x (nodes + edges) of a table's `settle` passes: a bound on its time,
+# as the cells are on its memory; XOR-20 takes about 12,250 in every basis
+MAX_TABLE_STEPS = 1 << 24
 # Rows per block of a table pass: the block's node values (a bit per node and
 # row) or its CSV text stay within this many bytes whatever the circuit's size.
 TABLE_BLOCK_BYTES = 1 << 18
@@ -385,7 +388,8 @@ def truth_table(circuit: CompiledCircuit) -> TruthTable:
     `evaluate` is its one-row case, so the table equals row-by-row
     evaluation by construction. A block's node values fit in
     `TABLE_BLOCK_BYTES` (or are one row); only the input and output columns
-    of every row are kept.
+    of every row are kept. A table past `MAX_TABLE_CELLS` cells or
+    `MAX_TABLE_STEPS` steps raises LimitExceeded before any row is evaluated.
     """
     m = len(circuit.inputs)
     row_count = 1 << m
@@ -394,13 +398,19 @@ def truth_table(circuit: CompiledCircuit) -> TruthTable:
         raise LimitExceeded(f"2^{m} rows of {len(columns)} columns would need "
                             f"{row_count * len(columns)} cells; the limit is "
                             f"{MAX_TABLE_CELLS} cells")
+    network = circuit.network
+    step = max(1, 8 * TABLE_BLOCK_BYTES // network.n)
+    blocks, edges = -(-row_count // step), network.graph.src.size
+    if blocks * (network.n + edges) > MAX_TABLE_STEPS:
+        raise LimitExceeded(f"2^{m} rows in {blocks} blocks of {network.n} nodes and "
+                            f"{edges} edges would take {blocks * (network.n + edges)} "
+                            f"steps; the limit is {MAX_TABLE_STEPS} steps")
     bits = np.empty((row_count, len(columns)), dtype=np.uint8)
-    step = max(1, 8 * TABLE_BLOCK_BYTES // circuit.network.n)
     for lo in range(0, row_count, step):
         size = min(step, row_count - lo)
         fixed = {nid: _counter_bits(m - 1 - j, lo, size)
                  for j, nid in enumerate(circuit.inputs.values())}
-        value = settle(circuit.network, fixed, (1 << size) - 1)
+        value = settle(network, fixed, (1 << size) - 1)
         for j, nid in enumerate(columns):
             packed = np.frombuffer(value[nid].to_bytes(-(-size // 8), "little"), np.uint8)
             bits[lo:lo + size, j] = np.unpackbits(packed, count=size, bitorder="little")

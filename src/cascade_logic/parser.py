@@ -31,7 +31,7 @@ MAX_NESTING = 100
 
 class LimitExceeded(ValueError):
     """An input beyond one of the package's explicit caps: expression
-    nesting, gate fan-in or truth-table cells."""
+    nesting, gate fan-in, or truth-table cells or steps."""
 
 
 @dataclass(frozen=True)

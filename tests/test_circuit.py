@@ -379,6 +379,25 @@ def test_table_cell_guard(monkeypatch):
         truth_table(adder)
 
 
+@pytest.mark.parametrize("block_bytes, blocks", [(circuit_module.TABLE_BLOCK_BYTES, 1), (1, 4)])
+def test_table_step_guard(monkeypatch, block_bytes, blocks):
+    adder = compile_half_adder()  # 4 rows, in one block or in one block a row
+    monkeypatch.setattr(circuit_module, "TABLE_BLOCK_BYTES", block_bytes)
+    steps = blocks * (adder.network.n + adder.network.graph.src.size)
+    monkeypatch.setattr(circuit_module, "MAX_TABLE_STEPS", steps)
+    assert truth_table(adder).bits.shape == (4, 4)
+    monkeypatch.setattr(circuit_module, "MAX_TABLE_STEPS", steps - 1)
+    with pytest.raises(LimitExceeded, match=f"would take {steps} steps; the limit is {steps - 1}"):
+        truth_table(adder)
+
+
+@pytest.mark.parametrize("basis", list(Basis), ids=lambda b: b.value)
+def test_twenty_input_xor_tabulates_in_every_basis(basis):
+    bits = truth_table(compile_expr(" ^ ".join(f"x{i}" for i in range(20)), basis)).bits
+    assert bits.shape == (1 << 20, 21)
+    assert np.array_equal(bits[:, 20], bits[:, :20].sum(axis=1) % 2)
+
+
 class TestSelfFiringInputs:
     """An input must stay unlabeled when its bit is 0, as the table assumes."""
 

@@ -13,7 +13,8 @@ from cascade_logic import cli as cli_module
 from cascade_logic import experiments as experiments_module
 from cascade_logic import net as net_module
 from cascade_logic import fixture_path, load_network
-from cascade_logic.circuit import MAX_FAN_IN, MAX_TABLE_CELLS
+from cascade_logic import circuit as circuit_module
+from cascade_logic.circuit import MAX_FAN_IN, MAX_TABLE_CELLS, MAX_TABLE_STEPS
 from cascade_logic.cli import MAX_Z_VALUES, _parse_z_range, main
 from cascade_logic.parser import MAX_NESTING, LimitExceeded
 from conftest import GOLDEN
@@ -167,6 +168,28 @@ class TestCompileEvalTable:
         error = json.loads(err)["error"]
         assert error["kind"] == "resource"
         assert f"limit is {MAX_TABLE_CELLS} cells" in error["message"]
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_table_above_step_limit_is_resource_error(self, cli, tmp_path, monkeypatch):
+        # 20 inputs, their OR, then a chain of 19,999 buffers: 20,020 nodes pass
+        # the cell cap, but a block holds 104 rows, so the table takes 10,083 blocks
+        n = 20_020
+        nodes = [{"id": i, "rule": "gcm", "phi": 0.5} for i in range(20)]
+        nodes.append({"id": 20, "rule": "gcm", "phi": 0.05})
+        nodes += [{"id": i, "rule": "gcm", "phi": 1.0} for i in range(21, n)]
+        doc = {"directed": True, "nodes": nodes,
+               "edges": [[i, 20] for i in range(20)] + [[i - 1, i] for i in range(21, n)],
+               "seeds": [], "inputs": {f"a{i}": i for i in range(20)}, "outputs": {"out": n - 1}}
+        target = tmp_path / "chain.json"
+        target.write_text(json.dumps(doc))
+        monkeypatch.setattr(circuit_module, "settle", None)  # no row is evaluated
+        code, out, err = cli("table", "--net", str(target), "--out", str(tmp_path / "t.csv"))
+        assert (code, out) == (3, "")
+        error = json.loads(err)["error"]
+        assert error["kind"] == "resource"
+        assert error["message"] == (
+            f"2^20 rows in 10083 blocks of {n} nodes and {n - 1} edges would take "
+            f"{10083 * (2 * n - 1)} steps; the limit is {MAX_TABLE_STEPS} steps")
         assert not (tmp_path / "t.csv").exists()
 
     @pytest.mark.parametrize("expr", [

@@ -1,9 +1,9 @@
 """Network-file errors pinned message by message.
 
 Each case corrupts a valid circuit file (the half adder, with seeds 0 and 1)
-past its first node, edge, seed or port, and golden/load_errors.json holds
-the exact NetworkFormatError message that loading it raises. Cases with two
-faults pin which one is reported.
+past its first node, edge, seed or port, or in its circuit shape, and
+golden/load_errors.json holds the exact NetworkFormatError message that
+loading it raises. Cases with two faults pin which one is reported.
 """
 
 from __future__ import annotations
@@ -49,6 +49,12 @@ def _both(*corruptions):
     def corrupt(doc):
         for c in corruptions:
             c(doc)
+    return corrupt
+
+
+def _append(key, value):
+    def corrupt(doc):
+        doc[key].append(value)
     return corrupt
 
 
@@ -112,6 +118,14 @@ CORRUPTIONS = {
     "missing endpoint and seed out of range": _both(_set("edges", 4, 1, 70),
                                                     _set("seeds", 1, 70)),
     "seed and port": _both(_set("seeds", 1, 0.5), _set("inputs", "b", 0.5)),
+    # circuit shape, checked once the network has loaded
+    "circuit undirected": _set("directed", False),
+    "circuit without inputs": _set("inputs", {}),
+    "circuit without outputs": _set("outputs", {}),
+    "input with an in-edge": _append("edges", [1, 0]),  # b -> a: no cycle
+    "output unreached": _delete("edges", 8),  # [2, 6]: carry has no in-edge
+    "ports missing": _both(_delete("inputs"), _delete("outputs")),
+    "outputs missing": _delete("outputs"),
 }
 
 
