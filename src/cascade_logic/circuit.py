@@ -35,7 +35,7 @@ from .parser import (And, Expr, LimitExceeded, Nand, Nor, Not, Or, Var, Xor,
 MAX_FAN_IN = 64
 MAX_TABLE_CELLS = 1 << 25  # every compiled expression of up to 20 inputs fits
 # blocks x (nodes + edges) of a table's `settle` passes: a bound on its time,
-# as the cells are on its memory; XOR-20 takes about 12,250 in every basis
+# as the cells are on its memory; XOR-20 takes at most 12,250 in any basis
 MAX_TABLE_STEPS = 1 << 24
 # Rows per block of a table pass: the block's node values (a bit per node and
 # row) or its CSV text stay within this many bytes whatever the circuit's size.

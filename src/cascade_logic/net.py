@@ -584,10 +584,10 @@ def load_bundle(source) -> NetworkBundle:
     Every node, edge and seed is checked as it is read into the columns, one
     rule at a time, and the first rule that fails raises its message there.
     The checks run in this order: each node's object type, keys, id type,
-    rule name, phi type, phi range and repeated id; the ids'
-    range; each edge's shape and endpoint types; each seed's type; the
-    graph's own edge checks (missing nodes, self-loops, duplicates); the
-    seeds' range; the ports.
+    rule name, phi type, phi range and repeated id; the ids' range; each
+    edge's shape and endpoint types; each seed's type; the graph's own edge
+    checks (missing nodes, self-loops, duplicates); the seeds' range; the
+    ports.
     """
     try:
         doc = json.loads(read_text(source))
