@@ -9,11 +9,11 @@ import pytest
 
 import cascade_logic
 from cascade_logic import _seeds as seeds_module
+from cascade_logic import circuit as circuit_module
 from cascade_logic import cli as cli_module
 from cascade_logic import experiments as experiments_module
 from cascade_logic import net as net_module
 from cascade_logic import fixture_path, load_network
-from cascade_logic import circuit as circuit_module
 from cascade_logic.circuit import MAX_FAN_IN, MAX_TABLE_CELLS, MAX_TABLE_STEPS
 from cascade_logic.cli import MAX_Z_VALUES, _parse_z_range, main
 from cascade_logic.parser import MAX_NESTING, LimitExceeded

@@ -11,6 +11,7 @@ nodes shuffled. The document is written with NaN and Infinity allowed, and
 from __future__ import annotations
 
 import contextlib
+import copy
 import io
 import json
 import math
@@ -81,7 +82,7 @@ def mutate(doc: dict, draw) -> None:
         container, key = slot
         del container[key]
     elif kind == "duplicate edge" and type(doc.get("edges")) is list and doc["edges"]:
-        doc["edges"].append(json.loads(json.dumps(_pick(draw, doc["edges"]))))
+        doc["edges"].append(copy.deepcopy(_pick(draw, doc["edges"])))
     elif kind == "shuffle nodes" and type(doc.get("nodes")) is list:
         doc["nodes"] = draw(st.permutations(doc["nodes"]))
 

@@ -52,12 +52,6 @@ def _both(*corruptions):
     return corrupt
 
 
-def _append(key, value):
-    def corrupt(doc):
-        doc[key].append(value)
-    return corrupt
-
-
 def _renumber(doc):  # ids 0..5 and 7: a gap at 6
     doc["nodes"][6]["id"] = 7
 
@@ -122,7 +116,7 @@ CORRUPTIONS = {
     "circuit undirected": _set("directed", False),
     "circuit without inputs": _set("inputs", {}),
     "circuit without outputs": _set("outputs", {}),
-    "input with an in-edge": _append("edges", [1, 0]),  # b -> a: no cycle
+    "input with an in-edge": lambda doc: doc["edges"].append([1, 0]),  # b -> a: no cycle
     "output unreached": _delete("edges", 8),  # [2, 6]: carry has no in-edge
     "ports missing": _both(_delete("inputs"), _delete("outputs")),
     "outputs missing": _delete("outputs"),
