@@ -71,32 +71,28 @@ def _by_levels(network: Network, seeds: frozenset[int], state_cap: int):
     """(a fixpoint x node array, nonzero where the node is labeled; the
     explored count; whether the search was truncated).
 
-    Up to 64 nodes a level is an array of masks in the narrowest unsigned
-    word that holds n bits; above, ceil(n/64) rows of uint64 words, a column
-    per configuration, whose children are collected as (Zobrist hash, parent
-    column * n + node) columns, 16 bytes whatever n is. Each (node x
-    configuration) array of a block fits `SEARCH_BLOCK_BYTES`. Children are
-    de-duplicated once the new ones are as many as the distinct ones, so at
-    most twice the next level plus one block is held; once the distinct ones
-    pass the cap, the rest of the level is only tested for stability.
+    A level is ceil(n/64) rows of words, a column per configuration. Up to
+    64 nodes it is one row in the narrowest unsigned word that holds n bits,
+    and its children are collected as masks; above, the words are uint64,
+    and the children are collected as (Zobrist hash, parent column * n +
+    node) columns, 16 bytes whatever n is. Each (node x configuration) array
+    of a block fits `SEARCH_BLOCK_BYTES`. Children are de-duplicated once
+    the new ones are as many as the distinct ones, so at most twice the next
+    level plus one block is held; once the distinct ones pass the cap, the
+    rest of the level is only tested for stability.
     """
     n = network.n
     words = -(-n // 64)
     word = np.dtype(np.uint16 if n <= 16 else np.uint32 if n <= 32 else np.uint64)
-    if words == 1:
-        bit = word.type(1) << np.arange(n, dtype=word)
-    else:
-        word_of = np.arange(n) >> 6
-        bit = word.type(1) << (np.arange(n) & 63).astype(word)
+    word_of = np.arange(n) >> 6
+    bit = (word.type(1) << (np.arange(n, dtype=word) & 63))[:, None]  # a column
     tails, heads = network.graph.indices, np.repeat(np.arange(n), network.graph.degrees)
     in_mask = np.zeros((words, n), dtype=word)  # in-neighbor bits, word by word
-    np.bitwise_or.at(in_mask, (tails >> 6, heads), bit[tails])
-    start = sum(1 << s for s in seeds)
-    if words == 1:
-        in_mask, bit, terms = in_mask.reshape(n, 1), bit[:, None], 1
-        level = np.array([start], dtype=word)
-    else:
-        level = np.frombuffer(start.to_bytes(8 * words, "little"), dtype="<u8")[:, None]
+    np.bitwise_or.at(in_mask, (tails >> 6, heads), bit[tails, 0])
+    start = sum(1 << s for s in seeds).to_bytes(words * word.itemsize, "little")
+    level = np.frombuffer(start, dtype=word.newbyteorder("<"))[:, None]
+    terms = 1
+    if words > 1:
         # `terms` (word, mask) rows per node, its nonzero words first and
         # then zero masks, hold all its in-neighbor bits
         terms = max(1, int(np.count_nonzero(in_mask, axis=0).max()))
@@ -110,29 +106,26 @@ def _by_levels(network: Network, seeds: frozenset[int], state_cap: int):
     cut = np.minimum(network.cutoff, 64 * terms + 1).astype(count_type)[:, None]
     anti = network.antagonistic[:, None]
     fixpoints, explored = [], 0
-    while level.shape[-1]:
-        explored += level.shape[-1]
+    while level.shape[1]:
+        explored += level.shape[1]
         room = state_cap - explored  # configurations of the next level that fit
         parts, pending = [], 0  # parts[0] holds distinct children, the rest any
-        for lo in range(0, level.shape[-1], step):
-            block = level[..., lo:lo + step]
+        for lo in range(0, level.shape[1], step):
+            block = level[:, lo:lo + step]
             if words == 1:
-                child = block | bit
-                count = np.bitwise_count(block & in_mask)
-                unlabeled = child != block
+                count = np.bitwise_count(block & in_mask.T)
             else:
                 count = np.bitwise_count(block[term_word] & term_mask).sum(0, dtype=count_type)
-                unlabeled = (block[word_of] & bit[:, None]) == 0
             # MONOTONE fires at count >= cutoff, ANTAGONISTIC below it
             fire = (count >= cut) != anti
-            fire &= unlabeled
+            fire &= (block.take(word_of, axis=0) & bit) == 0
             stable = ~np.logical_or.reduce(fire, axis=0)
             if np.count_nonzero(stable):
-                fixpoints.append(block[..., stable])
+                fixpoints.append(block.compress(stable, axis=1))
             if parts is None:
                 continue  # the next level is already known not to fit
             if words == 1:
-                children = child.compress(fire.ravel())
+                children = (block | bit).compress(fire.ravel())
             else:
                 node, parent = np.nonzero(fire)
                 parent += lo
@@ -148,12 +141,11 @@ def _by_levels(network: Network, seeds: frozenset[int], state_cap: int):
         if parts is None or parts[0].shape[-1] > room:
             break  # truncated: the search ends with a level left
         if words == 1:
-            level = parts[0]
+            level = parts[0][None]
         else:
             hashes, level = parts[0][0], _child_words(level, parts[0][1], n)
-    found = np.concatenate(fixpoints, axis=-1) if fixpoints else level[..., :0]
-    member = found[:, None] & bit.T if words == 1 else found.T[:, word_of] & bit
-    return member, explored, level.shape[-1] > 0
+    found = np.concatenate(fixpoints, axis=1) if fixpoints else level[:, :0]
+    return (found.take(word_of, axis=0) & bit).T, explored, level.shape[1] > 0
 
 
 def _distinct(parts: list[np.ndarray], level: np.ndarray, n: int) -> np.ndarray:
@@ -211,7 +203,9 @@ def outcome_sensitivity(network: Network, seeds: Iterable[int],
                         trials: int, rng_seed: int) -> SensitivityReport:
     """Run `trials` random-sweep cascades and compare the watched nodes'
     final bits against `reference`. Trial t runs
-    ``run_cascade(network, seeds, RandomSweep(mix_seed(rng_seed, t)))``."""
+    ``run_cascade(network, seeds, RandomSweep(mix_seed(rng_seed, t)))``, but
+    the trials share one budget of `engine.MAX_EXAMINATIONS` examinations,
+    not one each: past it, LimitExceeded is raised."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     check_task_count(trials, "trials")

@@ -36,7 +36,6 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 
-JOBS_ENV = "CASCADE_LOGIC_JOBS"
 MAX_Z_VALUES = 1 << 16  # a start:stop:step range longer than this is refused
 
 
@@ -163,18 +162,6 @@ def _parse_metric(text: str):
     raise UsageError(f"--metric must be global[:<t>] or median, got {text!r}")
 
 
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get(JOBS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
-def _jobs(args) -> int:
-    """--jobs if given, else the environment's value at the time of the call."""
-    return _default_jobs() if args.jobs is None else args.jobs
-
-
 def _basis(text: str) -> Basis:
     try:
         return Basis(text)
@@ -270,7 +257,7 @@ def _cmd_sensitivity(args) -> int:
 def _cmd_verify_gcm(args) -> int:
     verdict = verify_gcm_determinism(args.n, args.z, args.instances, args.seed,
                                      rule=_parse_rule(args.rule), state_cap=args.cap,
-                                     jobs=_jobs(args))
+                                     jobs=args.jobs)
     _print_json({
         "verdict": verdict.value,
         "n": args.n,
@@ -296,7 +283,7 @@ def _cmd_sweep(args) -> int:
         metric=_parse_metric(args.metric),
     )
     _check_writable(args.dump_sizes, args.out)  # before any realization
-    sizes, reference = sweep_sizes(spec, jobs=_jobs(args))
+    sizes, reference = sweep_sizes(spec, jobs=args.jobs)
     rows = rows_from_sizes(spec, sizes, reference)
     if args.dump_sizes is not None:
         dump = [{"z": z, "sizes": sizes[zi].tolist()}

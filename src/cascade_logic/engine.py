@@ -20,9 +20,12 @@ import numpy as np
 
 from ._seeds import make_rng
 from .net import Network, Rule, seed_ids
+from .parser import LimitExceeded
 
 # A configuration is just the set of currently labeled node ids.
 Configuration = frozenset
+# node examinations, summed over the passes of every run of one `_Cascade`
+MAX_EXAMINATIONS = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -116,7 +119,8 @@ def run_cascade(network: Network, seeds: Optional[Iterable[int]],
 
     Labeling takes effect immediately, so a node labeled mid-pass is visible
     to nodes examined after it. The run is deterministic given the mode,
-    including RandomSweep's rng_seed.
+    including RandomSweep's rng_seed. A pass-based run that would examine
+    more than `MAX_EXAMINATIONS` nodes raises LimitExceeded.
     """
     seed_set = network.seeds if seeds is None else seed_ids(seeds, network.n)
     if isinstance(mode, Topological):  # the one-row settle, with the seeds fixed to 1
@@ -137,7 +141,9 @@ def run_cascade(network: Network, seeds: Optional[Iterable[int]],
 class _Cascade:
     """Runs of one network from one checked seed set. The set-up that does
     not depend on the schedule (per-node lists, the seeds' neighbor counts)
-    is done once, so many runs pay it once."""
+    is done once, so many runs pay it once. All its runs share one budget of
+    `MAX_EXAMINATIONS` node examinations: a pass that would overdraw it
+    raises LimitExceeded before it starts."""
 
     def __init__(self, network: Network, seed_set: frozenset[int]):
         n = network.n
@@ -156,6 +162,7 @@ class _Cascade:
         unlabeled = np.frombuffer(self.labels, dtype=np.uint8) == 0
         self.pending = np.flatnonzero(unlabeled)
         self.monotone = np.flatnonzero(unlabeled & ~network.antagonistic).tolist()
+        self.budget = MAX_EXAMINATIONS
 
     def run(self, mode: ScheduleMode) -> tuple[bytearray, list[int], int]:
         """(labels, labeling order, passes) of one run under `mode`."""
@@ -191,7 +198,12 @@ class _Cascade:
         while True:
             passes += 1
             changed = False
-            for u in next_pass():
+            order = next_pass()
+            self.budget -= len(order)
+            if self.budget < 0:
+                raise LimitExceeded(f"cascade runs exceed the limit of "
+                                    f"{MAX_EXAMINATIONS} node examinations")
+            for u in order:
                 # MONOTONE fires at count >= cutoff, ANTAGONISTIC below it
                 if labels[u] or (counts[u] >= cut[u]) == anti[u]:
                     continue

@@ -31,7 +31,8 @@ MAX_NESTING = 100
 
 class LimitExceeded(ValueError):
     """An input beyond one of the package's explicit caps: expression
-    nesting, gate fan-in, or truth-table cells or steps."""
+    nesting, gate fan-in, truth-table cells or steps, graph size, task
+    counts, the length of a `--z` range, or a cascade's node examinations."""
 
 
 @dataclass(frozen=True)

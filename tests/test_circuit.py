@@ -11,15 +11,15 @@ import numpy as np
 import pytest
 
 from cascade_logic import circuit as circuit_module
-from cascade_logic.circuit import MAX_FAN_IN
+from cascade_logic.circuit import MAX_FAN_IN, input_seeds
 from cascade_logic.parser import MAX_NESTING
 from cascade_logic import (Basis, CompiledCircuit, GateKind, Graph, LimitExceeded,
-                           NetworkFormatError, Rule, build_gate, compile_expr,
-                           compile_half_adder,
+                           Network, NetworkFormatError, Rule, Topological, build_gate,
+                           compile_expr, compile_half_adder,
                            evaluate, is_monotone_decreasing,
                            is_monotone_increasing, load_circuit, make_rng,
-                           parse_expr, phi_for_gate, phi_interval, save_circuit,
-                           TruthTable, truth_table, variables)
+                           parse_expr, phi_for_gate, phi_interval, run_cascade,
+                           save_circuit, TruthTable, truth_table, variables)
 from conftest import network_of, small_network
 from exprgen import random_expr, random_monotone_expr
 from oracles import count_fires, eval_expr, gate_truth, in_neighbors, monotone_by_flips
@@ -85,6 +85,34 @@ class TestGateFidelity:
     def test_single_input_gates(self, kind):
         assert table_bits(build_gate(kind, 1)) == (
             [1, 0] if kind is GateKind.NOT else [0, 1])
+
+
+def explicit_gate(k, rule, phi):
+    """build_gate's circuit written out: inputs 0..k-1, the gate node k."""
+    network = Network(Graph.from_edges(k + 1, True, range(k), [k] * k),
+                      [False] * k + [rule is Rule.ANTAGONISTIC], [Fraction(1, 2)] * k + [phi])
+    return CompiledCircuit(network, {f"x{i}": i for i in range(k)}, {"out": k})
+
+
+class TestBuildGate:
+    @pytest.mark.parametrize("kind", list(GateKind), ids=lambda k: k.value)
+    def test_equals_the_explicit_construction_at_every_fan_in(self, kind):
+        one_input = kind in (GateKind.NOT, GateKind.BUF)
+        for k in [1] if one_input else range(2, MAX_FAN_IN + 1):
+            assign = phi_for_gate(kind, k)
+            built, want = build_gate(kind, k), explicit_gate(k, assign.rule, assign.phi)
+            assert built == want, k
+            assert list(map(type, built.network.phi.tolist())) == [Fraction] * (k + 1)
+
+    @pytest.mark.parametrize("kind", list(GateKind), ids=lambda k: k.value)
+    def test_phi_and_rule_overrides(self, kind):
+        one_input = kind in (GateKind.NOT, GateKind.BUF)
+        for k in [1] if one_input else [2, 3, 17, MAX_FAN_IN]:
+            assign = phi_for_gate(kind, k)
+            flipped = Rule.MONOTONE if assign.rule is Rule.ANTAGONISTIC else Rule.ANTAGONISTIC
+            assert build_gate(kind, k, phi=0.3) == explicit_gate(k, assign.rule, 0.3)
+            assert build_gate(kind, k, rule=flipped) == explicit_gate(k, flipped, assign.phi)
+            assert build_gate(kind, k, 0.75, flipped) == explicit_gate(k, flipped, 0.75)
 
 
 class TestCompile:
@@ -184,6 +212,20 @@ class TestEvaluate:
                 by_cascade = evaluate(circuit, dict(zip(names, inputs)))
                 assert truth_table(circuit).rows[row] == tuple(
                     by_cascade[name] for name in truth_table(circuit).output_names)
+
+    @pytest.mark.parametrize("basis", list(Basis), ids=lambda b: b.value)
+    def test_equals_a_topological_run_on_every_row(self, basis):
+        # `eval` and `run --mode topo` take two code paths to the same labels
+        rng = make_rng(4417)
+        for i in range(100):
+            circuit = compile_expr(random_expr(rng, max_depth=4, max_vars=1 + i % 5), basis)
+            names = tuple(circuit.inputs)
+            for bits in product((0, 1), repeat=len(names)):
+                assignment = dict(zip(names, bits))
+                final = run_cascade(circuit.network, input_seeds(circuit, assignment),
+                                    Topological()).final
+                assert evaluate(circuit, assignment) == {
+                    name: int(nid in final) for name, nid in circuit.outputs.items()}, i
 
     def test_missing_and_extra_inputs_rejected(self):
         circuit = compile_expr("a & b")
@@ -491,8 +533,8 @@ def rows_by_evaluate(circuit):
 class TestBlockedTable:
     @staticmethod
     def three_row_blocks(monkeypatch, circuit):
-        # a block holds 8 * TABLE_BLOCK_BYTES // n rows: here 3 to 5 rows for
-        # n >= 2, never a multiple of 8, so packed bytes end part-way
+        # a block holds the most rows, a power of two, within 8 *
+        # TABLE_BLOCK_BYTES // n: here 2 or 4 rows, so packed bytes end part-way
         monkeypatch.setattr(circuit_module, "TABLE_BLOCK_BYTES", -(-3 * circuit.network.n // 8))
 
     @pytest.mark.parametrize("basis", list(Basis), ids=lambda b: b.value)
@@ -564,12 +606,11 @@ class TestBlockedTable:
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 7, 12, 19])
     def test_counter_bits_match_row_ids(self, k):
-        rng = make_rng(k)
-        for lo, size in [(0, 1), (0, 8), (5, 3), *rng.integers(1, 1 << 21, (20, 2)).tolist()]:
-            rows = np.arange(lo, lo + size)
+        for log in range(k + 1, 22):
+            rows = np.arange(1 << log)
             want = int.from_bytes(np.packbits((rows >> k) & 1, bitorder="little").tobytes(),
                                   "little")
-            assert circuit_module._counter_bits(k, lo, size) == want
+            assert circuit_module._counter_bits(k, 1 << log) == want
 
 
 # sha256 of save_circuit output per basis and expression. Node ids are the

@@ -11,6 +11,7 @@ import cascade_logic
 from cascade_logic import _seeds as seeds_module
 from cascade_logic import circuit as circuit_module
 from cascade_logic import cli as cli_module
+from cascade_logic import engine as engine_module
 from cascade_logic import experiments as experiments_module
 from cascade_logic import net as net_module
 from cascade_logic import fixture_path, load_network
@@ -20,6 +21,20 @@ from cascade_logic.parser import MAX_NESTING, LimitExceeded
 from conftest import GOLDEN
 
 FIXTURES = ["or2", "and2", "nor2", "nand2", "not1", "half_adder"]
+
+
+def or_chain_file(tmp_path, n):
+    """A circuit file of 20 inputs, their OR (node 20), then a chain of buffers
+    to node n - 1, the output."""
+    nodes = [{"id": i, "rule": "gcm", "phi": 0.5} for i in range(20)]
+    nodes.append({"id": 20, "rule": "gcm", "phi": 0.05})
+    nodes += [{"id": i, "rule": "gcm", "phi": 1.0} for i in range(21, n)]
+    doc = {"directed": True, "nodes": nodes,
+           "edges": [[i, 20] for i in range(20)] + [[i - 1, i] for i in range(21, n)],
+           "seeds": [], "inputs": {f"a{i}": i for i in range(20)}, "outputs": {"out": n - 1}}
+    target = tmp_path / "chain.json"
+    target.write_text(json.dumps(doc))
+    return target
 
 
 @pytest.fixture
@@ -171,26 +186,37 @@ class TestCompileEvalTable:
         assert not (tmp_path / "t.csv").exists()
 
     def test_table_above_step_limit_is_resource_error(self, cli, tmp_path, monkeypatch):
-        # 20 inputs, their OR, then a chain of 19,999 buffers: 20,020 nodes pass
-        # the cell cap, but a block holds 104 rows, so the table takes 10,083 blocks
+        # 20,020 nodes pass the cell cap, but a block holds 64 rows, so the
+        # table takes 16,384 blocks
         n = 20_020
-        nodes = [{"id": i, "rule": "gcm", "phi": 0.5} for i in range(20)]
-        nodes.append({"id": 20, "rule": "gcm", "phi": 0.05})
-        nodes += [{"id": i, "rule": "gcm", "phi": 1.0} for i in range(21, n)]
-        doc = {"directed": True, "nodes": nodes,
-               "edges": [[i, 20] for i in range(20)] + [[i - 1, i] for i in range(21, n)],
-               "seeds": [], "inputs": {f"a{i}": i for i in range(20)}, "outputs": {"out": n - 1}}
-        target = tmp_path / "chain.json"
-        target.write_text(json.dumps(doc))
+        target = or_chain_file(tmp_path, n)
         monkeypatch.setattr(circuit_module, "settle", None)  # no row is evaluated
         code, out, err = cli("table", "--net", str(target), "--out", str(tmp_path / "t.csv"))
         assert (code, out) == (3, "")
         error = json.loads(err)["error"]
         assert error["kind"] == "resource"
         assert error["message"] == (
-            f"2^20 rows in 10083 blocks of {n} nodes and {n - 1} edges would take "
-            f"{10083 * (2 * n - 1)} steps; the limit is {MAX_TABLE_STEPS} steps")
+            f"2^20 rows in 16384 blocks of {n} nodes and {n - 1} edges would take "
+            f"{16384 * (2 * n - 1)} steps; the limit is {MAX_TABLE_STEPS} steps")
         assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sensitivity", "--assign", ",".join(f"a{i}=1" for i in range(20)),
+         "--trials", "3", "--seed", "4"],
+        ["run", "--seeds", "0", "--mode", "sweep:1"],
+    ], ids=["sensitivity", "run"])
+    def test_random_sweep_past_the_examination_budget_is_resource_error(
+            self, cli, tmp_path, monkeypatch, argv):
+        # a random sweep down a chain labels about one increasing run of its
+        # order a pass: about 0.29 n^2 examinations, about 290,000 here
+        monkeypatch.setattr(engine_module, "MAX_EXAMINATIONS", 10 ** 5)
+        target = or_chain_file(tmp_path, 1000)
+        code, out, err = cli(argv[0], "--net", str(target), *argv[1:])
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == {
+            "kind": "resource",
+            "message": "cascade runs exceed the limit of 100000 node examinations"}
 
     @pytest.mark.parametrize("expr", [
         "(" * (MAX_NESTING + 1) + "a" + ")" * (MAX_NESTING + 1),
@@ -510,15 +536,6 @@ class TestErrorPaths:
         code, _, err = cli("frobnicate")
         assert code == 1
 
-    def test_env_var_sets_default_jobs(self, monkeypatch):
-        from cascade_logic.cli import _default_jobs
-        monkeypatch.setenv("CASCADE_LOGIC_JOBS", "6")
-        assert _default_jobs() == 6
-        monkeypatch.setenv("CASCADE_LOGIC_JOBS", "banana")
-        assert _default_jobs() == 1
-        monkeypatch.delenv("CASCADE_LOGIC_JOBS")
-        assert _default_jobs() == 1
-
 
 class TestParserOnce:
     def test_main_never_builds_a_parser(self, cli, monkeypatch):
@@ -530,7 +547,7 @@ class TestParserOnce:
             assert code == 0
             assert json.loads(out)["n"] == 3
 
-    def test_jobs_env_set_after_import_reaches_sweep(self, cli, monkeypatch):
+    def test_jobs_flag_reaches_sweep(self, cli, monkeypatch):
         seen = []
         real_sweep_sizes = cli_module.sweep_sizes
 
@@ -541,13 +558,9 @@ class TestParserOnce:
         monkeypatch.setattr(cli_module, "sweep_sizes", recording_sweep_sizes)
         argv = ("sweep", "--n", "20", "--z", "2", "--phi", "0.2", "--rule", "gcm",
                 "--realizations", "2", "--seed", "5")
-        for value in ("3", "5"):
-            monkeypatch.setenv("CASCADE_LOGIC_JOBS", value)
-            assert cli(*argv)[0] == 0
         assert cli(*argv, "--jobs", "2")[0] == 0
-        monkeypatch.delenv("CASCADE_LOGIC_JOBS")
         assert cli(*argv)[0] == 0
-        assert seen == [3, 5, 2, 1]
+        assert seen == [2, None]  # no --jobs: one worker
 
 
 def run_python(*argv):

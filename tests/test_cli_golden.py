@@ -49,7 +49,6 @@ CASES = json.loads(CLI_GOLDEN.read_text())
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: " ".join(c["argv"]) or "<none>")
 def test_cli_behaviour_is_pinned(case, tmp_path, monkeypatch):
-    monkeypatch.delenv("CASCADE_LOGIC_JOBS", raising=False)
     monkeypatch.chdir(tmp_path)
     prepare_workdir(tmp_path)
     assert observe(case["argv"], tmp_path) == case
@@ -61,7 +60,6 @@ if __name__ == "__main__":
     import os
     import tempfile
 
-    os.environ.pop("CASCADE_LOGIC_JOBS", None)
     cases = []
     home = os.getcwd()
     for case in CASES:

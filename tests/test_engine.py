@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from cascade_logic import (ExplicitOrder, RandomSweep, Rule,
+from cascade_logic import engine
+from cascade_logic import (ExplicitOrder, LimitExceeded, RandomSweep, Rule,
                            Topological, cutoff, is_global,
-                           make_rng, mix_seed, monotone_closure, run_cascade,
-                           settle, topological_order)
+                           make_rng, mix_seed, monotone_closure, outcome_sensitivity,
+                           run_cascade, settle, topological_order)
 from conftest import assert_stable, network_of, random_instance, small_network
 from oracles import (count_fires, fires, in_neighbors, naive_cascade, neighbor_fraction,
                      tlu_fires)
@@ -245,6 +246,49 @@ class TestMonotoneClosure:
     def test_bad_seed_rejected(self):
         with pytest.raises(ValueError, match="seed"):
             monotone_closure(two_node_path(), {7})
+
+
+class TestExaminationBudget:
+    @staticmethod
+    def chain(k):
+        """0 -> 1 -> ... -> k-1, each node firing once its in-neighbor is labeled."""
+        return network_of(k, True, [(u, u + 1) for u in range(k - 1)], phi=1.0)
+
+    def test_a_run_fits_a_budget_of_its_examinations_exactly(self, monkeypatch):
+        # from the chain's end, each pass of k - 1 examinations labels one
+        # node; k - 1 passes run and the last, empty one is counted, not run
+        k = 12
+        order, used = ExplicitOrder(range(k - 1, 0, -1)), (k - 1) ** 2
+        monkeypatch.setattr(engine, "MAX_EXAMINATIONS", used)
+        result = run_cascade(self.chain(k), {0}, order)
+        assert (len(result.final), result.passes) == (k, k)
+        monkeypatch.setattr(engine, "MAX_EXAMINATIONS", used - 1)
+        with pytest.raises(LimitExceeded, match=f"limit of {used - 1} node examinations"):
+            run_cascade(self.chain(k), {0}, order)
+
+    def test_a_random_sweep_fits_a_budget_of_its_examinations_exactly(self, monkeypatch):
+        # isolated antagonistic nodes all fire in the one pass that runs
+        net = network_of(9, False, (), Rule.ANTAGONISTIC)
+        monkeypatch.setattr(engine, "MAX_EXAMINATIONS", 9)
+        assert run_cascade(net, (), RandomSweep(3)).passes == 2
+        monkeypatch.setattr(engine, "MAX_EXAMINATIONS", 8)
+        with pytest.raises(LimitExceeded):
+            run_cascade(net, (), RandomSweep(3))
+
+    def test_each_run_cascade_call_has_its_own_budget(self, monkeypatch):
+        net = network_of(9, False, (), Rule.ANTAGONISTIC)
+        monkeypatch.setattr(engine, "MAX_EXAMINATIONS", 9)
+        for seed in range(3):
+            assert len(run_cascade(net, (), RandomSweep(seed)).final) == 9
+
+    def test_sensitivity_trials_share_one_budget(self, monkeypatch):
+        net = network_of(9, False, (), Rule.ANTAGONISTIC)  # 9 examinations a trial
+        monkeypatch.setattr(engine, "MAX_EXAMINATIONS", 18)
+        assert outcome_sensitivity(net, (), [0], [1], trials=2, rng_seed=1).agree_fraction == 1
+        monkeypatch.setattr(engine, "MAX_EXAMINATIONS", 17)
+        assert outcome_sensitivity(net, (), [0], [1], trials=1, rng_seed=1).trials == 1
+        with pytest.raises(LimitExceeded, match="limit of 17 node examinations"):
+            outcome_sensitivity(net, (), [0], [1], trials=2, rng_seed=1)
 
 
 class TestIsGlobal:
