@@ -71,28 +71,32 @@ def _by_levels(network: Network, seeds: frozenset[int], state_cap: int):
     """(a fixpoint x node array, nonzero where the node is labeled; the
     explored count; whether the search was truncated).
 
-    A level is ceil(n/64) rows of words, a column per configuration. Up to
-    64 nodes it is one row in the narrowest unsigned word that holds n bits,
-    and its children are collected as masks; above, the words are uint64,
-    and the children are collected as (Zobrist hash, parent column * n +
-    node) columns, 16 bytes whatever n is. Each (node x configuration) array
-    of a block fits `SEARCH_BLOCK_BYTES`. Children are de-duplicated once
-    the new ones are as many as the distinct ones, so at most twice the next
-    level plus one block is held; once the distinct ones pass the cap, the
-    rest of the level is only tested for stability.
+    Up to 64 nodes a level is an array of masks in the narrowest unsigned
+    word that holds n bits; above, ceil(n/64) rows of uint64 words, a column
+    per configuration, whose children are collected as (Zobrist hash, parent
+    column * n + node) columns, 16 bytes whatever n is. Each (node x
+    configuration) array of a block fits `SEARCH_BLOCK_BYTES`. Children are
+    de-duplicated once the new ones are as many as the distinct ones, so at
+    most twice the next level plus one block is held; once the distinct ones
+    pass the cap, the rest of the level is only tested for stability.
     """
     n = network.n
     words = -(-n // 64)
     word = np.dtype(np.uint16 if n <= 16 else np.uint32 if n <= 32 else np.uint64)
-    word_of = np.arange(n) >> 6
-    bit = (word.type(1) << (np.arange(n, dtype=word) & 63))[:, None]  # a column
+    if words == 1:
+        bit = word.type(1) << np.arange(n, dtype=word)
+    else:
+        word_of = np.arange(n) >> 6
+        bit = word.type(1) << (np.arange(n) & 63).astype(word)
     tails, heads = network.graph.indices, np.repeat(np.arange(n), network.graph.degrees)
     in_mask = np.zeros((words, n), dtype=word)  # in-neighbor bits, word by word
-    np.bitwise_or.at(in_mask, (tails >> 6, heads), bit[tails, 0])
-    start = sum(1 << s for s in seeds).to_bytes(words * word.itemsize, "little")
-    level = np.frombuffer(start, dtype=word.newbyteorder("<"))[:, None]
-    terms = 1
-    if words > 1:
+    np.bitwise_or.at(in_mask, (tails >> 6, heads), bit[tails])
+    start = sum(1 << s for s in seeds)
+    if words == 1:
+        in_mask, bit, terms = in_mask.reshape(n, 1), bit[:, None], 1
+        level = np.array([start], dtype=word)
+    else:
+        level = np.frombuffer(start.to_bytes(8 * words, "little"), dtype="<u8")[:, None]
         # `terms` (word, mask) rows per node, its nonzero words first and
         # then zero masks, hold all its in-neighbor bits
         terms = max(1, int(np.count_nonzero(in_mask, axis=0).max()))
@@ -106,26 +110,29 @@ def _by_levels(network: Network, seeds: frozenset[int], state_cap: int):
     cut = np.minimum(network.cutoff, 64 * terms + 1).astype(count_type)[:, None]
     anti = network.antagonistic[:, None]
     fixpoints, explored = [], 0
-    while level.shape[1]:
-        explored += level.shape[1]
+    while level.shape[-1]:
+        explored += level.shape[-1]
         room = state_cap - explored  # configurations of the next level that fit
         parts, pending = [], 0  # parts[0] holds distinct children, the rest any
-        for lo in range(0, level.shape[1], step):
-            block = level[:, lo:lo + step]
+        for lo in range(0, level.shape[-1], step):
+            block = level[..., lo:lo + step]
             if words == 1:
-                count = np.bitwise_count(block & in_mask.T)
+                child = block | bit
+                count = np.bitwise_count(block & in_mask)
+                unlabeled = child != block
             else:
                 count = np.bitwise_count(block[term_word] & term_mask).sum(0, dtype=count_type)
+                unlabeled = (block[word_of] & bit[:, None]) == 0
             # MONOTONE fires at count >= cutoff, ANTAGONISTIC below it
             fire = (count >= cut) != anti
-            fire &= (block.take(word_of, axis=0) & bit) == 0
+            fire &= unlabeled
             stable = ~np.logical_or.reduce(fire, axis=0)
             if np.count_nonzero(stable):
-                fixpoints.append(block.compress(stable, axis=1))
+                fixpoints.append(block[..., stable])
             if parts is None:
                 continue  # the next level is already known not to fit
             if words == 1:
-                children = (block | bit).compress(fire.ravel())
+                children = child.compress(fire.ravel())
             else:
                 node, parent = np.nonzero(fire)
                 parent += lo
@@ -141,11 +148,12 @@ def _by_levels(network: Network, seeds: frozenset[int], state_cap: int):
         if parts is None or parts[0].shape[-1] > room:
             break  # truncated: the search ends with a level left
         if words == 1:
-            level = parts[0][None]
+            level = parts[0]
         else:
             hashes, level = parts[0][0], _child_words(level, parts[0][1], n)
-    found = np.concatenate(fixpoints, axis=1) if fixpoints else level[:, :0]
-    return (found.take(word_of, axis=0) & bit).T, explored, level.shape[1] > 0
+    found = np.concatenate(fixpoints, axis=-1) if fixpoints else level[..., :0]
+    member = found[:, None] & bit.T if words == 1 else found.T[:, word_of] & bit
+    return member, explored, level.shape[-1] > 0
 
 
 def _distinct(parts: list[np.ndarray], level: np.ndarray, n: int) -> np.ndarray:

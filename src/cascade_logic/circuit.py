@@ -8,10 +8,11 @@ antagonistic rule; a one-input antagonistic node is a NOT (any phi in
 interval boundaries behave exactly.
 
 Circuits are DAGs with named in-degree-0 input nodes that never fire on
-their own; evaluating fixes each input to its bit and reads the outputs
-after one pass in dependency order: the one-row case of the engine's
-`settle`. `truth_table` runs the same pass on blocks of rows, one bit per
-row, so a table equals row-by-row evaluation by construction.
+their own; evaluating assigns the 1-inputs as cascade seeds and reads
+outputs as membership in the final labeled set under the topological
+schedule. That run is the one-row case of the engine's `settle`, and
+`truth_table` runs the same pass on blocks of rows, one bit per row, so a
+table equals row-by-row evaluation by construction.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .engine import settle, topological_order
+from .engine import Topological, run_cascade, settle, topological_order
 from .net import (Graph, Network, NetworkFormatError, Rule, load_bundle,
                   save_network, write_text)
 from .parser import (And, Expr, LimitExceeded, Nand, Nor, Not, Or, Var, Xor,
@@ -34,7 +35,7 @@ from .parser import (And, Expr, LimitExceeded, Nand, Nor, Not, Or, Var, Xor,
 MAX_FAN_IN = 64
 MAX_TABLE_CELLS = 1 << 25  # every compiled expression of up to 20 inputs fits
 # blocks x (nodes + edges) of a table's `settle` passes: a bound on its time,
-# as the cells are on its memory; XOR-20 takes at most 16,000 in any basis
+# as the cells are on its memory; XOR-20 takes at most 12,250 in any basis
 MAX_TABLE_STEPS = 1 << 24
 # Rows per block of a table pass: the block's node values (a bit per node and
 # row) or its CSV text stay within this many bytes whatever the circuit's size.
@@ -312,12 +313,13 @@ def input_seeds(circuit: CompiledCircuit, assignment: Mapping[str, int]) -> froz
 def evaluate(circuit: CompiledCircuit, assignment: Mapping[str, int]) -> dict[str, int]:
     """Evaluate the circuit on one input assignment.
 
-    One row of `settle`, the pass that `truth_table` runs on blocks of rows:
-    every input is fixed to its bit, and each output bit is its node's label.
+    Inputs assigned 1 become cascade seeds; the run uses the topological
+    schedule, one row of `settle`, and each output bit is membership of its
+    node in the final labeled set.
     """
     seeds = input_seeds(circuit, assignment)
-    value = settle(circuit.network, {nid: int(nid in seeds) for nid in circuit.inputs.values()}, 1)
-    return {name: value[nid] for name, nid in circuit.outputs.items()}
+    result = run_cascade(circuit.network, seeds, Topological())
+    return {name: int(nid in result.final) for name, nid in circuit.outputs.items()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -362,15 +364,18 @@ class TruthTable:
             yield text.tobytes().decode()
 
 
-def _counter_bits(k: int, size: int) -> int:
-    """Bit k of the row ids 0..size-1, row 0's in bit 0, for a power of two
-    `size` above 2^k: the repeating bytes of the pattern, so no array of row
-    ids is made."""
+def _counter_bits(k: int, lo: int, size: int) -> int:
+    """Bit k of the row ids lo..lo+size-1, row lo's in bit 0: cut from the
+    bytes of the repeating pattern of bit k over all row ids, so no array
+    of row ids is made."""
     if k < 3:  # a period within each byte: 0b10101010, 0b11001100, 0b11110000
         period = bytes((0xAA, 0xCC, 0xF0)[k:k + 1])
     else:  # 2^(k-3) bytes of 0s, then as many of 1s
         period = bytes(1 << (k - 3)) + b"\xff" * (1 << (k - 3))
-    return int.from_bytes(period * -(-size // (8 * len(period))), "little") & ((1 << size) - 1)
+    first, count = lo // 8, (lo % 8 + size + 7) // 8
+    skip = first % len(period)
+    stream = (period * ((skip + count) // len(period) + 1))[skip:skip + count]
+    return (int.from_bytes(stream, "little") >> lo % 8) & ((1 << size) - 1)
 
 
 def truth_table(circuit: CompiledCircuit) -> TruthTable:
@@ -378,12 +383,10 @@ def truth_table(circuit: CompiledCircuit) -> TruthTable:
 
     Each block of rows is one `settle` pass with the inputs' bits fixed, and
     `evaluate` is its one-row case, so the table equals row-by-row
-    evaluation by construction. A block is the most rows, a power of two up
-    to 2^m, whose node values fit in `TABLE_BLOCK_BYTES` (or one row), so an
-    input's bits repeat in every block or are constant within each. Only the
-    input and output columns of every row are kept. A table past
-    `MAX_TABLE_CELLS` cells or `MAX_TABLE_STEPS` steps raises LimitExceeded
-    before any row is evaluated.
+    evaluation by construction. A block's node values fit in
+    `TABLE_BLOCK_BYTES` (or are one row); only the input and output columns
+    of every row are kept. A table past `MAX_TABLE_CELLS` cells or
+    `MAX_TABLE_STEPS` steps raises LimitExceeded before any row is evaluated.
     """
     m = len(circuit.inputs)
     row_count = 1 << m
@@ -393,20 +396,18 @@ def truth_table(circuit: CompiledCircuit) -> TruthTable:
                             f"{row_count * len(columns)} cells; the limit is "
                             f"{MAX_TABLE_CELLS} cells")
     network = circuit.network
-    size = 1 << min(m, max(1, 8 * TABLE_BLOCK_BYTES // network.n).bit_length() - 1)
-    blocks, edges = row_count // size, network.graph.src.size
+    step = max(1, 8 * TABLE_BLOCK_BYTES // network.n)
+    blocks, edges = -(-row_count // step), network.graph.src.size
     if blocks * (network.n + edges) > MAX_TABLE_STEPS:
         raise LimitExceeded(f"2^{m} rows in {blocks} blocks of {network.n} nodes and "
                             f"{edges} edges would take {blocks * (network.n + edges)} "
                             f"steps; the limit is {MAX_TABLE_STEPS} steps")
     bits = np.empty((row_count, len(columns)), dtype=np.uint8)
-    counters = [(m - 1 - j, nid) for j, nid in enumerate(circuit.inputs.values())]
-    pattern = {k: _counter_bits(k, size) for k, _ in counters if 1 << k < size}
-    ones = (1 << size) - 1
-    for lo in range(0, row_count, size):
-        fixed = {nid: pattern[k] if k in pattern else ones * (lo >> k & 1)
-                 for k, nid in counters}
-        value = settle(network, fixed, ones)
+    for lo in range(0, row_count, step):
+        size = min(step, row_count - lo)
+        fixed = {nid: _counter_bits(m - 1 - j, lo, size)
+                 for j, nid in enumerate(circuit.inputs.values())}
+        value = settle(network, fixed, (1 << size) - 1)
         for j, nid in enumerate(columns):
             packed = np.frombuffer(value[nid].to_bytes(-(-size // 8), "little"), np.uint8)
             bits[lo:lo + size, j] = np.unpackbits(packed, count=size, bitorder="little")

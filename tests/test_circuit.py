@@ -215,7 +215,7 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("basis", list(Basis), ids=lambda b: b.value)
     def test_equals_a_topological_run_on_every_row(self, basis):
-        # `eval` and `run --mode topo` take two code paths to the same labels
+        # `eval` reads the labels that `run --mode topo` reports
         rng = make_rng(4417)
         for i in range(100):
             circuit = compile_expr(random_expr(rng, max_depth=4, max_vars=1 + i % 5), basis)
@@ -533,8 +533,8 @@ def rows_by_evaluate(circuit):
 class TestBlockedTable:
     @staticmethod
     def three_row_blocks(monkeypatch, circuit):
-        # a block holds the most rows, a power of two, within 8 *
-        # TABLE_BLOCK_BYTES // n: here 2 or 4 rows, so packed bytes end part-way
+        # a block holds 8 * TABLE_BLOCK_BYTES // n rows: here 3 to 5 rows for
+        # n >= 2, never a multiple of 8, so packed bytes end part-way
         monkeypatch.setattr(circuit_module, "TABLE_BLOCK_BYTES", -(-3 * circuit.network.n // 8))
 
     @pytest.mark.parametrize("basis", list(Basis), ids=lambda b: b.value)
@@ -606,11 +606,12 @@ class TestBlockedTable:
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 7, 12, 19])
     def test_counter_bits_match_row_ids(self, k):
-        for log in range(k + 1, 22):
-            rows = np.arange(1 << log)
+        rng = make_rng(k)
+        for lo, size in [(0, 1), (0, 8), (5, 3), *rng.integers(1, 1 << 21, (20, 2)).tolist()]:
+            rows = np.arange(lo, lo + size)
             want = int.from_bytes(np.packbits((rows >> k) & 1, bitorder="little").tobytes(),
                                   "little")
-            assert circuit_module._counter_bits(k, 1 << log) == want
+            assert circuit_module._counter_bits(k, lo, size) == want
 
 
 # sha256 of save_circuit output per basis and expression. Node ids are the

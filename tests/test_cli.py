@@ -186,8 +186,8 @@ class TestCompileEvalTable:
         assert not (tmp_path / "t.csv").exists()
 
     def test_table_above_step_limit_is_resource_error(self, cli, tmp_path, monkeypatch):
-        # 20,020 nodes pass the cell cap, but a block holds 64 rows, so the
-        # table takes 16,384 blocks
+        # 20 inputs, their OR, then a chain of 19,999 buffers: 20,020 nodes pass
+        # the cell cap, but a block holds 104 rows, so the table takes 10,083 blocks
         n = 20_020
         target = or_chain_file(tmp_path, n)
         monkeypatch.setattr(circuit_module, "settle", None)  # no row is evaluated
@@ -196,8 +196,8 @@ class TestCompileEvalTable:
         error = json.loads(err)["error"]
         assert error["kind"] == "resource"
         assert error["message"] == (
-            f"2^20 rows in 16384 blocks of {n} nodes and {n - 1} edges would take "
-            f"{16384 * (2 * n - 1)} steps; the limit is {MAX_TABLE_STEPS} steps")
+            f"2^20 rows in 10083 blocks of {n} nodes and {n - 1} edges would take "
+            f"{10083 * (2 * n - 1)} steps; the limit is {MAX_TABLE_STEPS} steps")
         assert not (tmp_path / "t.csv").exists()
 
     @pytest.mark.parametrize("argv", [
