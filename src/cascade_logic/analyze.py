@@ -17,14 +17,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ._seeds import check_task_count, make_rng, map_tasks, mix_seed
+from ._seeds import check_task_count, make_rngs, map_tasks, mix_seed, worker_count
 from .circuit import CompiledCircuit, evaluate, input_seeds
 from .engine import RandomSweep, _Cascade
-from .net import Network, Rule, assign_thresholds, generate_er, seed_ids, UNIFORM
+from .net import MAX_NODES, Network, Rule, _er_union, check_er_size, seed_ids
 
 DEFAULT_STATE_CAP = 1 << 22
 # bytes of one (node x configuration) array of masks in each block of a level
@@ -59,7 +60,7 @@ def enumerate_fixpoints(network: Network, seeds: Optional[Iterable[int]] = None,
     if state_cap < 1:
         raise ValueError(f"state_cap must be >= 1, got {state_cap}")
     seed_set = network.seeds if seeds is None else seed_ids(seeds, network.n)
-    member, explored, truncated = _by_levels(network, seed_set, state_cap)
+    member, _, explored, truncated = _by_levels(network, seed_set, state_cap)
     rows, ids = np.nonzero(member)  # split the ids of all fixpoints by row
     ends = rows.searchsorted(np.arange(1, len(member) + 1)).tolist()
     ids = ids.tolist()
@@ -67,36 +68,54 @@ def enumerate_fixpoints(network: Network, seeds: Optional[Iterable[int]] = None,
     return FixpointSet(fixpoints=as_sets, explored_states=explored, truncated=truncated)
 
 
-def _by_levels(network: Network, seeds: frozenset[int], state_cap: int):
+def _by_levels(network: Network, seeds: frozenset[int], state_cap: int,
+               components: int = 1):
     """(a fixpoint x node array, nonzero where the node is labeled; the
-    explored count; whether the search was truncated).
+    component of each of its rows; the explored count; whether the search
+    was truncated).
 
-    Up to 64 nodes a level is an array of masks in the narrowest unsigned
-    word that holds n bits; above, ceil(n/64) rows of uint64 words, a column
-    per configuration, whose children are collected as (Zobrist hash, parent
-    column * n + node) columns, 16 bytes whatever n is. Each (node x
-    configuration) array of a block fits `SEARCH_BLOCK_BYTES`. Children are
-    de-duplicated once the new ones are as many as the distinct ones, so at
-    most twice the next level plus one block is held; once the distinct ones
-    pass the cap, the rest of the level is only tested for stability.
+    The network is the disjoint union of `components` networks of n nodes
+    each, component c on nodes c*n .. c*n+n-1 with its seeds among them.
+    Each is searched on its own, but in shared levels, and the cap counts
+    the configurations of all of them. With more than one component, callers
+    keep n + bit_length(components - 1) within 64 bits.
+
+    Up to 64 nodes a level is a sorted array of masks in the narrowest
+    unsigned word that holds a configuration's n node bits and, above them,
+    its component's index (the fixpoint array drops the index). A block's
+    in-neighbor masks, cutoffs and rules are its component's columns,
+    sliced when the block lies in one component and else gathered per
+    configuration. Above 64 nodes a level is ceil(n/64) rows of uint64
+    words, a column per configuration, whose children are collected as
+    (Zobrist hash, parent column * n + node) columns, 16 bytes whatever n
+    is. Each (node x configuration) array of a block fits
+    `SEARCH_BLOCK_BYTES`. Children are de-duplicated once the new ones are
+    as many as the distinct ones, so at most twice the next level plus one
+    block is held; once the distinct ones pass the cap, the rest of the
+    level is only tested for stability.
     """
-    n = network.n
+    n = network.n // components
     words = -(-n // 64)
-    word = np.dtype(np.uint16 if n <= 16 else np.uint32 if n <= 32 else np.uint64)
+    width = n + (components - 1).bit_length()
+    word = np.dtype(np.uint16 if width <= 16 else np.uint32 if width <= 32 else np.uint64)
     if words == 1:
         bit = word.type(1) << np.arange(n, dtype=word)
     else:
         word_of = np.arange(n) >> 6
         bit = word.type(1) << (np.arange(n) & 63).astype(word)
-    tails, heads = network.graph.indices, np.repeat(np.arange(n), network.graph.degrees)
-    in_mask = np.zeros((words, n), dtype=word)  # in-neighbor bits, word by word
+    tails, heads = network.graph.indices % n, np.repeat(np.arange(network.n), network.graph.degrees)
+    in_mask = np.zeros((words, network.n), dtype=word)  # in-neighbor bits, word by word
     np.bitwise_or.at(in_mask, (tails >> 6, heads), bit[tails])
-    start = sum(1 << s for s in seeds)
+    in_mask = in_mask.reshape(words, components, n).transpose(0, 2, 1)  # a column per component
+    starts = [c << n for c in range(components)]
+    for s in seeds:
+        starts[s // n] |= 1 << s % n
     if words == 1:
-        in_mask, bit, terms = in_mask.reshape(n, 1), bit[:, None], 1
-        level = np.array([start], dtype=word)
+        in_mask, bit, terms = in_mask[0], bit[:, None], 1
+        level = np.array(starts, dtype=word)
     else:
-        level = np.frombuffer(start.to_bytes(8 * words, "little"), dtype="<u8")[:, None]
+        in_mask = in_mask[..., 0]
+        level = np.frombuffer(starts[0].to_bytes(8 * words, "little"), dtype="<u8")[:, None]
         # `terms` (word, mask) rows per node, its nonzero words first and
         # then zero masks, hold all its in-neighbor bits
         terms = max(1, int(np.count_nonzero(in_mask, axis=0).max()))
@@ -107,8 +126,8 @@ def _by_levels(network: Network, seeds: frozenset[int], state_cap: int):
     step = max(1, SEARCH_BLOCK_BYTES // (word.itemsize * n))
     # a count never exceeds 64 per term, so the capped cutoffs give the same test
     count_type = np.min_scalar_type(64 * terms + 1)
-    cut = np.minimum(network.cutoff, 64 * terms + 1).astype(count_type)[:, None]
-    anti = network.antagonistic[:, None]
+    cut = np.minimum(network.cutoff, 64 * terms + 1).astype(count_type).reshape(-1, n).T
+    anti = network.antagonistic.reshape(-1, n).T
     fixpoints, explored = [], 0
     while level.shape[-1]:
         explored += level.shape[-1]
@@ -116,15 +135,20 @@ def _by_levels(network: Network, seeds: frozenset[int], state_cap: int):
         parts, pending = [], 0  # parts[0] holds distinct children, the rest any
         for lo in range(0, level.shape[-1], step):
             block = level[..., lo:lo + step]
+            masks, cuts, antis = in_mask, cut, anti
+            if components > 1:  # the columns of each configuration's component
+                first, last = int(block[0]) >> n, int(block[-1]) >> n
+                at = slice(first, last + 1) if first == last else (block >> n).astype(np.intp)
+                masks, cuts, antis = in_mask[:, at], cut[:, at], anti[:, at]
             if words == 1:
                 child = block | bit
-                count = np.bitwise_count(block & in_mask)
+                count = np.bitwise_count(block & masks)
                 unlabeled = child != block
             else:
                 count = np.bitwise_count(block[term_word] & term_mask).sum(0, dtype=count_type)
                 unlabeled = (block[word_of] & bit[:, None]) == 0
             # MONOTONE fires at count >= cutoff, ANTAGONISTIC below it
-            fire = (count >= cut) != anti
+            fire = (count >= cuts) != antis
             fire &= unlabeled
             stable = ~np.logical_or.reduce(fire, axis=0)
             if np.count_nonzero(stable):
@@ -152,8 +176,11 @@ def _by_levels(network: Network, seeds: frozenset[int], state_cap: int):
         else:
             hashes, level = parts[0][0], _child_words(level, parts[0][1], n)
     found = np.concatenate(fixpoints, axis=-1) if fixpoints else level[..., :0]
-    member = found[:, None] & bit.T if words == 1 else found.T[:, word_of] & bit
-    return member, explored, level.shape[-1] > 0
+    if words == 1:
+        member, owner = found[:, None] & bit.T, (found >> n).astype(np.intp)
+    else:
+        member, owner = found.T[:, word_of] & bit, np.zeros(found.shape[-1], dtype=np.intp)
+    return member, owner, explored, level.shape[-1] > 0
 
 
 def _distinct(parts: list[np.ndarray], level: np.ndarray, n: int) -> np.ndarray:
@@ -226,8 +253,9 @@ def outcome_sensitivity(network: Network, seeds: Iterable[int],
     cascade = _Cascade(network, seed_ids(seeds, network.n))
     agree = 0
     seen = set()
-    for seed in mix_seed(rng_seed, np.arange(trials, dtype=np.uint64)).tolist():
-        labels = cascade.run(RandomSweep(seed))[0]
+    trial_seeds = mix_seed(rng_seed, np.arange(trials, dtype=np.uint64))
+    for seed, rng in zip(map(int, trial_seeds), make_rngs(trial_seeds)):
+        labels = cascade.run(RandomSweep(seed), rng)[0]
         bits = tuple(labels[u] for u in watched)
         seen.add(bits)
         agree += bits == ref
@@ -255,15 +283,54 @@ class Verdict(Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-def _instance_fixpoints(args) -> tuple[int, bool]:
-    n, z, rule, instance_seed, state_cap = args
+def _run_fixpoints(args) -> list[tuple[int, bool]]:
+    """(fixpoint count, truncated) of each of a run of instance seeds,
+    searched in batches of `batch` instances, each in one `_by_levels` call
+    over the union of their networks. Instance seed s draws its graph as
+    ``generate_er(n, p, mix_seed(s, 0))``, its thresholds as
+    ``assign_thresholds(..., UNIFORM, rule, rng_seed=mix_seed(s, 1))`` and
+    its seed node as ``make_rng(mix_seed(s, 2)).integers(n)``."""
+    n, p, rule, instance_seeds, state_cap, batch = args
+    graph_rngs, phi_rngs, node_rngs = (make_rngs(mix_seed(instance_seeds, part))
+                                       for part in range(3))
+    outcomes = []
+    for lo in range(0, len(instance_seeds), batch):
+        size = min(batch, len(instance_seeds) - lo)
+        graph = _er_union(n, p, islice(graph_rngs, size))
+        phi = np.concatenate([rng.random(n) for rng in islice(phi_rngs, size)])
+        seed_nodes = frozenset(i * n + int(rng.integers(n))
+                               for i, rng in enumerate(islice(node_rngs, size)))
+        network = Network(graph, np.full(graph.n, rule is Rule.ANTAGONISTIC), phi)
+        _, owner, _, truncated = _by_levels(network, seed_nodes, state_cap, size)
+        outcomes += [(count, truncated) for count in np.bincount(owner, minlength=size).tolist()]
+    return outcomes
+
+
+def _batch_size(n: int, state_cap: int) -> int:
+    """The most instances of n nodes that one search may hold: B with
+    B * 2^n <= state_cap, so that no instance's search, at most 2^n
+    configurations, can reach the cap and the union's explored count never
+    passes it; n + bit_length(B - 1) <= 64, so a tagged configuration fits
+    one word; and B * n <= MAX_NODES, the largest random graph. At least 1."""
+    if n >= 64:
+        return 1
+    return max(1, min(state_cap >> n, 1 << (64 - n), MAX_NODES // n))
+
+
+def _instance_outcomes(n: int, z: float, instances: int, rng_seed: int, rule: Rule,
+                       state_cap: int, jobs: Optional[int]) -> list[tuple[int, bool]]:
+    """(fixpoint count, truncated) of each instance of
+    `verify_gcm_determinism`, in order. Instance i has seed
+    ``mix_seed(rng_seed, i)``. One worker takes all instances as one run;
+    more take four runs each in turn, so that slow instances even out."""
     p = z / (n - 1) if n > 1 else 0.0
-    graph = generate_er(n, p, mix_seed(instance_seed, 0))
-    network = assign_thresholds(graph, UNIFORM, rule,
-                                rng_seed=mix_seed(instance_seed, 1))
-    seed_node = int(make_rng(mix_seed(instance_seed, 2)).integers(n))
-    found = enumerate_fixpoints(network, {seed_node}, state_cap=state_cap)
-    return len(found.fixpoints), found.truncated
+    check_er_size(n, p)
+    workers = worker_count(jobs, instances)
+    runs = 1 if workers == 1 else min(instances, 4 * workers)
+    batch = _batch_size(n, state_cap)
+    seeds = mix_seed(rng_seed, np.arange(instances, dtype=np.uint64))
+    tasks = [(n, p, rule, run, state_cap, batch) for run in np.array_split(seeds, runs)]
+    return [outcome for run in map_tasks(_run_fixpoints, tasks, jobs) for outcome in run]
 
 
 def verify_gcm_determinism(n: int, z: float, instances: int, rng_seed: int,
@@ -275,9 +342,10 @@ def verify_gcm_determinism(n: int, z: float, instances: int, rng_seed: int,
     Each instance is an ER graph with uniform-random thresholds, the given
     rule, and one random seed node. UNIQUE means every instance had exactly
     one reachable fixpoint; NON_UNIQUE that some instance provably had more;
-    INCONCLUSIVE that a search was truncated before finishing. Instances may
-    run across workers; per-instance seeds make the verdict independent of
-    scheduling.
+    INCONCLUSIVE that a search was truncated before finishing. Instances run
+    in batches, one search over the union of a batch's networks, and the
+    batches may run across workers; per-instance seeds make every instance's
+    result, and so the verdict, independent of batching and scheduling.
     """
     if instances < 1:
         raise ValueError(f"instances must be >= 1, got {instances}")
@@ -288,9 +356,7 @@ def verify_gcm_determinism(n: int, z: float, instances: int, rng_seed: int,
         raise ValueError(f"z must lie in (0, n-1), got {z}")
     if state_cap < 1:
         raise ValueError(f"state_cap must be >= 1, got {state_cap}")
-    tasks = [(n, z, rule, seed, state_cap) for seed in
-             mix_seed(rng_seed, np.arange(instances, dtype=np.uint64)).tolist()]
-    outcomes = map_tasks(_instance_fixpoints, tasks, jobs)
+    outcomes = _instance_outcomes(n, z, instances, rng_seed, rule, state_cap, jobs)
     if any(count > 1 for count, _ in outcomes):
         return Verdict.NON_UNIQUE
     if any(truncated for _, truncated in outcomes):

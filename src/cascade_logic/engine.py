@@ -164,12 +164,15 @@ class _Cascade:
         self.monotone = np.flatnonzero(unlabeled & ~network.antagonistic).tolist()
         self.budget = MAX_EXAMINATIONS
 
-    def run(self, mode: ScheduleMode) -> tuple[bytearray, list[int], int]:
-        """(labels, labeling order, passes) of one run under `mode`."""
+    def run(self, mode: ScheduleMode,
+            rng: Optional[np.random.Generator] = None) -> tuple[bytearray, list[int], int]:
+        """(labels, labeling order, passes) of one run under `mode`. A
+        RandomSweep draws from `rng` when given, which must be
+        ``make_rng(mode.rng_seed)``: callers that build many at once pass them."""
         n = self.network.n
         labels = bytearray(self.labels)
         if isinstance(mode, RandomSweep):
-            rng = make_rng(mode.rng_seed)
+            rng = make_rng(mode.rng_seed) if rng is None else rng
 
             def next_pass():
                 pending = self.pending if passes == 1 else np.flatnonzero(

@@ -370,11 +370,22 @@ def generate_er(n: int, p: float, rng_seed: int) -> Graph:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     check_er_size(n, p)
+    return _er_union(n, p, [make_rng(rng_seed)])
+
+
+def _er_union(n: int, p: float, rngs: Iterable[np.random.Generator]) -> Graph:
+    """The disjoint union of one G(n, p) per generator: component i, drawn
+    from the i-th generator as `generate_er` draws from its seed's, takes
+    nodes i*n .. i*n+n-1. The caller has checked n, p and the union's size."""
     m = n * (n - 1) // 2
-    positions = _bernoulli_positions(m, p, make_rng(rng_seed))
+    positions = [_bernoulli_positions(m, p, rng) for rng in rngs]
     # distinct, ordered and in range by construction: no validation needed
-    us, vs = _pair_from_linear(positions, n)
-    return Graph._build(n, False, us, vs)
+    us, vs = _pair_from_linear(np.concatenate(positions), n)
+    if len(positions) > 1:
+        shift = np.repeat(np.arange(0, n * len(positions), n), [len(c) for c in positions])
+        us += shift
+        vs += shift
+    return Graph._build(n * len(positions), False, us, vs)
 
 
 def assign_thresholds(graph: Graph, phi, rule: Rule,

@@ -8,9 +8,9 @@ import pytest
 
 from cascade_logic import analyze as analyze_module
 from cascade_logic import engine
-from cascade_logic import (Basis, DEFAULT_STATE_CAP, FixpointSet, MedianExceedance, Network,
-                           RandomSweep, Rule, SweepSpec, Verdict,
-                           build_gate, compile_expr, compile_half_adder,
+from cascade_logic import (Basis, DEFAULT_STATE_CAP, FixpointSet, Graph, MedianExceedance,
+                           Network, RandomSweep, Rule, SweepSpec, UNIFORM, Verdict,
+                           assign_thresholds, build_gate, compile_expr, compile_half_adder,
                            enumerate_fixpoints, evaluate, fixture_path, generate_er,
                            make_rng, mix_seed, outcome_sensitivity,
                            run_cascade, run_sweep, GateKind,
@@ -281,6 +281,24 @@ class TestScheduleSensitivity:
         assert report.agree_fraction == outcomes.count((1, 0)) / 300
         assert report.distinct_outcomes == len(set(outcomes)) > 1
 
+    def test_trial_generators_are_built_a_chunk_at_a_time(self, monkeypatch):
+        # 2^20 trials stop at the examination budget after a few; hashing
+        # every trial's generator at once would peak near 170 MB, and a list
+        # of the trial seeds as Python ints near 52 MB
+        monkeypatch.setattr(engine, "MAX_EXAMINATIONS", 100)
+        argv = ["sensitivity", "--net", str(fixture_path("half_adder.json")),
+                "--assign", "a=1,b=0", "--trials", str(1 << 20), "--seed", "1"]
+        err = io.StringIO()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and "node examinations" in err.getvalue()
+        assert peak < 48 * 2**20
+
     def test_watched_must_be_node_ids(self, triangle):
         with pytest.raises(ValueError, match="watched node 3"):
             outcome_sensitivity(triangle, {0}, watched=[1, 3], reference=[1, 0],
@@ -313,6 +331,55 @@ class TestVerifyGcmDeterminism:
         parallel = verify_gcm_determinism(9, 2.0, 24, 77, jobs=4)
         assert serial is parallel
 
+    def test_workers_do_not_change_any_instance(self):
+        # several runs of batches, spread over the pool, in instance order
+        outcomes = [analyze_module._instance_outcomes(9, 3.0, 24, 77, Rule.ANTAGONISTIC,
+                                                      DEFAULT_STATE_CAP, jobs)
+                    for jobs in (1, 2, 4)]
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert max(count for count, _ in outcomes[0]) > 1
+
+    def test_every_worker_gets_runs_in_instance_order(self, monkeypatch):
+        dispatched = []
+
+        def serial(fn, tasks, jobs):
+            dispatched.append(tasks)
+            return [fn(task) for task in tasks]
+        monkeypatch.setattr(analyze_module, "worker_count", lambda jobs, tasks: 3)
+        monkeypatch.setattr(analyze_module, "map_tasks", serial)
+        outcomes = analyze_module._instance_outcomes(12, 3.0, 300, 5, Rule.MONOTONE,
+                                                     DEFAULT_STATE_CAP, 3)
+        (tasks,) = dispatched
+        assert len(tasks) >= 3
+        runs = np.concatenate([run for _, _, _, run, _, _ in tasks])
+        assert runs.tolist() == mix_seed(5, np.arange(300, dtype=np.uint64)).tolist()
+        assert outcomes == analyze_module._instance_outcomes(12, 3.0, 300, 5, Rule.MONOTONE,
+                                                             DEFAULT_STATE_CAP, 1)
+
+    @pytest.mark.parametrize("rule", list(Rule))
+    @pytest.mark.parametrize("n", [1, 2, 7, 12, 16, 17, 21])
+    def test_instances_match_separate_searches(self, n, rule):
+        # instance i is the network that the public generators draw from
+        # mix_seed(seed, i), searched alone; caps of 2^n and less run one
+        # instance per search, the larger ones several, and 3 and 20 truncate
+        z = 0.5 if n <= 2 else 3.0
+        p = z / (n - 1) if n > 1 else 0.0
+        instances = 16 if n <= 12 else 4
+        seeds = mix_seed(n, np.arange(instances, dtype=np.uint64)).tolist()
+        batches = set()
+        for cap in (3, 20, 2**n - 1 or 1, 3 * 2**n, DEFAULT_STATE_CAP):
+            batches.add(analyze_module._batch_size(n, cap) > 1)
+            want = []
+            for seed in seeds:
+                graph = generate_er(n, p, mix_seed(seed, 0))
+                net = assign_thresholds(graph, UNIFORM, rule, rng_seed=mix_seed(seed, 1))
+                node = int(make_rng(mix_seed(seed, 2)).integers(n))
+                found = enumerate_fixpoints(net, {node}, state_cap=cap)
+                want.append((len(found.fixpoints), found.truncated))
+            got = analyze_module._instance_outcomes(n, z, instances, n, rule, cap, 1)
+            assert got == want, cap
+        assert batches == {False, True}
+
     @pytest.mark.parametrize("cap", [0, -5])
     def test_cap_below_one_rejected_before_any_instance_runs(self, monkeypatch, cap):
         def no_tasks(*args):
@@ -326,6 +393,53 @@ class TestVerifyGcmDeterminism:
             verify_gcm_determinism(10, 3.0, 0, 1)
         with pytest.raises(ValueError):
             verify_gcm_determinism(10, 20.0, 5, 1)
+
+
+def union_of(networks):
+    """The disjoint union of networks of n nodes each: network c on nodes
+    c*n .. c*n+n-1."""
+    n = networks[0].n
+    src, dst = ([getattr(net.graph, name) + c * n for c, net in enumerate(networks)]
+                for name in ("src", "dst"))
+    graph = Graph.from_edges(n * len(networks), networks[0].directed,
+                             np.concatenate(src), np.concatenate(dst))
+    return Network(graph, np.concatenate([net.antagonistic for net in networks]),
+                   np.concatenate([net.phi for net in networks]))
+
+
+class TestComponents:
+    """One level search over a disjoint union of `components` networks
+    finds, per component, what a search of that network alone finds."""
+
+    @pytest.mark.parametrize("n, components, directed", [
+        (1, 3, False), (2, 5, True), (7, 9, False), (12, 40, True), (16, 6, False),
+        (16, 3, True), (40, 5, False), (60, 16, True)])
+    def test_each_component_is_its_own_search(self, n, components, directed):
+        # above 16 nodes all but 10 nodes are seeds; at n = 60 and 16
+        # components the tag takes the top bits of a uint64
+        rng = make_rng(100 * n + components)
+        nets, seeds = [], []
+        for c in range(components):
+            pairs = rng.integers(0, n, (3 * n, 2))
+            pairs = np.unique(pairs[pairs[:, 0] != pairs[:, 1]], axis=0)
+            if not directed:
+                pairs = np.unique(np.sort(pairs, axis=1), axis=0)
+            graph = Graph.from_edges(n, directed, pairs[:, 0], pairs[:, 1])
+            nets.append(Network(graph, rng.random(n) < 0.5, rng.random(n)))
+            free = 10 if n > 16 else int(rng.integers(n + 1))
+            seeds.append(frozenset(rng.permutation(n)[free:].tolist()))
+        union_seeds = frozenset(c * n + s for c, chosen in enumerate(seeds) for s in chosen)
+        member, owner, explored, truncated = analyze_module._by_levels(
+            union_of(nets), union_seeds, DEFAULT_STATE_CAP, components)
+        assert not truncated
+        total = 0
+        for c, (net, chosen) in enumerate(zip(nets, seeds)):
+            want = enumerate_fixpoints(net, chosen)
+            rows = member[owner == c]
+            assert {frozenset(np.flatnonzero(row).tolist()) for row in rows} == want.fixpoints
+            assert len(rows) == len(want.fixpoints)
+            total += want.explored_states
+        assert explored == total
 
 
 class TestClosureNeverAssumed:

@@ -32,6 +32,15 @@ class TestMixSeed:
         got = mix_seed(master, "graph", np.array([-1, -7, 3], dtype=np.int64))
         assert got.tolist() == [mix_seed(master, "graph", p) for p in (-1, -7, 3)]
 
+    @pytest.mark.parametrize("master", [0, 2**64 - 1, -5])
+    def test_array_master_matches_scalar_masters(self, master):
+        # an int64 master wraps modulo 2^64 as a negative int master does
+        masters = np.array([master] * 3, dtype=np.int64 if master < 0 else np.uint64)
+        got = mix_seed(masters, np.array([0, 7, 2**63], dtype=np.uint64), 2)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [mix_seed(master, p, 2) for p in (0, 7, 2**63)]
+        assert mix_seed(masters, "graph").tolist() == [mix_seed(master, "graph")] * 3
+
 
 class TestSpecValidation:
     def test_z_bounds(self):

@@ -11,7 +11,8 @@ from cascade_logic import (Network, NetworkFormatError, Rule,
                            UNIFORM, assign_thresholds, cutoff, generate_er,
                            load_bundle, load_network, make_rng, save_network,
                            stats)
-from cascade_logic.net import Graph, _cutoffs, _float_cutoffs, _pair_from_linear
+from cascade_logic._seeds import make_rngs, mix_seed
+from cascade_logic.net import Graph, _cutoffs, _er_union, _float_cutoffs, _pair_from_linear
 from conftest import network_of
 
 
@@ -70,6 +71,21 @@ class TestGenerateEr:
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             generate_er(0, 0.5, 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 12, 100])
+    @pytest.mark.parametrize("p", [0.0, 0.03, 0.5, 1.0])
+    def test_union_components_are_generate_er_graphs(self, n, p):
+        seeds = mix_seed(n, np.arange(5, dtype=np.uint64))
+        union = _er_union(n, p, make_rngs(seeds))
+        parts = [generate_er(n, p, s) for s in seeds.tolist()]
+        assert union.n == 5 * n and not union.directed
+        for name in ("src", "dst"):
+            want = np.concatenate([getattr(g, name) + i * n for i, g in enumerate(parts)])
+            assert np.array_equal(getattr(union, name), want), name
+        for i, g in enumerate(parts):  # each node's neighbors, in the same order
+            for u in range(n):
+                got = union.indices[union.indptr[i * n + u]:union.indptr[i * n + u + 1]]
+                assert got.tolist() == (g.indices[g.indptr[u]:g.indptr[u + 1]] + i * n).tolist()
 
 
 class TestPairIndexing:
