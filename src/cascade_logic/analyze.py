@@ -176,10 +176,8 @@ def _by_levels(network: Network, seeds: frozenset[int], state_cap: int,
         else:
             hashes, level = parts[0][0], _child_words(level, parts[0][1], n)
     found = np.concatenate(fixpoints, axis=-1) if fixpoints else level[..., :0]
-    if words == 1:
-        member, owner = found[:, None] & bit.T, (found >> n).astype(np.intp)
-    else:
-        member, owner = found.T[:, word_of] & bit, np.zeros(found.shape[-1], dtype=np.intp)
+    member = found[:, None] & bit.T if words == 1 else found.T[:, word_of] & bit
+    owner = (found >> n).astype(np.intp) if components > 1 else np.zeros(len(member), np.intp)
     return member, owner, explored, level.shape[-1] > 0
 
 

@@ -370,7 +370,7 @@ def generate_er(n: int, p: float, rng_seed: int) -> Graph:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     check_er_size(n, p)
-    return _er_union(n, p, [make_rng(rng_seed)])
+    return _er_union(n, p, (make_rng(rng_seed),))
 
 
 def _er_union(n: int, p: float, rngs: Iterable[np.random.Generator]) -> Graph:
