@@ -24,8 +24,8 @@ import numpy as np
 
 from ._seeds import check_task_count, make_rngs, map_tasks, mix_seed, worker_count
 from .circuit import CompiledCircuit, evaluate, input_seeds
-from .engine import RandomSweep, _Cascade
-from .net import MAX_NODES, Network, Rule, _er_union, check_er_size, seed_ids
+from .engine import _Cascade
+from .net import MAX_NODES, Network, Rule, _er_union, _uniform_network, check_er_size, seed_ids
 
 DEFAULT_STATE_CAP = 1 << 22
 # bytes of one (node x configuration) array of masks in each block of a level
@@ -83,12 +83,11 @@ def _by_levels(network: Network, seeds: frozenset[int], state_cap: int,
     Up to 64 nodes a level is a sorted array of masks in the narrowest
     unsigned word that holds a configuration's n node bits and, above them,
     its component's index (the fixpoint array drops the index). A block's
-    in-neighbor masks, cutoffs and rules are its component's columns,
-    sliced when the block lies in one component and else gathered per
-    configuration. Above 64 nodes a level is ceil(n/64) rows of uint64
-    words, a column per configuration, whose children are collected as
-    (Zobrist hash, parent column * n + node) columns, 16 bytes whatever n
-    is. Each (node x configuration) array of a block fits
+    in-neighbor masks, cutoffs and rules are gathered per configuration
+    from its component's columns. Above 64 nodes a level is ceil(n/64) rows
+    of uint64 words, a column per configuration, whose children are
+    collected as (Zobrist hash, parent column * n + node) columns, 16 bytes
+    whatever n is. Each (node x configuration) array of a block fits
     `SEARCH_BLOCK_BYTES`. Children are de-duplicated once the new ones are
     as many as the distinct ones, so at most twice the next level plus one
     block is held; once the distinct ones pass the cap, the rest of the
@@ -137,8 +136,7 @@ def _by_levels(network: Network, seeds: frozenset[int], state_cap: int,
             block = level[..., lo:lo + step]
             masks, cuts, antis = in_mask, cut, anti
             if components > 1:  # the columns of each configuration's component
-                first, last = int(block[0]) >> n, int(block[-1]) >> n
-                at = slice(first, last + 1) if first == last else (block >> n).astype(np.intp)
+                at = (block >> n).astype(np.intp)
                 masks, cuts, antis = in_mask[:, at], cut[:, at], anti[:, at]
             if words == 1:
                 child = block | bit
@@ -252,8 +250,8 @@ def outcome_sensitivity(network: Network, seeds: Iterable[int],
     agree = 0
     seen = set()
     trial_seeds = mix_seed(rng_seed, np.arange(trials, dtype=np.uint64))
-    for seed, rng in zip(map(int, trial_seeds), make_rngs(trial_seeds)):
-        labels = cascade.run(RandomSweep(seed), rng)[0]
+    for rng in make_rngs(trial_seeds):
+        labels = cascade.run(rng)[0]
         bits = tuple(labels[u] for u in watched)
         seen.add(bits)
         agree += bits == ref
@@ -294,11 +292,10 @@ def _run_fixpoints(args) -> list[tuple[int, bool]]:
     outcomes = []
     for lo in range(0, len(instance_seeds), batch):
         size = min(batch, len(instance_seeds) - lo)
-        graph = _er_union(n, p, islice(graph_rngs, size))
-        phi = np.concatenate([rng.random(n) for rng in islice(phi_rngs, size)])
+        network = _uniform_network(_er_union(n, p, islice(graph_rngs, size)), rule, n,
+                                   islice(phi_rngs, size))
         seed_nodes = frozenset(i * n + int(rng.integers(n))
                                for i, rng in enumerate(islice(node_rngs, size)))
-        network = Network(graph, np.full(graph.n, rule is Rule.ANTAGONISTIC), phi)
         _, owner, _, truncated = _by_levels(network, seed_nodes, state_cap, size)
         outcomes += [(count, truncated) for count in np.bincount(owner, minlength=size).tolist()]
     return outcomes
@@ -306,13 +303,17 @@ def _run_fixpoints(args) -> list[tuple[int, bool]]:
 
 def _batch_size(n: int, state_cap: int) -> int:
     """The most instances of n nodes that one search may hold: B with
-    B * 2^n <= state_cap, so that no instance's search, at most 2^n
-    configurations, can reach the cap and the union's explored count never
-    passes it; n + bit_length(B - 1) <= 64, so a tagged configuration fits
-    one word; and B * n <= MAX_NODES, the largest random graph. At least 1."""
-    if n >= 64:
+    B * 2^n <= min(state_cap, DEFAULT_STATE_CAP), so that no instance's
+    search, at most 2^n configurations, can reach the cap, and a batch's
+    levels hold no more configurations than one search under the default
+    cap, whatever the cap; and B * n <= MAX_NODES, the largest random graph.
+    B is 1 unless an instance's 2^n configurations fit one block of a level
+    of 32-bit words (n <= 12), so that a batch's blocks span many
+    components; a larger instance is searched alone, on its own columns. A
+    tagged configuration then takes at most 22 bits."""
+    if (4 * n) << n > SEARCH_BLOCK_BYTES:
         return 1
-    return max(1, min(state_cap >> n, 1 << (64 - n), MAX_NODES // n))
+    return max(1, min(min(state_cap, DEFAULT_STATE_CAP) >> n, MAX_NODES // n))
 
 
 def _instance_outcomes(n: int, z: float, instances: int, rng_seed: int, rule: Rule,

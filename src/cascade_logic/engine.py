@@ -128,6 +128,8 @@ def run_cascade(network: Network, seeds: Optional[Iterable[int]],
         labeling_order = [u for u in topological_order(network) if value[u] and u not in seed_set]
         passes = 1
     else:
+        if isinstance(mode, RandomSweep):
+            mode = make_rng(mode.rng_seed)
         _, labeling_order, passes = _Cascade(network, seed_set).run(mode)
     final = seed_set.union(labeling_order)
     return CascadeResult(
@@ -164,20 +166,18 @@ class _Cascade:
         self.monotone = np.flatnonzero(unlabeled & ~network.antagonistic).tolist()
         self.budget = MAX_EXAMINATIONS
 
-    def run(self, mode: ScheduleMode,
-            rng: Optional[np.random.Generator] = None) -> tuple[bytearray, list[int], int]:
-        """(labels, labeling order, passes) of one run under `mode`. A
-        RandomSweep draws from `rng` when given, which must be
-        ``make_rng(mode.rng_seed)``: callers that build many at once pass them."""
+    def run(self, mode: Union[np.random.Generator, ExplicitOrder]
+            ) -> tuple[bytearray, list[int], int]:
+        """(labels, labeling order, passes) of one run under `mode`: a
+        random sweep drawing its passes from the given generator, which
+        ``RandomSweep(s)`` is with ``make_rng(s)``, or an explicit order."""
         n = self.network.n
         labels = bytearray(self.labels)
-        if isinstance(mode, RandomSweep):
-            rng = make_rng(mode.rng_seed) if rng is None else rng
-
+        if isinstance(mode, np.random.Generator):
             def next_pass():
                 pending = self.pending if passes == 1 else np.flatnonzero(
                     np.frombuffer(labels, dtype=np.uint8) == 0)
-                return rng.permutation(pending).tolist()
+                return mode.permutation(pending).tolist()
         elif isinstance(mode, ExplicitOrder):
             missing = set(range(n)) - self.seed_set - set(mode.order)
             if missing:

@@ -403,9 +403,17 @@ def assign_thresholds(graph: Graph, phi, rule: Rule,
     if phi == UNIFORM:
         if rng_seed is None:
             raise ValueError("uniform threshold assignment requires rng_seed")
-        values = make_rng(rng_seed).random(graph.n)
-    else:
-        values = np.full(graph.n, phi)
+        return _uniform_network(graph, rule, graph.n, (make_rng(rng_seed),))
+    return Network(graph, np.full(graph.n, rule is Rule.ANTAGONISTIC), np.full(graph.n, phi))
+
+
+def _uniform_network(graph: Graph, rule: Rule, n: int,
+                     rngs: Iterable[np.random.Generator]) -> Network:
+    """The network of `graph` with every node given `rule` and the phi of
+    nodes i*n .. i*n+n-1 drawn from U[0, 1) by the i-th generator, one per
+    component of an `_er_union`: `assign_thresholds`' UNIFORM case is the
+    one-component one."""
+    values = np.concatenate([rng.random(n) for rng in rngs])
     return Network(graph, np.full(graph.n, rule is Rule.ANTAGONISTIC), values)
 
 

@@ -361,7 +361,8 @@ class TestVerifyGcmDeterminism:
     def test_instances_match_separate_searches(self, n, rule):
         # instance i is the network that the public generators draw from
         # mix_seed(seed, i), searched alone; caps of 2^n and less run one
-        # instance per search, the larger ones several, and 3 and 20 truncate
+        # instance per search, the larger ones several up to n = 12, and 3
+        # and 20 truncate
         z = 0.5 if n <= 2 else 3.0
         p = z / (n - 1) if n > 1 else 0.0
         instances = 16 if n <= 12 else 4
@@ -378,7 +379,16 @@ class TestVerifyGcmDeterminism:
                 want.append((len(found.fixpoints), found.truncated))
             got = analyze_module._instance_outcomes(n, z, instances, n, rule, cap, 1)
             assert got == want, cap
-        assert batches == {False, True}
+        assert batches == ({False, True} if n <= 12 else {False})
+
+    def test_batch_memory_does_not_grow_with_the_cap(self):
+        # a batch holds at most DEFAULT_STATE_CAP configurations however
+        # large the cap, and instances above 12 nodes are searched alone
+        assert analyze_module._batch_size(12, 2**40) == DEFAULT_STATE_CAP >> 12 == 1024
+        assert analyze_module._batch_size(12, 3 * 2**12) == 3
+        assert analyze_module._batch_size(4, 2**40) == DEFAULT_STATE_CAP >> 4
+        for n in (13, 16, 20, 40, 64, 100):
+            assert analyze_module._batch_size(n, 2**40) == 1
 
     @pytest.mark.parametrize("cap", [0, -5])
     def test_cap_below_one_rejected_before_any_instance_runs(self, monkeypatch, cap):
