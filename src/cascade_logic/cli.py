@@ -27,8 +27,8 @@ from .circuit import (Basis, compile_expr, load_circuit, save_circuit,
 from .engine import ExplicitOrder, RandomSweep, Topological, is_global, run_cascade
 from .experiments import (GlobalFraction, MedianExceedance, SweepSpec,
                           emit_csv, rows_from_sizes, sweep_sizes)
-from .net import (NetworkFormatError, Rule, UNIFORM, assign_thresholds, dumps,
-                  generate_er, load_network, save_network, stats, write_text)
+from .net import (NetworkFormatError, Rule, UNIFORM, assign_thresholds, generate_er,
+                  load_network, save_network, stats, write_text)
 from .parser import LimitExceeded
 
 EXIT_OK = 0
@@ -69,7 +69,7 @@ def _check_writable(*paths: Optional[str]) -> None:
 
 
 def _print_json(doc, out: Optional[str] = None) -> None:
-    write_text(dumps(doc) + "\n", _destination(out))
+    write_text(json.dumps(doc, indent=1) + "\n", _destination(out))
 
 
 def _parse_rule(text: str) -> Rule:
@@ -178,6 +178,7 @@ def _cmd_gen(args) -> int:
         if args.n < 2:
             raise UsageError("--z needs n >= 2")
         p = args.z / (args.n - 1)
+    _check_writable(args.out)  # before the graph is drawn
     graph = generate_er(args.n, p, mix_seed(args.seed, "graph"))
     network = assign_thresholds(graph, _parse_phi_flag(args.phi),
                                 _parse_rule(args.rule),
@@ -211,6 +212,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compile(args) -> int:
+    _check_writable(args.out)  # before the expression is compiled
     circuit = compile_expr(args.expr, _basis(args.basis))
     save_circuit(circuit, _destination(args.out))
     return EXIT_OK
@@ -234,12 +236,12 @@ def _cmd_fixpoints(args) -> int:
     network = load_network(args.net)
     seeds = _parse_ids(args.seeds) if args.seeds is not None else None
     found = enumerate_fixpoints(network, seeds, state_cap=args.cap)
-    doc = {
-        "fixpoints": sorted(sorted(fp) for fp in found.fixpoints),
-        "explored": found.explored_states,
-        "truncated": found.truncated,
-    }
-    _print_json(doc)
+    # the text of json.dumps(doc, indent=1), written without building the document
+    lists = ",\n  ".join("[\n   " + ",\n   ".join(map(str, fp)) + "\n  ]" if fp else "[]"
+                         for fp in sorted(sorted(fp) for fp in found.fixpoints))
+    tail = json.dumps({"explored": found.explored_states, "truncated": found.truncated}, indent=1)
+    write_text(('{\n "fixpoints": ', f"[\n  {lists}\n ]" if lists else "[]", ",\n", tail[2:], "\n"),
+               sys.stdout)
     if found.truncated:
         _fail("resource", f"state cap {args.cap} reached; fixpoint set incomplete")
         return EXIT_RESOURCE

@@ -12,7 +12,9 @@ and shares its arrays.
 
 Network files are read into the columns and written from them:
 :func:`load_bundle` tests each rule once per node, edge and seed as it reads
-it, and raises the message of the first rule that fails on the spot.
+it, and raises the message of the first rule that fails on the spot;
+:func:`save_network` streams the file from the columns, a chunk of nodes or
+edges at a time.
 """
 
 from __future__ import annotations
@@ -20,14 +22,13 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from json.encoder import encode_basestring_ascii as _encode_str
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 import numpy as np
 
@@ -454,6 +455,8 @@ def stats(graph: Graph) -> NetworkStats:
 #    "inputs":   {name: id, ...},   # optional; circuits only
 #    "outputs":  {name: id, ...}}   # optional; circuits only
 #
+# save_network streams json.dumps(doc, indent=1)'s text from the columns: one
+# template per node and per edge, and json.dumps itself for the seeds and ports.
 # Fraction thresholds are written as their nearest float; the canonical gate
 # values survive this because cutoff(float(phi), k) == cutoff(phi, k) for
 # each of them at its fan-in k, so a reloaded gate fires on the same counts.
@@ -476,6 +479,7 @@ _TOP_KEYS = {"directed", "nodes", "edges", "seeds", "inputs", "outputs"}
 _NODE_KEYS = {"id", "rule", "phi"}
 _RULE_NAMES = (Rule.MONOTONE.value, Rule.ANTAGONISTIC.value)  # by the antagonistic flag
 _AGCM = Rule.ANTAGONISTIC.value
+_CHUNK = 1 << 12  # nodes or edges formatted per string that save_network writes
 
 
 def read_text(source) -> str:
@@ -497,83 +501,42 @@ def write_text(text: Union[str, Iterable[str]], destination) -> None:
             f.writelines(text)
 
 
-def dumps(value) -> str:
-    """``json.dumps(value, indent=1)``, byte for byte. Any ``indent`` makes
-    the standard library fall back to its pure-Python encoder; this builds
-    each container in one join instead."""
-    return _dumps(value, "\n")
-
-
-def _dumps(value, newline: str) -> str:
-    """`value` encoded with its first line at the indent `newline` ends in."""
-    if isinstance(value, str):
-        return _encode_str(value)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = newline + " "
-        # a scalar item is encoded by its exact type's function, in one lookup
-        items = [leaf(v) if (leaf := _LEAVES.get(type(v))) else _dumps(v, inner)
-                 for v in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = newline + " "
-        items = [_encode_str(k if isinstance(k, str) else _scalar(k)) + ": "
-                 + (leaf(v) if (leaf := _LEAVES.get(type(v))) else _dumps(v, inner))
-                 for k, v in value.items()]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    return _scalar(value)
-
-
-def _scalar(value) -> str:
-    """The JSON text of a number, bool or None; as a dict key, this text
-    is quoted."""
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float_text(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _float_text(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value in (math.inf, -math.inf):
-        return "Infinity" if value > 0 else "-Infinity"
-    return float.__repr__(value)
-
-
-_LEAVES = {str: _encode_str, int: int.__repr__, float: _float_text, bool: _scalar,
-           type(None): _scalar}
+def _list_text(key: str, count: int, items) -> Iterator[str]:
+    """A comma, then the `key` list of a top-level ``indent=1`` JSON object:
+    `count` items, `items(lo, hi)` giving the texts of items lo..hi-1."""
+    yield f',\n "{key}": ['
+    for lo in range(0, count, _CHUNK):
+        yield ",\n" if lo else "\n"
+        yield ",\n".join(items(lo, min(lo + _CHUNK, count)))
+    yield "\n ]" if count else "]"
 
 
 def save_network(network: Network, destination, *,
                  inputs: Optional[Mapping[str, int]] = None,
                  outputs: Optional[Mapping[str, int]] = None) -> None:
     """Write `network` as a JSON document to a path or open text file,
-    straight from its columns: no per-node view is built."""
-    graph = network.graph
-    phi = network.phi.astype(np.float64).tolist()  # each Fraction as its nearest float
-    doc: dict = {
-        "directed": graph.directed,
-        "nodes": [{"id": i, "rule": _RULE_NAMES[a], "phi": p}
-                  for i, (a, p) in enumerate(zip(network.antagonistic.tolist(), phi))],
-        "edges": np.column_stack((graph.src, graph.dst)).tolist(),
-        "seeds": sorted(network.seeds),
-    }
-    if inputs is not None:
-        doc["inputs"] = {str(k): int(v) for k, v in inputs.items()}
-    if outputs is not None:
-        doc["outputs"] = {str(k): int(v) for k, v in outputs.items()}
-    write_text(dumps(doc) + "\n", destination)
+    streamed from its columns `_CHUNK` nodes or edges at a time: the text is
+    ``json.dumps(doc, indent=1)`` of the document, never held whole."""
+    graph, antagonistic = network.graph, network.antagonistic
+    phi = network.phi.astype(np.float64, copy=False)  # each Fraction as its nearest float
+
+    def nodes(lo, hi):
+        return (f'  {{\n   "id": {i},\n   "rule": "{_RULE_NAMES[a]}",\n   "phi": {p!r}\n  }}'
+                for i, a, p in zip(range(lo, hi), antagonistic[lo:hi].tolist(),
+                                   phi[lo:hi].tolist()))
+
+    def edges(lo, hi):
+        return (f"  [\n   {u},\n   {v}\n  ]"
+                for u, v in zip(graph.src[lo:hi].tolist(), graph.dst[lo:hi].tolist()))
+
+    tail: dict = {"seeds": sorted(network.seeds)}
+    for key, ports in (("inputs", inputs), ("outputs", outputs)):
+        if ports is not None:
+            tail[key] = {str(k): int(v) for k, v in ports.items()}
+    # the tail's keys at the top level's indent: its text without the opening "{\n"
+    write_text(chain(('{\n "directed": ' + json.dumps(graph.directed),),
+                     _list_text("nodes", graph.n, nodes), _list_text("edges", graph.src.size, edges),
+                     (",\n" + json.dumps(tail, indent=1)[2:] + "\n",)), destination)
 
 
 def _expect(cond: bool, message: str) -> None:

@@ -76,6 +76,28 @@ class TestGen:
         code, _, err = cli("gen", "--n", "10", "--rule", "gcm", "--seed", "1")
         assert code == 1
 
+    def test_unwritable_output_fails_before_the_graph_is_drawn(self, cli, monkeypatch,
+                                                               tmp_path):
+        calls = []
+        real = cli_module.generate_er
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli_module, "generate_er", counted)
+        argv = ("gen", "--n", "30", "--z", "3", "--seed", "7", "--out")
+        missing = str(tmp_path / "nodir" / "net.json")
+        code, out, err = cli(*argv, missing)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": {
+            "kind": "input", "message": f"[Errno 2] No such file or directory: {missing!r}"}}
+        assert calls == []
+        target = tmp_path / "net.json"
+        assert cli(*argv, str(target)) == (0, "", "")
+        assert len(calls) == 1
+        assert load_network(target).n == 30
+
 
 class TestStatsAndRun:
     def test_stats_json(self, cli):
@@ -250,6 +272,28 @@ class TestCompileEvalTable:
         assert cli("table", "--net", net, "--out", str(target)) == (0, "", "")
         assert len(calls) == 1
         assert target.read_text() == (GOLDEN / "half_adder.table.csv").read_text()
+
+    def test_unwritable_output_fails_before_the_expression_is_compiled(self, cli,
+                                                                       monkeypatch, tmp_path):
+        calls = []
+        real = cli_module.compile_expr
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli_module, "compile_expr", counted)
+        argv = ("compile", "--expr", "a @& b", "--out")
+        missing = str(tmp_path / "nodir" / "c.json")
+        code, out, err = cli(*argv, missing)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": {
+            "kind": "input", "message": f"[Errno 2] No such file or directory: {missing!r}"}}
+        assert calls == []
+        target = tmp_path / "c.json"
+        assert cli(*argv, str(target)) == (0, "", "")
+        assert len(calls) == 1
+        assert target.read_text() == fixture_path("nand2.json").read_text()
 
     def test_thousand_term_xor_compiles_and_its_table_hits_the_cap(self, cli, tmp_path):
         target = tmp_path / "xor.json"

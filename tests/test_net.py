@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -11,6 +12,7 @@ from cascade_logic import (Network, NetworkFormatError, Rule,
                            UNIFORM, assign_thresholds, cutoff, generate_er,
                            load_bundle, load_network, make_rng, save_network,
                            stats)
+from cascade_logic import net as net_module
 from cascade_logic._seeds import make_rngs, mix_seed
 from cascade_logic.net import Graph, _cutoffs, _er_union, _float_cutoffs, _pair_from_linear
 from conftest import network_of
@@ -364,6 +366,24 @@ class TestSerialization:
         assert bundle.network == net
         assert bundle.inputs == {"a": 0}
         assert bundle.outputs == {"out": 2}
+
+    def test_save_holds_one_chunk_at_a_time(self, tmp_path):
+        # about 50,000 nodes and 75,000 edges: 13 and 19 chunks, a file of about 5 MB
+        net = assign_thresholds(generate_er(50_000, 3 / 49_999, 11), UNIFORM,
+                                Rule.MONOTONE, rng_seed=12)
+        target = tmp_path / "net.json"
+        tracemalloc.start()
+        try:
+            save_network(net, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # an item in a chunk holds its Python values, its text and its share of
+        # the chunk's joined and encoded text: about 350 bytes, well below 1 KB
+        assert peak < 1024 * net_module._CHUNK
+        text = target.read_text()
+        assert text == json.dumps(json.loads(text), indent=1) + "\n"
+        assert load_network(target) == net
 
     def test_duplicate_edge_file_rejected(self, tmp_path):
         doc = {"directed": False,

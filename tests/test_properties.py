@@ -5,19 +5,24 @@ from __future__ import annotations
 
 import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cascade_logic import (ExplicitOrder, Network, RandomSweep, Rule, Topological,
-                           cutoff, monotone_closure, run_cascade, topological_order)
-from cascade_logic.net import dumps, load_bundle, save_network
+                           cutoff, enumerate_fixpoints, load_network, monotone_closure,
+                           run_cascade, topological_order)
+from cascade_logic.cli import main
+from cascade_logic.net import load_bundle, save_network
 from conftest import assert_stable, network_of
 from oracles import full_pass_cascade, naive_cascade
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 MAX_NODES = 8
 
@@ -160,19 +165,6 @@ def test_antagonistic_runs_take_at_most_two_passes(data, rng_seed):
 
 
 TEXT = st.text(st.characters(blacklist_categories=()))  # lone surrogates too
-JSON_KEYS = st.one_of(TEXT, st.integers(), st.floats(), st.booleans(), st.none())
-JSON_VALUES = st.recursive(
-    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.just(-0.0),
-              TEXT),
-    lambda inner: st.one_of(st.lists(inner), st.lists(inner).map(tuple),
-                            st.dictionaries(JSON_KEYS, inner)),
-    max_leaves=30)
-
-
-@PROPERTY
-@given(value=JSON_VALUES)
-def test_dumps_matches_json_dumps_indent_1(value):
-    assert dumps(value) == json.dumps(value, indent=1)
 
 
 def saved_the_old_way(network, inputs, outputs) -> str:
@@ -204,3 +196,26 @@ def test_network_file_round_trip(data, instance):
     assert bundle.network == Network(network.graph, network.antagonistic,
                                      network.phi.astype(np.float64), seeds)
     assert (bundle.inputs, bundle.outputs) == (inputs, outputs)
+
+
+@PROPERTY
+@given(instance=networks(), cap=st.integers(1, 2**MAX_NODES + 1))
+# the seed set {0} is not stable, so a cap of 1 finds no fixpoint at all
+@example(instance=(network_of(2, True, [(0, 1)]), frozenset({0})), cap=1)
+# nothing is seeded and nothing fires: the one fixpoint is empty
+@example(instance=(network_of(1, False, [], phi=1.0), frozenset()), cap=1)
+def test_fixpoints_output_is_json_dumps_indent_1(instance, cap):
+    # truncated searches too: caps start at 1
+    drawn, seeds = instance
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / "net.json"
+        save_network(Network(drawn.graph, drawn.antagonistic, drawn.phi, seeds), path)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["fixpoints", "--net", str(path), "--cap", str(cap)])
+        found = enumerate_fixpoints(load_network(path), state_cap=cap)
+    assert code == (3 if found.truncated else 0)
+    assert out.getvalue() == json.dumps({
+        "fixpoints": sorted(sorted(fp) for fp in found.fixpoints),
+        "explored": found.explored_states,
+        "truncated": found.truncated}, indent=1) + "\n"
