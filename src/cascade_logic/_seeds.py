@@ -1,16 +1,16 @@
-"""Deterministic seed derivation and task fan-out.
+"""Deterministic seed derivation and the split of indexed work over workers.
 
 Bulk randomness comes from numpy's PCG64 bit generator; sub-seeds for
-realizations, trials, and worker tasks are derived from a master seed with
-SplitMix64 mixing. The same (master, parts) always yields the same sub-seed,
-so results do not depend on worker count or scheduling order. Outputs that
-carry run metadata record the generator under ``GENERATOR_NAME``.
+realizations, trials and instances are derived from a master seed and the
+item's index with SplitMix64 mixing, so results do not depend on how
+:func:`map_runs` splits the indices over workers. Outputs that carry run
+metadata record the generator under ``GENERATOR_NAME``.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -142,14 +142,16 @@ def worker_count(jobs: Optional[int], tasks: int) -> int:
     return max(1, min(jobs or 1, os.cpu_count() or 1, tasks))
 
 
-def map_tasks(fn: Callable, tasks: Sequence, jobs: Optional[int]) -> list:
-    """``[fn(t) for t in tasks]``, spread over worker processes when
-    :func:`worker_count` allows more than one. Results keep task order."""
-    workers = worker_count(jobs, len(tasks))
+def map_runs(fn: Callable[[range], object], count: int, jobs: Optional[int]) -> list:
+    """``fn(run)`` over runs of consecutive indices covering ``range(count)``,
+    results in index order: one run on one worker, else ``min(count, 4 *
+    workers)`` runs whose sizes differ by at most one, so slow runs even out."""
+    workers = worker_count(jobs, count)
     if workers == 1:
-        return [fn(t) for t in tasks]
+        return [fn(range(count))]
+    runs = min(count, 4 * workers)
+    bounds = [count * k // runs for k in range(runs + 1)]
     # imported here: the pool's modules cost every start of the command line
     from concurrent.futures import ProcessPoolExecutor
-    chunk = max(1, len(tasks) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks, chunksize=chunk))
+        return list(pool.map(fn, map(range, bounds, bounds[1:])))

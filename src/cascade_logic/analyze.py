@@ -17,12 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from itertools import islice
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ._seeds import check_task_count, make_rngs, map_tasks, mix_seed, worker_count
+from ._seeds import check_task_count, make_rngs, map_runs, mix_seed
 from .circuit import CompiledCircuit, evaluate, input_seeds
 from .engine import _Cascade
 from .net import MAX_NODES, Network, Rule, _er_union, _uniform_network, check_er_size, seed_ids
@@ -279,19 +280,20 @@ class Verdict(Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-def _run_fixpoints(args) -> list[tuple[int, bool]]:
-    """(fixpoint count, truncated) of each of a run of instance seeds,
-    searched in batches of `batch` instances, each in one `_by_levels` call
-    over the union of their networks. Instance seed s draws its graph as
-    ``generate_er(n, p, mix_seed(s, 0))``, its thresholds as
-    ``assign_thresholds(..., UNIFORM, rule, rng_seed=mix_seed(s, 1))`` and
-    its seed node as ``make_rng(mix_seed(s, 2)).integers(n)``."""
-    n, p, rule, instance_seeds, state_cap, batch = args
+def _run_fixpoints(n: int, p: float, rule: Rule, rng_seed: int, state_cap: int,
+                   batch: int, run: range) -> list[tuple[int, bool]]:
+    """(fixpoint count, truncated) of each instance of a run, searched in
+    batches of `batch` instances, each in one `_by_levels` call over the
+    union of their networks. Instance i, of seed s = mix_seed(rng_seed, i),
+    draws its graph as ``generate_er(n, p, mix_seed(s, 0))``, its thresholds
+    as ``assign_thresholds(..., UNIFORM, rule, rng_seed=mix_seed(s, 1))``
+    and its seed node as ``make_rng(mix_seed(s, 2)).integers(n)``."""
+    instance_seeds = mix_seed(rng_seed, np.arange(run.start, run.stop, dtype=np.uint64))
     graph_rngs, phi_rngs, node_rngs = (make_rngs(mix_seed(instance_seeds, part))
                                        for part in range(3))
     outcomes = []
-    for lo in range(0, len(instance_seeds), batch):
-        size = min(batch, len(instance_seeds) - lo)
+    for lo in range(0, len(run), batch):
+        size = min(batch, len(run) - lo)
         network = _uniform_network(_er_union(n, p, islice(graph_rngs, size)), rule, n,
                                    islice(phi_rngs, size))
         seed_nodes = frozenset(i * n + int(rng.integers(n))
@@ -319,17 +321,11 @@ def _batch_size(n: int, state_cap: int) -> int:
 def _instance_outcomes(n: int, z: float, instances: int, rng_seed: int, rule: Rule,
                        state_cap: int, jobs: Optional[int]) -> list[tuple[int, bool]]:
     """(fixpoint count, truncated) of each instance of
-    `verify_gcm_determinism`, in order. Instance i has seed
-    ``mix_seed(rng_seed, i)``. One worker takes all instances as one run;
-    more take four runs each in turn, so that slow instances even out."""
+    `verify_gcm_determinism`, in instance order."""
     p = z / (n - 1) if n > 1 else 0.0
     check_er_size(n, p)
-    workers = worker_count(jobs, instances)
-    runs = 1 if workers == 1 else min(instances, 4 * workers)
-    batch = _batch_size(n, state_cap)
-    seeds = mix_seed(rng_seed, np.arange(instances, dtype=np.uint64))
-    tasks = [(n, p, rule, run, state_cap, batch) for run in np.array_split(seeds, runs)]
-    return [outcome for run in map_tasks(_run_fixpoints, tasks, jobs) for outcome in run]
+    search = partial(_run_fixpoints, n, p, rule, rng_seed, state_cap, _batch_size(n, state_cap))
+    return [outcome for run in map_runs(search, instances, jobs) for outcome in run]
 
 
 def verify_gcm_determinism(n: int, z: float, instances: int, rng_seed: int,

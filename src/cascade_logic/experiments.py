@@ -14,11 +14,12 @@ SplitMix64 mixing, so results are byte-identical for any worker count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ._seeds import GENERATOR_NAME, check_task_count, make_rng, map_tasks, mix_seed
+from ._seeds import GENERATOR_NAME, check_task_count, make_rng, map_runs, mix_seed
 from .engine import RandomSweep, monotone_closure, run_cascade
 from .net import (Rule, assign_thresholds, check_er_size, generate_er, read_text,
                   write_text)
@@ -90,35 +91,35 @@ class SweepRow:
     realizations: int
 
 
-def _realization_sizes(args) -> tuple[float, ...]:
-    """One realization's graph and seed nodes, and the cascade size under
-    each of the given rules."""
-    spec, rules, zi, r = args
-    base = mix_seed(spec.master_seed, zi, r)
-    p = spec.z_values[zi] / (spec.n - 1)
-    graph = generate_er(spec.n, p, mix_seed(base, 0))
-    seed_nodes = [int(s) for s in
-                  make_rng(mix_seed(base, 1)).permutation(spec.n)[: spec.seeds_per_run]]
-    sizes = []
-    for rule in rules:
-        network = assign_thresholds(graph, spec.phi_star, rule)
-        if rule is Rule.MONOTONE:  # every schedule ends in the closure
-            final = monotone_closure(network, seed_nodes)
-        else:
-            final = run_cascade(network, seed_nodes, RandomSweep(mix_seed(base, 2))).final
-        sizes.append(len(final) / spec.n)
-    return tuple(sizes)
+def _run_sizes(spec: SweepSpec, rules: tuple[Rule, ...], run: range) -> np.ndarray:
+    """Cascade sizes of a run of realizations, one row each and one column
+    per rule, every rule on the same graph and seed nodes. Realization i is
+    realization r at z index zi, ``(zi, r) = divmod(i, spec.realizations)``."""
+    sizes = np.empty((len(run), len(rules)))
+    for row, i in enumerate(run):
+        zi, r = divmod(i, spec.realizations)
+        base = mix_seed(spec.master_seed, zi, r)
+        graph = generate_er(spec.n, spec.z_values[zi] / (spec.n - 1), mix_seed(base, 0))
+        seed_nodes = [int(s) for s in
+                      make_rng(mix_seed(base, 1)).permutation(spec.n)[: spec.seeds_per_run]]
+        for col, rule in enumerate(rules):
+            network = assign_thresholds(graph, spec.phi_star, rule)
+            if rule is Rule.MONOTONE:  # every schedule ends in the closure
+                final = monotone_closure(network, seed_nodes)
+            else:
+                final = run_cascade(network, seed_nodes, RandomSweep(mix_seed(base, 2))).final
+            sizes[row, col] = len(final) / spec.n
+    return sizes
 
 
 def _sizes_by_rule(spec: SweepSpec, rules: Sequence[Rule],
                    jobs: Optional[int]) -> list[list[np.ndarray]]:
     """Per rule, per z value, the cascade size of every realization, in
     realization order; every rule runs on the same graphs and seed nodes."""
-    tasks = [(spec, tuple(rules), zi, r)
-             for zi in range(len(spec.z_values))
-             for r in range(spec.realizations)]
-    # copied, so each per-z row is contiguous like a freshly built array
-    by_rule = np.array(map_tasks(_realization_sizes, tasks, jobs)).T.copy()
+    # one row per rule, so that each per-z row is contiguous
+    by_rule = np.empty((len(rules), spec.realizations * len(spec.z_values)))
+    np.concatenate(map_runs(partial(_run_sizes, spec, tuple(rules)), by_rule.shape[1], jobs),
+                   out=by_rule.T)
     return [list(sizes.reshape(len(spec.z_values), spec.realizations)) for sizes in by_rule]
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import concurrent.futures
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -98,3 +100,50 @@ def assert_stable(network, final) -> None:
 @pytest.fixture
 def triangle() -> Network:
     return triangle_network()
+
+
+@pytest.fixture
+def serial_pool(monkeypatch) -> list[int]:
+    """Replace the process pool by one that runs each call in this process,
+    so that a patched run function is seen, and report 64 CPUs, so that
+    `jobs` and the count alone set the worker count. Returns the size of
+    every pool started."""
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    # map_runs imports the pool class when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    return started
+
+
+def record_runs(monkeypatch, module, name: str) -> list[range]:
+    """Patch the run function `module.name`, whose last argument is its run
+    of indices, to record each run it gets; returns the runs."""
+    runs, real = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: runs.append(args[-1]) or real(*args))
+    return runs
+
+
+def assert_split(runs, count: int, workers: int) -> None:
+    """`runs` are the ranges that a split of `count` indices over `workers`
+    handed out: consecutive, covering 0..count-1 exactly once and in order,
+    one run on one worker and else min(count, 4 * workers) runs whose sizes
+    differ by at most one."""
+    assert all(isinstance(run, range) and run.step == 1 for run in runs)
+    assert [i for run in runs for i in run] == list(range(count))
+    assert len(runs) == (1 if workers == 1 else min(count, 4 * workers))
+    assert len(runs) <= 4 * workers
+    assert max(map(len, runs)) - min(map(len, runs)) <= 1

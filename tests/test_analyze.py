@@ -17,7 +17,8 @@ from cascade_logic import (Basis, DEFAULT_STATE_CAP, FixpointSet, Graph, MedianE
                            schedule_sensitivity, verify_gcm_determinism)
 from cascade_logic.circuit import input_seeds
 from cascade_logic.cli import main
-from conftest import assert_stable, network_of, random_instance, small_network
+from conftest import (assert_split, assert_stable, network_of, random_instance, record_runs,
+                      small_network)
 from oracles import rescan_fixpoints
 
 
@@ -339,20 +340,12 @@ class TestVerifyGcmDeterminism:
         assert outcomes[0] == outcomes[1] == outcomes[2]
         assert max(count for count, _ in outcomes[0]) > 1
 
-    def test_every_worker_gets_runs_in_instance_order(self, monkeypatch):
-        dispatched = []
-
-        def serial(fn, tasks, jobs):
-            dispatched.append(tasks)
-            return [fn(task) for task in tasks]
-        monkeypatch.setattr(analyze_module, "worker_count", lambda jobs, tasks: 3)
-        monkeypatch.setattr(analyze_module, "map_tasks", serial)
+    def test_every_worker_gets_runs_in_instance_order(self, monkeypatch, serial_pool):
+        runs = record_runs(monkeypatch, analyze_module, "_run_fixpoints")
         outcomes = analyze_module._instance_outcomes(12, 3.0, 300, 5, Rule.MONOTONE,
                                                      DEFAULT_STATE_CAP, 3)
-        (tasks,) = dispatched
-        assert len(tasks) >= 3
-        runs = np.concatenate([run for _, _, _, run, _, _ in tasks])
-        assert runs.tolist() == mix_seed(5, np.arange(300, dtype=np.uint64)).tolist()
+        assert serial_pool == [3]
+        assert_split(runs, 300, 3)
         assert outcomes == analyze_module._instance_outcomes(12, 3.0, 300, 5, Rule.MONOTONE,
                                                              DEFAULT_STATE_CAP, 1)
 
@@ -392,11 +385,13 @@ class TestVerifyGcmDeterminism:
 
     @pytest.mark.parametrize("cap", [0, -5])
     def test_cap_below_one_rejected_before_any_instance_runs(self, monkeypatch, cap):
-        def no_tasks(*args):
-            raise AssertionError("instances were dispatched")
-        monkeypatch.setattr(analyze_module, "map_tasks", no_tasks)
+        def no_run(*args):
+            raise AssertionError("an instance ran")
+        monkeypatch.setattr(analyze_module, "_run_fixpoints", no_run)
         with pytest.raises(ValueError, match="state_cap"):
             verify_gcm_determinism(10, 3.0, 5, 1, state_cap=cap)
+        with pytest.raises(AssertionError, match="an instance ran"):
+            verify_gcm_determinism(10, 3.0, 5, 1, state_cap=1)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):

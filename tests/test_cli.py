@@ -18,7 +18,7 @@ from cascade_logic import fixture_path, load_network
 from cascade_logic.circuit import MAX_FAN_IN, MAX_TABLE_CELLS, MAX_TABLE_STEPS
 from cascade_logic.cli import MAX_Z_VALUES, _parse_z_range, main
 from cascade_logic.parser import MAX_NESTING, LimitExceeded
-from conftest import GOLDEN
+from conftest import GOLDEN, record_runs
 
 FIXTURES = ["or2", "and2", "nor2", "nand2", "not1", "half_adder"]
 
@@ -423,16 +423,13 @@ class TestSizeCaps:
         for cap, code in ((45, 0), (44, 3)):
             monkeypatch.setattr(net_module, "MAX_EXPECTED_EDGES", cap)
             assert cli("gen", "--n", "10", "--p", "1", "--seed", "1")[0] == code
-        calls = []
-        real = experiments_module._realization_sizes
-        monkeypatch.setattr(experiments_module, "_realization_sizes",
-                            lambda task: calls.append(task) or real(task))
+        runs = record_runs(monkeypatch, experiments_module, "_run_sizes")
         for cap, code in ((66, 0), (65, 3)):
             monkeypatch.setattr(net_module, "MAX_EXPECTED_EDGES", cap)
-            calls.clear()
+            runs.clear()
             assert cli(*self.SWEEP, "--n", "33", "--z", "1:4:1", "--realizations", "1")[0] == code
             # the largest z is checked before the smaller ones run
-            assert len(calls) == (4 if code == 0 else 0)
+            assert runs == ([range(4)] if code == 0 else [])
 
     def test_task_cap_boundary(self, cli, monkeypatch):
         monkeypatch.setattr(seeds_module, "MAX_TASKS", 4)
@@ -479,23 +476,16 @@ class TestSweep:
     @pytest.mark.parametrize("flag", ["--out", "--dump-sizes"])
     def test_unwritable_output_fails_before_any_realization(self, cli, monkeypatch,
                                                             tmp_path, flag):
-        calls = []
-        real = experiments_module._realization_sizes
-
-        def counted(args):
-            calls.append(args)
-            return real(args)
-
-        monkeypatch.setattr(experiments_module, "_realization_sizes", counted)
+        runs = record_runs(monkeypatch, experiments_module, "_run_sizes")
         argv = ("sweep", "--n", "30", "--z", "2", "--phi", "0.2", "--rule", "gcm",
                 "--realizations", "2", "--seed", "5", "--jobs", "1")
         missing = str(tmp_path / "nodir" / "out.json")
         code, out, err = cli(*argv, flag, missing)
         assert (code, out) == (2, "")
         assert json.loads(err)["error"]["kind"] == "input"
-        assert calls == []
+        assert runs == []
         assert cli(*argv, flag, str(tmp_path / "out.json"))[0] == 0
-        assert len(calls) == 2
+        assert runs == [range(2)]
 
     def test_z_range_above_the_cap_exits_3_without_building_it(self, cli):
         # a step of 1e-9 asks for 10^9 + 1 values; they are counted, not built

@@ -1,16 +1,18 @@
-import concurrent.futures
 import io
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import cascade_logic.analyze as analyze
 import cascade_logic.experiments as experiments
-from cascade_logic import (GlobalFraction, MedianExceedance, Rule, SweepSpec,
+from cascade_logic import (DEFAULT_STATE_CAP, GlobalFraction, MedianExceedance, Rule, SweepSpec,
                            cascade_sizes, emit_csv, parse_csv, reference_sizes,
                            rows_from_sizes, run_sweep, verify_gcm_determinism)
-from cascade_logic._seeds import mix_seed, worker_count
+from cascade_logic._seeds import map_runs, mix_seed, worker_count
 from cascade_logic.cli import main
+from conftest import assert_split, record_runs
 
 
 def small_spec(**overrides):
@@ -83,33 +85,15 @@ class TestDeterminism:
         assert worker_count(None, 30) == 1
         assert worker_count(0, 30) == 1
 
-    def test_pools_start_the_clamped_worker_count(self, monkeypatch):
-        # a stand-in pool records its size and runs in-process
-        started = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
-
-        # map_tasks imports the pool class when it starts one
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    def test_pools_start_the_clamped_worker_count(self, serial_pool):
         spec = small_spec(z_values=(2.0,), realizations=3)
         serial = cascade_sizes(spec, jobs=1)
-        assert started == []
+        assert serial_pool == []
         clamped = cascade_sizes(spec, jobs=10**6)
         assert all(np.array_equal(x, y) for x, y in zip(serial, clamped))
         verify_gcm_determinism(8, 2.0, 3, 1, jobs=10**6)
-        expected = worker_count(10**6, 3)
-        assert started == ([expected] * 2 if expected > 1 else [])
+        # at most one worker per realization or instance
+        assert serial_pool == [3, 3]
 
     def test_csv_bytes_are_reproducible(self):
         spec = small_spec(metric=MedianExceedance())
@@ -117,6 +101,85 @@ class TestDeterminism:
         emit_csv(run_sweep(spec), first, spec=spec)
         emit_csv(run_sweep(spec, jobs=3), second, spec=spec)
         assert first.getvalue() == second.getvalue()
+
+
+class TestRunSplits:
+    """Work split over 1, 2 and 3 stand-in workers: counts below 4 * workers,
+    equal to it, and not divisible by the number of runs."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("count", [1, 5, 8, 12, 17, 30])
+    def test_runs_cover_every_index_once(self, serial_pool, workers, count):
+        runs = map_runs(lambda run: run, count, workers)
+        assert_split(runs, count, workers)
+        assert serial_pool == ([min(workers, count)] if min(workers, count) > 1 else [])
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("z,realizations,count", [("2", 5, 5), ("1:2:1", 4, 8),
+                                                      ("1:3:1", 4, 12), ("1:3:1", 7, 21)])
+    def test_sweep_bytes_match_one_worker(self, serial_pool, monkeypatch, tmp_path, workers, z,
+                                          realizations, count):
+        runs = record_runs(monkeypatch, experiments, "_run_sizes")
+
+        def sweep(jobs):
+            out, dump = tmp_path / f"{jobs}.csv", tmp_path / f"{jobs}.json"
+            assert main(["sweep", "--n", "40", "--z", z, "--phi", "0.18", "--rule", "agcm",
+                         "--realizations", str(realizations), "--metric", "median",
+                         "--seed", "3", "--jobs", str(jobs), "--out", str(out),
+                         "--dump-sizes", str(dump)]) == 0
+            return out.read_bytes(), dump.read_bytes()
+
+        serial = sweep(1)
+        runs.clear()
+        assert sweep(workers) == serial
+        assert_split(runs, count, workers)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("instances", [5, 8, 12, 17])
+    def test_instance_outcomes_match_one_worker(self, serial_pool, monkeypatch, workers,
+                                                instances):
+        runs = record_runs(monkeypatch, analyze, "_run_fixpoints")
+
+        def outcomes(jobs):
+            return analyze._instance_outcomes(9, 3.0, instances, 77, Rule.ANTAGONISTIC,
+                                              DEFAULT_STATE_CAP, jobs)
+
+        serial = outcomes(1)
+        runs.clear()
+        assert outcomes(workers) == serial
+        assert_split(runs, instances, workers)
+
+
+def test_sweep_sizes_are_held_as_one_array_per_run(monkeypatch):
+    # the largest sweep, 2^20 realizations under both rules, with the work
+    # of each realization stubbed out: its sizes take 16 MB as float64, and
+    # the bookkeeping may hold them about twice over, not as one tuple each
+    class Stub:
+        final = frozenset({0})
+
+        def permutation(n):
+            return [0]
+
+    monkeypatch.setattr(experiments, "mix_seed", lambda *parts: 0)
+    monkeypatch.setattr(experiments, "generate_er", lambda n, p, seed: None)
+    monkeypatch.setattr(experiments, "make_rng", lambda seed: Stub)
+    monkeypatch.setattr(experiments, "assign_thresholds", lambda graph, phi, rule: None)
+    monkeypatch.setattr(experiments, "monotone_closure", lambda network, seeds: {0, 1})
+    monkeypatch.setattr(experiments, "run_cascade", lambda network, seeds, schedule: Stub)
+    monkeypatch.setattr(experiments, "RandomSweep", lambda seed: None)
+    spec = small_spec(n=40, z_values=range(1, 17), realizations=1 << 16,
+                      metric=MedianExceedance())
+    rules = (Rule.ANTAGONISTIC, Rule.MONOTONE)
+    tracemalloc.start()
+    try:
+        by_rule = experiments._sizes_by_rule(spec, rules, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for per_z, size in zip(by_rule, (1 / 40, 2 / 40)):
+        assert len(per_z) == 16
+        assert all(np.array_equal(sizes, np.full(1 << 16, size)) for sizes in per_z)
+    assert peak < 48 * 2**20
 
 
 class TestSizesAndMetrics:
