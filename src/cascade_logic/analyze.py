@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from functools import cached_property, partial
 from itertools import islice
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -33,21 +33,52 @@ DEFAULT_STATE_CAP = 1 << 22
 SEARCH_BLOCK_BYTES = 1 << 18
 
 
-@dataclass(frozen=True)
 class FixpointSet:
     """The reachable stable configurations, exhaustive unless truncated: then
     only those in the levels of labeled count that fit whole within the
-    state cap, whose configurations `explored_states` counts."""
+    state cap, whose configurations `explored_states` counts.
 
-    fixpoints: frozenset[frozenset[int]]
-    explored_states: int
-    truncated: bool
+    `enumerate_fixpoints` gives the search's `member` array, one row per
+    fixpoint in no set order and one column per node, nonzero where the node
+    is labeled; `fixpoints`, the same configurations as a frozenset of
+    frozensets of node ids, is built from it when first read. A set built
+    from `fixpoints` has `member` None. Two sets are equal when their
+    fixpoints, counts and truncation are."""
+
+    def __init__(self, fixpoints: Optional[Iterable[Iterable[int]]], explored_states: int,
+                 truncated: bool, member: Optional[np.ndarray] = None):
+        if (fixpoints is None) == (member is None):
+            raise ValueError("a FixpointSet takes exactly one of fixpoints and member")
+        self.explored_states, self.truncated, self.member = explored_states, truncated, member
+        if fixpoints is not None:
+            self.__dict__["fixpoints"] = frozenset(map(frozenset, fixpoints))
+
+    @cached_property
+    def fixpoints(self) -> frozenset[frozenset[int]]:
+        rows, ids = np.nonzero(self.member)  # split the ids of all fixpoints by row
+        ends = rows.searchsorted(np.arange(1, len(self.member) + 1)).tolist()
+        ids = ids.tolist()
+        return frozenset(frozenset(ids[lo:hi]) for lo, hi in zip([0] + ends, ends))
+
+    def _key(self):
+        return self.fixpoints, self.explored_states, self.truncated
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, FixpointSet) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"FixpointSet(fixpoints={self.fixpoints!r}, "
+                f"explored_states={self.explored_states!r}, truncated={self.truncated!r})")
 
 
 def enumerate_fixpoints(network: Network, seeds: Optional[Iterable[int]] = None,
                         state_cap: int = DEFAULT_STATE_CAP) -> FixpointSet:
     """The stable configurations reachable from the seed set, searched one
-    level of labeled count at a time.
+    level of labeled count at a time, as the search's member array (see
+    `FixpointSet`).
 
     Each move labels one node, so the configurations with k labeled nodes
     are exactly the children of those with k-1. The search is exhaustive, so
@@ -62,11 +93,7 @@ def enumerate_fixpoints(network: Network, seeds: Optional[Iterable[int]] = None,
         raise ValueError(f"state_cap must be >= 1, got {state_cap}")
     seed_set = network.seeds if seeds is None else seed_ids(seeds, network.n)
     member, _, explored, truncated = _by_levels(network, seed_set, state_cap)
-    rows, ids = np.nonzero(member)  # split the ids of all fixpoints by row
-    ends = rows.searchsorted(np.arange(1, len(member) + 1)).tolist()
-    ids = ids.tolist()
-    as_sets = frozenset(frozenset(ids[lo:hi]) for lo, hi in zip([0] + ends, ends))
-    return FixpointSet(fixpoints=as_sets, explored_states=explored, truncated=truncated)
+    return FixpointSet(None, explored, truncated, member)
 
 
 def _by_levels(network: Network, seeds: frozenset[int], state_cap: int,

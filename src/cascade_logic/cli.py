@@ -19,6 +19,8 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from ._seeds import GENERATOR_NAME, mix_seed
 from .analyze import (DEFAULT_STATE_CAP, Verdict, enumerate_fixpoints,
                       schedule_sensitivity, verify_gcm_determinism)
@@ -70,6 +72,41 @@ def _check_writable(*paths: Optional[str]) -> None:
 
 def _print_json(doc, out: Optional[str] = None) -> None:
     write_text(json.dumps(doc, indent=1) + "\n", _destination(out))
+
+
+def _print_object(fields: dict[str, str]) -> None:
+    """Print, as json.dumps(indent=1) does, the object whose top-level values
+    have the texts `fields`: a scalar's is its json.dumps."""
+    write_text(("{\n", ",\n".join(f" {json.dumps(key)}: {text}" for key, text in fields.items()),
+                "\n}\n"), sys.stdout)
+
+
+def _id_lists(ids: np.ndarray, counts: Sequence[int], indent: int) -> list[str]:
+    """The texts json.dumps(indent=1) gives lists of node ids nested at
+    `indent` spaces: `ids`, an integer array, cut into consecutive lists of
+    `counts` ids. The text of each id is built once."""
+    pad = "\n" + " " * (indent + 1)
+    texts = np.array([pad + str(i) for i in range(int(ids.max(initial=-1)) + 1)], dtype=object)
+    items = texts[ids].tolist()
+    close = "\n" + " " * indent + "]"
+    ends = np.cumsum(counts).tolist()
+    return ["[" + ",".join(items[lo:hi]) + close if hi > lo else "[]"
+            for lo, hi in zip([0] + ends, ends)]
+
+
+def _sorted_rows(member: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ids of the nodes each row of `member` holds (nonzero), row after
+    row, and how many each row holds, the rows in the order Python gives
+    their sorted id lists. A row's sort keys are its ids, the first one
+    major, padded with -1 so that a list sorts before its extensions."""
+    rows, ids = np.nonzero(member)
+    counts = np.bincount(rows, minlength=len(member))
+    padded = np.full((len(member), max(1, counts.max(initial=0))), -1,
+                     dtype=np.min_scalar_type(-member.shape[1]))
+    padded[rows, np.arange(len(ids)) - (np.cumsum(counts) - counts)[rows]] = ids
+    order = np.lexsort(padded.T[::-1])
+    padded = padded[order]
+    return padded[padded >= 0], counts[order]
 
 
 def _parse_rule(text: str) -> Rule:
@@ -197,17 +234,19 @@ def _cmd_run(args) -> int:
     seeds = _parse_ids(args.seeds) if args.seeds is not None else None
     mode = _parse_mode(args.mode)
     result = run_cascade(network, seeds, mode)
-    doc = {
-        "final": sorted(result.final),
-        "size_fraction": result.size_fraction,
-        "global": is_global(result),
-        "labeling_order": list(result.labeling_order),
-        "passes": result.passes,
-        "mode": args.mode.split(":", 1)[0],
-        "rng_seed": getattr(mode, "rng_seed", None),
-        "generator": GENERATOR_NAME,
-    }
-    _print_json(doc)
+    final, order = sorted(result.final), list(result.labeling_order)
+    final_text, order_text = _id_lists(np.array(final + order, dtype=np.intp),
+                                       (len(final), len(order)), 1)
+    _print_object({
+        "final": final_text,
+        "size_fraction": json.dumps(result.size_fraction),
+        "global": json.dumps(is_global(result)),
+        "labeling_order": order_text,
+        "passes": json.dumps(result.passes),
+        "mode": json.dumps(args.mode.split(":", 1)[0]),
+        "rng_seed": json.dumps(getattr(mode, "rng_seed", None)),
+        "generator": json.dumps(GENERATOR_NAME),
+    })
     return EXIT_OK
 
 
@@ -236,12 +275,12 @@ def _cmd_fixpoints(args) -> int:
     network = load_network(args.net)
     seeds = _parse_ids(args.seeds) if args.seeds is not None else None
     found = enumerate_fixpoints(network, seeds, state_cap=args.cap)
-    # the text of json.dumps(doc, indent=1), written without building the document
-    lists = ",\n  ".join("[\n   " + ",\n   ".join(map(str, fp)) + "\n  ]" if fp else "[]"
-                         for fp in sorted(sorted(fp) for fp in found.fixpoints))
-    tail = json.dumps({"explored": found.explored_states, "truncated": found.truncated}, indent=1)
-    write_text(('{\n "fixpoints": ', f"[\n  {lists}\n ]" if lists else "[]", ",\n", tail[2:], "\n"),
-               sys.stdout)
+    lists = _id_lists(*_sorted_rows(found.member), 2)
+    _print_object({
+        "fixpoints": "[\n  " + ",\n  ".join(lists) + "\n ]" if lists else "[]",
+        "explored": json.dumps(found.explored_states),
+        "truncated": json.dumps(found.truncated),
+    })
     if found.truncated:
         _fail("resource", f"state cap {args.cap} reached; fixpoint set incomplete")
         return EXIT_RESOURCE

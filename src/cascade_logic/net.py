@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -313,8 +313,10 @@ class NetworkStats:
     clustering_coefficient: float
 
 
-def _bernoulli_positions(m: int, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Indices of successes among m independent Bernoulli(p) trials.
+def _bernoulli_positions(m: int, p: float, rng: np.random.Generator,
+                         last: int = -1) -> np.ndarray:
+    """Indices of successes among m independent Bernoulli(p) trials, or of
+    those after trial `last` when the caller has drawn the ones up to it.
 
     Uses geometric gap-skipping, so cost scales with the number of successes
     rather than m.
@@ -325,19 +327,51 @@ def _bernoulli_positions(m: int, p: float, rng: np.random.Generator) -> np.ndarr
         return np.arange(m, dtype=np.int64)
     log_q = math.log1p(-p)
     chunks = []
-    last = -1
     while True:
-        want = int((m - last) * p * 1.1) + 16
-        u = rng.random(want)
-        gaps = np.floor(np.log1p(-u) / log_q)
-        gaps = np.minimum(gaps, float(m)).astype(np.int64)  # avoid cumsum overflow
-        pos = last + np.cumsum(gaps + 1)
+        pos = _gap_positions(rng.random(_draw_size(m, p, last)), last, m, log_q)
         inside = pos[pos < m]
         chunks.append(inside)
         if inside.size < pos.size:
             break
         last = int(pos[-1])
     return np.concatenate(chunks)
+
+
+def _draw_size(m: int, p: float, last: int) -> int:
+    """How many uniforms a draw of the successes after trial `last` takes."""
+    return int((m - last) * p * 1.1) + 16
+
+
+def _gap_positions(u: np.ndarray, last: int, m: int, log_q: float) -> np.ndarray:
+    """The positions of the successes that uniforms `u` give along their last
+    axis, counted on from `last`: each uniform is a geometric gap of
+    failures, log(1 - u) / log(1 - p) rounded down, then one success."""
+    gaps = np.floor(np.log1p(-u) / log_q)
+    gaps = np.minimum(gaps, float(m)).astype(np.int64)  # avoid cumsum overflow
+    gaps += 1
+    return last + np.cumsum(gaps, axis=-1)
+
+
+def _union_positions(m: int, p: float,
+                     rngs: Sequence[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
+    """The `_bernoulli_positions` of each generator, concatenated, and how
+    many each gave, for 0 < p < 1. Every first draw has the same size, so
+    the draws go through the gap arithmetic as one (generator x draw) array;
+    a row whose every position is inside [0, m) goes on from its last one
+    alone, through the loop of `_bernoulli_positions`, so every stream is
+    the one `generate_er` reads."""
+    u = np.stack([rng.random(_draw_size(m, p, -1)) for rng in rngs])
+    pos = _gap_positions(u, -1, m, math.log1p(-p))
+    inside = pos < m
+    positions, counts = pos[inside], np.count_nonzero(inside, axis=1)
+    rows = np.flatnonzero(inside[:, -1])
+    if rows.size:  # rare: the first draw of a row fell short of m
+        more = [_bernoulli_positions(m, p, rngs[r], int(pos[r, -1])) for r in rows.tolist()]
+        sizes = [len(c) for c in more]
+        positions = np.insert(positions, np.repeat(np.cumsum(counts)[rows], sizes),
+                              np.concatenate(more))
+        counts[rows] += sizes
+    return positions, counts
 
 
 def _pair_from_linear(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -377,16 +411,23 @@ def generate_er(n: int, p: float, rng_seed: int) -> Graph:
 def _er_union(n: int, p: float, rngs: Iterable[np.random.Generator]) -> Graph:
     """The disjoint union of one G(n, p) per generator: component i, drawn
     from the i-th generator as `generate_er` draws from its seed's, takes
-    nodes i*n .. i*n+n-1. The caller has checked n, p and the union's size."""
+    nodes i*n .. i*n+n-1. One generator draws through `_bernoulli_positions`,
+    more through `_union_positions`, one gap pass for all of them. The
+    caller has checked n, p and the union's size."""
     m = n * (n - 1) // 2
-    positions = [_bernoulli_positions(m, p, rng) for rng in rngs]
+    rngs = tuple(rngs)
+    if len(rngs) > 1 and m > 0 and 0.0 < p < 1.0:
+        positions, counts = _union_positions(m, p, rngs)
+    else:
+        parts = [_bernoulli_positions(m, p, rng) for rng in rngs]
+        positions, counts = np.concatenate(parts), [len(c) for c in parts]
     # distinct, ordered and in range by construction: no validation needed
-    us, vs = _pair_from_linear(np.concatenate(positions), n)
-    if len(positions) > 1:
-        shift = np.repeat(np.arange(0, n * len(positions), n), [len(c) for c in positions])
+    us, vs = _pair_from_linear(positions, n)
+    if len(rngs) > 1:
+        shift = np.repeat(np.arange(0, n * len(rngs), n), counts)
         us += shift
         vs += shift
-    return Graph._build(n * len(positions), False, us, vs)
+    return Graph._build(n * len(rngs), False, us, vs)
 
 
 def assign_thresholds(graph: Graph, phi, rule: Rule,

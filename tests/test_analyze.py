@@ -29,6 +29,18 @@ class TestEnumerateFixpoints:
         assert not found.truncated
         assert found.explored_states == 3
 
+    def test_equals_the_set_built_from_its_fixpoints(self):
+        for case in range(30):
+            net, seeds = small_network(make_rng(case), 10)
+            for cap in (2, DEFAULT_STATE_CAP):
+                found = enumerate_fixpoints(net, seeds, state_cap=cap)
+                rebuilt = FixpointSet(found.fixpoints, found.explored_states, found.truncated)
+                assert rebuilt.member is None and found.member.shape[0] == len(found.fixpoints)
+                assert found == rebuilt and rebuilt == found
+                assert hash(found) == hash(rebuilt)
+                assert found != FixpointSet(found.fixpoints, found.explored_states + 1,
+                                            found.truncated)
+
     def test_triangle_fixpoints_reachable_by_explicit_orders(self, triangle):
         # completeness cross-check: the 2 possible orders reach both fixpoints
         from cascade_logic import ExplicitOrder

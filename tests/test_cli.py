@@ -14,11 +14,13 @@ from cascade_logic import cli as cli_module
 from cascade_logic import engine as engine_module
 from cascade_logic import experiments as experiments_module
 from cascade_logic import net as net_module
-from cascade_logic import fixture_path, load_network
+from cascade_logic import (DEFAULT_STATE_CAP, Network, Rule, enumerate_fixpoints,
+                           fixture_path, is_global, load_network, make_rng, run_cascade,
+                           save_network)
 from cascade_logic.circuit import MAX_FAN_IN, MAX_TABLE_CELLS, MAX_TABLE_STEPS
 from cascade_logic.cli import MAX_Z_VALUES, _parse_z_range, main
 from cascade_logic.parser import MAX_NESTING, LimitExceeded
-from conftest import GOLDEN, record_runs
+from conftest import GOLDEN, network_of, random_instance, record_runs, small_network
 
 FIXTURES = ["or2", "and2", "nor2", "nand2", "not1", "half_adder"]
 
@@ -133,6 +135,37 @@ class TestStatsAndRun:
                            "--seeds", "0", "--mode", "topo")
         assert code == 0
         assert json.loads(out)["passes"] == 1
+
+    @pytest.mark.parametrize("net, seeds, mode", [
+        ("triangle", None, "order:1,2"),
+        ("triangle", "0", "sweep:9"),
+        ("or2", "", "sweep:1"),  # nothing is seeded: both lists are empty
+        ("half_adder", "0,1", "topo"),
+        ("gen", "0,1,2", "sweep:4"),
+    ])
+    def test_run_output_is_json_dumps_indent_1(self, cli, tmp_path, net, seeds, mode):
+        if net == "gen":  # a global cascade: lists of hundreds of ids
+            path = tmp_path / "net.json"
+            cli("gen", "--n", "2000", "--z", "4", "--phi", "const:0.18", "--seed", "3",
+                "--out", str(path))
+        else:
+            path = fixture_path(f"{net}.json")
+        code, out, err = cli("run", "--net", str(path), "--mode", mode,
+                             *(() if seeds is None else ("--seeds", seeds)))
+        network = load_network(path)
+        schedule = cli_module._parse_mode(mode)
+        result = run_cascade(network, None if seeds is None else cli_module._parse_ids(seeds),
+                             schedule)
+        doc = {"final": sorted(result.final), "size_fraction": result.size_fraction,
+               "global": is_global(result), "labeling_order": list(result.labeling_order),
+               "passes": result.passes, "mode": mode.split(":")[0],
+               "rng_seed": getattr(schedule, "rng_seed", None), "generator": "numpy-pcg64"}
+        assert (code, err) == (0, "")
+        assert out == json.dumps(doc, indent=1) + "\n"
+        if net == "or2":
+            assert doc["final"] == doc["labeling_order"] == []
+        if net == "gen":
+            assert len(doc["final"]) > 500
 
     def test_bad_mode_is_usage_error(self, cli):
         code, _, err = cli("run", "--net", str(fixture_path("triangle.json")),
@@ -345,6 +378,49 @@ class TestFixpoints:
         assert code == 3
         assert json.loads(out)["truncated"] is True
         assert json.loads(err)["error"]["kind"] == "resource"
+
+    @staticmethod
+    def assert_text_is_json_dumps(cli, path, network, seeds, cap):
+        """`fixpoints`' stdout on `network` with `seeds` is the json.dumps
+        of its document, fixpoints as sorted lists in list order."""
+        save_network(Network(network.graph, network.antagonistic, network.phi, seeds), path)
+        code, out, _ = cli("fixpoints", "--net", str(path), "--cap", str(cap))
+        found = enumerate_fixpoints(load_network(path), state_cap=cap)
+        assert code == (3 if found.truncated else 0)
+        assert out == json.dumps({
+            "fixpoints": sorted(sorted(fp) for fp in found.fixpoints),
+            "explored": found.explored_states,
+            "truncated": found.truncated}, indent=1) + "\n"
+        return found
+
+    def test_text_is_json_dumps_on_small_mixed_nets(self, cli, tmp_path):
+        truncated = many = 0
+        for case in range(40):
+            network, seeds = small_network(make_rng(case), 14)
+            for cap in (1, 3, 2 ** network.n, DEFAULT_STATE_CAP):
+                found = self.assert_text_is_json_dumps(cli, tmp_path / "net.json",
+                                                       network, seeds, cap)
+                truncated += found.truncated
+                many += len(found.fixpoints) > 2
+        assert truncated and many  # both kinds of search were written
+
+    def test_text_of_the_empty_fixpoint(self, cli, tmp_path):
+        # nothing is seeded and nothing fires: the one fixpoint is empty
+        found = self.assert_text_is_json_dumps(
+            cli, tmp_path / "net.json", network_of(1, False, [], phi=1.0), frozenset(), 1)
+        assert found.fixpoints == {frozenset()}
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 72, 96, 130])
+    def test_text_is_json_dumps_across_words(self, cli, tmp_path, n):
+        # the highest ids are free, so the ids of a fixpoint span every word
+        rng = make_rng(n)
+        for case in range(6):
+            network, _ = random_instance(n * 100 + case, n, 3.0,
+                                         Rule.ANTAGONISTIC if case % 2 else Rule.MONOTONE)
+            free = set(range(n - 6, n)) | {int(u) for u in rng.permutation(n)[:4]}
+            for cap in (int(rng.integers(1, 40)), DEFAULT_STATE_CAP):
+                self.assert_text_is_json_dumps(cli, tmp_path / "net.json", network,
+                                               frozenset(range(n)) - free, cap)
 
     @pytest.mark.parametrize("cap", ["0", "-5"])
     @pytest.mark.parametrize("argv", [

@@ -14,8 +14,23 @@ from cascade_logic import (Network, NetworkFormatError, Rule,
                            stats)
 from cascade_logic import net as net_module
 from cascade_logic._seeds import make_rngs, mix_seed
-from cascade_logic.net import Graph, _cutoffs, _er_union, _float_cutoffs, _pair_from_linear
+from cascade_logic.net import (Graph, _bernoulli_positions, _cutoffs, _draw_size, _er_union,
+                               _float_cutoffs, _pair_from_linear)
 from conftest import network_of
+
+
+# each p with each n over 5 components, and verify-gcm's batches in the
+# analysis benchmark: 300 components of G(12, 3/11)
+UNION_CASES = [(n, p, 5) for p in (0.0, 0.03, 0.5, 1.0) for n in (1, 2, 12, 100)] + [
+    (12, 3 / 11, 300)]
+UNION_IDS = [f"{p}-{n}" if k == 5 else f"{n}-3/11-{k}" for n, p, k in UNION_CASES]
+
+
+class ZeroUniforms:
+    """A generator stand-in whose uniforms are all 0: every trial succeeds."""
+
+    def random(self, size):
+        return np.zeros(size)
 
 
 def path_network(n, rule=Rule.MONOTONE, phi=0.5, seeds=(), directed=False):
@@ -74,13 +89,12 @@ class TestGenerateEr:
         with pytest.raises(ValueError):
             generate_er(0, 0.5, 0)
 
-    @pytest.mark.parametrize("n", [1, 2, 12, 100])
-    @pytest.mark.parametrize("p", [0.0, 0.03, 0.5, 1.0])
-    def test_union_components_are_generate_er_graphs(self, n, p):
-        seeds = mix_seed(n, np.arange(5, dtype=np.uint64))
+    @pytest.mark.parametrize("n, p, k", UNION_CASES, ids=UNION_IDS)
+    def test_union_components_are_generate_er_graphs(self, n, p, k):
+        seeds = mix_seed(n, np.arange(k, dtype=np.uint64))
         union = _er_union(n, p, make_rngs(seeds))
         parts = [generate_er(n, p, s) for s in seeds.tolist()]
-        assert union.n == 5 * n and not union.directed
+        assert union.n == k * n and not union.directed
         for name in ("src", "dst"):
             want = np.concatenate([getattr(g, name) + i * n for i, g in enumerate(parts)])
             assert np.array_equal(getattr(union, name), want), name
@@ -88,6 +102,35 @@ class TestGenerateEr:
             for u in range(n):
                 got = union.indices[union.indptr[i * n + u]:union.indptr[i * n + u + 1]]
                 assert got.tolist() == (g.indices[g.indptr[u]:g.indptr[u + 1]] + i * n).tolist()
+
+    @pytest.mark.parametrize("n, p", [(12, 3 / 11), (40, 0.05), (100, 0.5)])
+    def test_union_of_all_success_draws_is_complete_graphs(self, n, p):
+        # every first draw ends inside the n(n-1)/2 pairs, so every component
+        # goes on drawing alone until it has them all
+        m = n * (n - 1) // 2
+        assert _draw_size(m, p, -1) < m
+        union = _er_union(n, p, [ZeroUniforms()] * 4)
+        us, vs = np.triu_indices(n, 1)
+        assert np.array_equal(union.src, np.concatenate([us + i * n for i in range(4)]))
+        assert np.array_equal(union.dst, np.concatenate([vs + i * n for i in range(4)]))
+
+    @pytest.mark.parametrize("n, p", [(12, 3 / 11), (40, 0.05)])
+    def test_union_mixing_all_success_draws_is_each_components_draw(self, n, p):
+        seeds = mix_seed(n, np.arange(9, dtype=np.uint64)).tolist()
+
+        def rngs():  # components 1, 4 and 7 take the all-success path
+            return [ZeroUniforms() if i % 3 == 1 else make_rng(s) for i, s in enumerate(seeds)]
+
+        m = n * (n - 1) // 2
+        union = _er_union(n, p, rngs())
+        want = [_pair_from_linear(_bernoulli_positions(m, p, rng), n) for rng in rngs()]
+        for name, side in (("src", 0), ("dst", 1)):
+            parts = [pair[side] + i * n for i, pair in enumerate(want)]
+            assert np.array_equal(getattr(union, name), np.concatenate(parts)), name
+        for i, s in enumerate(seeds):
+            if i % 3 != 1:  # the real generators' components are generate_er's
+                g = generate_er(n, p, s)
+                assert np.array_equal(want[i][0], g.src) and np.array_equal(want[i][1], g.dst)
 
 
 class TestPairIndexing:
