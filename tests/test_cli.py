@@ -647,6 +647,65 @@ class TestErrorPaths:
         assert code == 1
 
 
+# each file writer of the CLI: argv of a longer and of a shorter output, and its flag
+WRITERS = {
+    "gen": (["gen", "--n", "30", "--z", "3", "--seed", "7"],
+            ["gen", "--n", "5", "--z", "1", "--seed", "7"], "--out"),
+    "compile": (["compile", "--expr", "a ^ b ^ c ^ d ^ e", "--basis", "nand"],
+                ["compile", "--expr", "a ^ b", "--basis", "nand"], "--out"),
+    "table": (["table", "--net", str(fixture_path("half_adder.json"))],
+              ["table", "--net", str(fixture_path("not1.json"))], "--out"),
+    "sweep": (["sweep", "--n", "30", "--z", "1:3:1", "--phi", "0.2", "--rule", "gcm",
+               "--realizations", "2", "--seed", "5", "--jobs", "1"],
+              ["sweep", "--n", "30", "--z", "2", "--phi", "0.2", "--rule", "gcm",
+               "--realizations", "2", "--seed", "5", "--jobs", "1"], "--out"),
+    "dump-sizes": (["sweep", "--n", "30", "--z", "2", "--phi", "0.2", "--rule", "gcm",
+                    "--realizations", "6", "--seed", "5", "--jobs", "1"],
+                   ["sweep", "--n", "30", "--z", "2", "--phi", "0.2", "--rule", "gcm",
+                    "--realizations", "1", "--seed", "5", "--jobs", "1"], "--dump-sizes"),
+}
+
+
+@pytest.mark.parametrize("longer, shorter, flag", WRITERS.values(), ids=WRITERS)
+class TestOutputFiles:
+    """Every output file is rewritten in place and cut at its new end."""
+
+    def test_a_shorter_output_leaves_no_tail(self, cli, tmp_path, longer, shorter, flag):
+        target, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert cli(*longer, flag, str(target))[0] == 0
+        longer_size = target.stat().st_size
+        assert cli(*shorter, flag, str(target))[0] == 0
+        assert cli(*shorter, flag, str(fresh))[0] == 0
+        assert 0 < fresh.stat().st_size < longer_size
+        assert target.read_bytes() == fresh.read_bytes()
+
+    def test_dev_null(self, cli, longer, shorter, flag):
+        code, _, err = cli(*longer, flag, os.devnull)
+        assert (code, err) == (0, "")
+
+    def test_a_directory_exits_2(self, cli, tmp_path, longer, shorter, flag):
+        code, out, err = cli(*longer, flag, str(tmp_path))
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": {
+            "kind": "input", "message": f"[Errno 21] Is a directory: {str(tmp_path)!r}"}}
+
+    def test_no_open_truncates(self, cli, monkeypatch, tmp_path, longer, shorter, flag):
+        target = tmp_path / "out"
+        flags = []
+        real = os.open
+
+        def recording(path, flag, *args, **kwargs):
+            if os.fspath(path) == str(target):
+                flags.append(flag)
+            return real(path, flag, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recording)
+        assert cli(*longer, flag, str(target))[0] == 0
+        assert cli(*shorter, flag, str(target))[0] == 0
+        assert len(flags) == 2
+        assert not any(f & os.O_TRUNC for f in flags)
+
+
 class TestParserOnce:
     def test_main_never_builds_a_parser(self, cli, monkeypatch):
         def no_parser():

@@ -1,6 +1,8 @@
 import io
 import json
 import math
+import os
+import stat
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
@@ -15,7 +17,7 @@ from cascade_logic import (Network, NetworkFormatError, Rule,
 from cascade_logic import net as net_module
 from cascade_logic._seeds import make_rngs, mix_seed
 from cascade_logic.net import (Graph, _bernoulli_positions, _cutoffs, _draw_size, _er_union,
-                               _float_cutoffs, _pair_from_linear)
+                               _float_cutoffs, _pair_from_linear, write_text)
 from conftest import network_of
 
 
@@ -495,3 +497,72 @@ class TestSerialization:
         target.write_text(json.dumps(doc))
         with pytest.raises(NetworkFormatError, match="0..1"):
             load_network(target)
+
+
+class TestWriteText:
+    """A path is rewritten in place and cut at the end of the new text."""
+
+    def test_shorter_text_leaves_no_tail(self, tmp_path):
+        target = tmp_path / "out.txt"
+        write_text("x" * 5000, target)
+        write_text(("short", "\n"), target)
+        assert target.read_bytes() == b"short\n"
+
+    def test_an_exception_mid_write_leaves_what_was_written(self, tmp_path):
+        def chunks():
+            yield "first chunk\n"
+            raise RuntimeError("mid-write")
+
+        target = tmp_path / "out.txt"
+        write_text("old text " * 1000, target)
+        with pytest.raises(RuntimeError, match="mid-write"):
+            write_text(chunks(), target)
+        assert target.read_bytes() == b"first chunk\n"
+
+    def test_bytes_equal_those_of_open_w(self, tmp_path):
+        text = "a\n\u00e9\u4e2d\n" * 300
+        write_text(text, tmp_path / "a")
+        with open(tmp_path / "b", "w", encoding="utf-8") as f:
+            f.write(text)
+        assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002, 0o000])
+    def test_new_file_mode_is_that_of_open_w(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            write_text("x", tmp_path / "written")
+            open(tmp_path / "opened", "w").close()
+        finally:
+            os.umask(old)
+        modes = [stat.S_IMODE(os.stat(tmp_path / name).st_mode) for name in ("written", "opened")]
+        assert modes[0] == modes[1] == 0o666 & ~umask
+
+    def test_dev_null_is_written_and_not_cut(self):
+        write_text("x" * 100, os.devnull)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_a_pipe_is_written_and_not_cut(self, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so opening to write does not block
+        try:
+            write_text(("one\n", "two\n"), fifo)
+            assert os.read(reader, 100) == b"one\ntwo\n"
+        finally:
+            os.close(reader)
+
+    def test_no_open_truncates(self, tmp_path, monkeypatch):
+        flags = []
+        real = os.open
+
+        def recording(path, flag, *args, **kwargs):
+            flags.append(flag)
+            return real(path, flag, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recording)
+        target = tmp_path / "net.json"
+        save_network(path_network(3), target)
+        save_network(path_network(2), target)
+        assert len(flags) == 2
+        assert not any(flag & os.O_TRUNC for flag in flags)
+        assert load_network(target) == path_network(2)
