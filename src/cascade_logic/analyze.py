@@ -38,26 +38,34 @@ class FixpointSet:
     only those in the levels of labeled count that fit whole within the
     state cap, whose configurations `explored_states` counts.
 
-    `enumerate_fixpoints` gives the search's `member` array, one row per
-    fixpoint in no set order and one column per node, nonzero where the node
-    is labeled; `fixpoints`, the same configurations as a frozenset of
-    frozensets of node ids, is built from it when first read. A set built
-    from `fixpoints` has `member` None. Two sets are equal when their
-    fixpoints, counts and truncation are."""
+    `member` is the search's array, one row per fixpoint in no set order and
+    one column per node, nonzero where the node is labeled; `sorted_ids`
+    decodes it, and `fixpoints`, the same configurations as a frozenset of
+    frozensets of node ids, is built from that when first read. Two sets are
+    equal when their fixpoints, counts and truncation are."""
 
-    def __init__(self, fixpoints: Optional[Iterable[Iterable[int]]], explored_states: int,
-                 truncated: bool, member: Optional[np.ndarray] = None):
-        if (fixpoints is None) == (member is None):
-            raise ValueError("a FixpointSet takes exactly one of fixpoints and member")
-        self.explored_states, self.truncated, self.member = explored_states, truncated, member
-        if fixpoints is not None:
-            self.__dict__["fixpoints"] = frozenset(map(frozenset, fixpoints))
+    def __init__(self, member: np.ndarray, explored_states: int, truncated: bool):
+        self.member, self.explored_states, self.truncated = member, explored_states, truncated
+
+    def sorted_ids(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ids of the nodes each fixpoint labels, fixpoint after fixpoint,
+        and how many each labels, the fixpoints in the order Python gives
+        their sorted id lists. A row's sort keys are its ids, the first one
+        major, padded with -1 so that a list sorts before its extensions."""
+        member = self.member
+        rows, ids = np.nonzero(member)
+        counts = np.bincount(rows, minlength=len(member))
+        padded = np.full((len(member), max(1, counts.max(initial=0))), -1,
+                         dtype=np.min_scalar_type(-member.shape[1]))
+        padded[rows, np.arange(len(ids)) - (np.cumsum(counts) - counts)[rows]] = ids
+        order = np.lexsort(padded.T[::-1])
+        padded = padded[order]
+        return padded[padded >= 0], counts[order]
 
     @cached_property
     def fixpoints(self) -> frozenset[frozenset[int]]:
-        rows, ids = np.nonzero(self.member)  # split the ids of all fixpoints by row
-        ends = rows.searchsorted(np.arange(1, len(self.member) + 1)).tolist()
-        ids = ids.tolist()
+        ids, counts = self.sorted_ids()
+        ids, ends = ids.tolist(), np.cumsum(counts).tolist()
         return frozenset(frozenset(ids[lo:hi]) for lo, hi in zip([0] + ends, ends))
 
     def _key(self):
@@ -93,7 +101,7 @@ def enumerate_fixpoints(network: Network, seeds: Optional[Iterable[int]] = None,
         raise ValueError(f"state_cap must be >= 1, got {state_cap}")
     seed_set = network.seeds if seeds is None else seed_ids(seeds, network.n)
     member, _, explored, truncated = _by_levels(network, seed_set, state_cap)
-    return FixpointSet(None, explored, truncated, member)
+    return FixpointSet(member, explored, truncated)
 
 
 def _by_levels(network: Network, seeds: frozenset[int], state_cap: int,

@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import json
 import os
+import stat
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -61,13 +62,21 @@ def _destination(out: Optional[str]):
 
 def _check_writable(*paths: Optional[str]) -> None:
     """Raise the OSError that writing to each given path would raise, so a
-    command fails before its work; a file the check creates is removed."""
+    command fails before its work; a file the check creates is removed. An
+    existing pipe or character device is not opened: a pipe's reader would
+    take the check's close for the end of the output."""
     for path in paths:
-        if path is not None:
+        if path is None:
+            continue
+        try:
+            if stat.S_IFMT(os.stat(path).st_mode) in (stat.S_IFIFO, stat.S_IFCHR):
+                continue
+            existed = True
+        except OSError:  # a new path, a dangling link, or one the open below fails on
             existed = os.path.lexists(path)
-            Path(path).open("a").close()
-            if not existed:
-                os.remove(path)
+        Path(path).open("a").close()
+        if not existed:
+            os.remove(path)
 
 
 def _print_json(doc, out: Optional[str] = None) -> None:
@@ -92,21 +101,6 @@ def _id_lists(ids: np.ndarray, counts: Sequence[int], indent: int) -> list[str]:
     ends = np.cumsum(counts).tolist()
     return ["[" + ",".join(items[lo:hi]) + close if hi > lo else "[]"
             for lo, hi in zip([0] + ends, ends)]
-
-
-def _sorted_rows(member: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ids of the nodes each row of `member` holds (nonzero), row after
-    row, and how many each row holds, the rows in the order Python gives
-    their sorted id lists. A row's sort keys are its ids, the first one
-    major, padded with -1 so that a list sorts before its extensions."""
-    rows, ids = np.nonzero(member)
-    counts = np.bincount(rows, minlength=len(member))
-    padded = np.full((len(member), max(1, counts.max(initial=0))), -1,
-                     dtype=np.min_scalar_type(-member.shape[1]))
-    padded[rows, np.arange(len(ids)) - (np.cumsum(counts) - counts)[rows]] = ids
-    order = np.lexsort(padded.T[::-1])
-    padded = padded[order]
-    return padded[padded >= 0], counts[order]
 
 
 def _parse_rule(text: str) -> Rule:
@@ -275,7 +269,7 @@ def _cmd_fixpoints(args) -> int:
     network = load_network(args.net)
     seeds = _parse_ids(args.seeds) if args.seeds is not None else None
     found = enumerate_fixpoints(network, seeds, state_cap=args.cap)
-    lists = _id_lists(*_sorted_rows(found.member), 2)
+    lists = _id_lists(*found.sorted_ids(), 2)
     _print_object({
         "fixpoints": "[\n  " + ",\n  ".join(lists) + "\n ]" if lists else "[]",
         "explored": json.dumps(found.explored_states),

@@ -318,28 +318,35 @@ class NetworkStats:
     clustering_coefficient: float
 
 
-def _bernoulli_positions(m: int, p: float, rng: np.random.Generator,
-                         last: int = -1) -> np.ndarray:
-    """Indices of successes among m independent Bernoulli(p) trials, or of
-    those after trial `last` when the caller has drawn the ones up to it.
+def _bernoulli_positions(m: int, p: float, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """The indices of the successes among one run of m independent
+    Bernoulli(p) trials per generator, in increasing order: trial i of the
+    run of the r-th generator has index r*m + i.
 
     Uses geometric gap-skipping, so cost scales with the number of successes
-    rather than m.
+    rather than m. Every run's first draw has the same size, so the draws go
+    through the gap arithmetic as one (generator x draw) array; a run whose
+    first draw ends inside its m trials goes on from its last success alone.
     """
     if m <= 0 or p <= 0.0:
         return np.empty(0, dtype=np.int64)
     if p >= 1.0:
-        return np.arange(m, dtype=np.int64)
+        return np.arange(len(rngs) * m, dtype=np.int64)
     log_q = math.log1p(-p)
-    chunks = []
-    while True:
-        pos = _gap_positions(rng.random(_draw_size(m, p, last)), last, m, log_q)
-        inside = pos[pos < m]
-        chunks.append(inside)
-        if inside.size < pos.size:
-            break
-        last = int(pos[-1])
-    return np.concatenate(chunks)
+    u = np.empty((len(rngs), _draw_size(m, p, -1)))
+    for rng, row in zip(rngs, u):
+        rng.random(out=row)
+    pos = _gap_positions(u, -1, m, log_q)
+    inside = pos < m
+    pos += np.arange(0, len(rngs) * m, m)[:, None]  # trial i of run r is r*m + i
+    chunks = [pos[inside]]
+    for r in inside[:, -1].nonzero()[0].tolist():  # rare: the first draw fell short
+        last = int(pos[r, -1]) - r * m
+        while last < m:
+            step = _gap_positions(rngs[r].random(_draw_size(m, p, last)), last, m, log_q)
+            chunks.append(step[step < m] + r * m)
+            last = int(step[-1])
+    return np.sort(np.concatenate(chunks)) if len(chunks) > 1 else chunks[0]
 
 
 def _draw_size(m: int, p: float, last: int) -> int:
@@ -357,34 +364,17 @@ def _gap_positions(u: np.ndarray, last: int, m: int, log_q: float) -> np.ndarray
     return last + np.cumsum(gaps, axis=-1)
 
 
-def _union_positions(m: int, p: float,
-                     rngs: Sequence[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
-    """The `_bernoulli_positions` of each generator, concatenated, and how
-    many each gave, for 0 < p < 1. Every first draw has the same size, so
-    the draws go through the gap arithmetic as one (generator x draw) array;
-    a row whose every position is inside [0, m) goes on from its last one
-    alone, through the loop of `_bernoulli_positions`, so every stream is
-    the one `generate_er` reads."""
-    u = np.stack([rng.random(_draw_size(m, p, -1)) for rng in rngs])
-    pos = _gap_positions(u, -1, m, math.log1p(-p))
-    inside = pos < m
-    positions, counts = pos[inside], np.count_nonzero(inside, axis=1)
-    rows = np.flatnonzero(inside[:, -1])
-    if rows.size:  # rare: the first draw of a row fell short of m
-        more = [_bernoulli_positions(m, p, rngs[r], int(pos[r, -1])) for r in rows.tolist()]
-        sizes = [len(c) for c in more]
-        positions = np.insert(positions, np.repeat(np.cumsum(counts)[rows], sizes),
-                              np.concatenate(more))
-        counts[rows] += sizes
-    return positions, counts
-
-
-def _pair_from_linear(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Invert the lexicographic linearization of pairs (u, v), u < v."""
+def _pair_from_linear(idx: np.ndarray, n: int,
+                      components: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Invert the lexicographic linearization of pairs (u, v), u < v, of
+    `components` graphs of n nodes: with m = n(n-1)/2 pairs each, index
+    c*m + i is the i-th pair of component c, whose nodes are c*n .. c*n+n-1."""
     rows = np.arange(n, dtype=np.int64)
     row_start = rows * (2 * n - rows - 1) // 2  # linear index of (u, u + 1)
-    u = np.searchsorted(row_start, idx, side="right") - 1
-    return u, idx - row_start[u] + u + 1
+    row_start = (np.arange(components, dtype=np.int64)[:, None] * (n * (n - 1) // 2)
+                 + row_start).ravel()
+    u = np.searchsorted(row_start[1:], idx, side="right")  # the last row starting at or before idx
+    return u, idx - (row_start - np.arange(1, row_start.size + 1))[u]  # idx - row_start[u] + u + 1
 
 
 def check_er_size(n: int, p: float) -> None:
@@ -414,24 +404,14 @@ def generate_er(n: int, p: float, rng_seed: int) -> Graph:
 
 
 def _er_union(n: int, p: float, rngs: Iterable[np.random.Generator]) -> Graph:
-    """The disjoint union of one G(n, p) per generator: component i, drawn
-    from the i-th generator as `generate_er` draws from its seed's, takes
-    nodes i*n .. i*n+n-1. One generator draws through `_bernoulli_positions`,
-    more through `_union_positions`, one gap pass for all of them. The
-    caller has checked n, p and the union's size."""
-    m = n * (n - 1) // 2
+    """The disjoint union of one G(n, p) per generator: component i takes
+    nodes i*n .. i*n+n-1 and the pairs the i-th generator draws, all of
+    them in one `_bernoulli_positions` call, so each component is the graph
+    `generate_er` draws from that generator alone. The caller has checked
+    n, p and the union's size."""
     rngs = tuple(rngs)
-    if len(rngs) > 1 and m > 0 and 0.0 < p < 1.0:
-        positions, counts = _union_positions(m, p, rngs)
-    else:
-        parts = [_bernoulli_positions(m, p, rng) for rng in rngs]
-        positions, counts = np.concatenate(parts), [len(c) for c in parts]
     # distinct, ordered and in range by construction: no validation needed
-    us, vs = _pair_from_linear(positions, n)
-    if len(rngs) > 1:
-        shift = np.repeat(np.arange(0, n * len(rngs), n), counts)
-        us += shift
-        vs += shift
+    us, vs = _pair_from_linear(_bernoulli_positions(n * (n - 1) // 2, p, rngs), n, len(rngs))
     return Graph._build(n * len(rngs), False, us, vs)
 
 

@@ -29,16 +29,18 @@ class TestEnumerateFixpoints:
         assert not found.truncated
         assert found.explored_states == 3
 
-    def test_equals_the_set_built_from_its_fixpoints(self):
+    def test_equals_the_set_of_a_second_search(self):
         for case in range(30):
             net, seeds = small_network(make_rng(case), 10)
             for cap in (2, DEFAULT_STATE_CAP):
                 found = enumerate_fixpoints(net, seeds, state_cap=cap)
-                rebuilt = FixpointSet(found.fixpoints, found.explored_states, found.truncated)
-                assert rebuilt.member is None and found.member.shape[0] == len(found.fixpoints)
-                assert found == rebuilt and rebuilt == found
-                assert hash(found) == hash(rebuilt)
-                assert found != FixpointSet(found.fixpoints, found.explored_states + 1,
+                again = enumerate_fixpoints(net, seeds, state_cap=cap)
+                reversed_rows = FixpointSet(found.member[::-1], found.explored_states,
+                                            found.truncated)
+                assert found.member.shape[0] == len(found.fixpoints)
+                assert found == again == reversed_rows and again == found
+                assert hash(found) == hash(again) == hash(reversed_rows)
+                assert found != FixpointSet(found.member, found.explored_states + 1,
                                             found.truncated)
 
     def test_triangle_fixpoints_reachable_by_explicit_orders(self, triangle):
@@ -133,8 +135,8 @@ class TestIsolatedAntagonists:
     @pytest.mark.parametrize("k, s", [(1, 0), (1, 1), (6, 0), (9, 4), (12, 1)])
     def test_every_superset_of_the_seeds_and_one_fixpoint(self, k, s):
         found = enumerate_fixpoints(isolated_antagonists(k), range(s))
-        assert found == FixpointSet(fixpoints=frozenset({frozenset(range(k))}),
-                                    explored_states=2 ** (k - s), truncated=False)
+        assert (found.fixpoints, found.explored_states, found.truncated) == (
+            {frozenset(range(k))}, 2 ** (k - s), False)
 
     @pytest.mark.parametrize("k, s", [(1, 0), (7, 0), (12, 5), (64, 57), (66, 59)])
     def test_truncated_exactly_past_the_state_count(self, k, s):
@@ -207,8 +209,8 @@ class TestIsolatedAntagonists:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert found == FixpointSet(fixpoints=frozenset(), explored_states=102_091,
-                                    truncated=True)
+        assert (found.fixpoints, found.explored_states, found.truncated) == (
+            frozenset(), 102_091, True)
         assert peak < 6 * cap * words * 8
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -647,6 +648,28 @@ class TestErrorPaths:
         assert code == 1
 
 
+def main_through_pipe(argv, fifo: Path):
+    """Run `main(argv)`, which writes to the named pipe `fifo`, while a
+    thread reads the pipe: (the exit code, or None when main has not
+    returned within 10 s, and the bytes read)."""
+    os.mkfifo(fifo)
+    got, codes = [], []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    writer = threading.Thread(target=lambda: codes.append(main(argv)), daemon=True)
+    reader.start()
+    writer.start()
+    writer.join(10)
+    hung = writer.is_alive()
+    if hung:  # blocked opening a pipe that no one reads: let its write fail
+        os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(10)
+    if reader.is_alive():  # main never opened the pipe
+        os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+    reader.join(10)
+    assert not (writer.is_alive() or reader.is_alive())
+    return None if hung else codes[0], got[0]
+
+
 # each file writer of the CLI: argv of a longer and of a shorter output, and its flag
 WRITERS = {
     "gen": (["gen", "--n", "30", "--z", "3", "--seed", "7"],
@@ -682,6 +705,14 @@ class TestOutputFiles:
     def test_dev_null(self, cli, longer, shorter, flag):
         code, _, err = cli(*longer, flag, os.devnull)
         assert (code, err) == (0, "")
+
+    def test_a_named_pipe_gets_the_output(self, cli, tmp_path, longer, shorter, flag):
+        # a reader takes the first close of the pipe for the end of the output
+        regular = tmp_path / "regular"
+        assert cli(*longer, flag, str(regular))[0] == 0
+        code, got = main_through_pipe([*longer, flag, str(tmp_path / "fifo")],
+                                      tmp_path / "fifo")
+        assert (code, got) == (0, regular.read_bytes())
 
     def test_a_directory_exits_2(self, cli, tmp_path, longer, shorter, flag):
         code, out, err = cli(*longer, flag, str(tmp_path))

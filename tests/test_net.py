@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -16,8 +17,8 @@ from cascade_logic import (Network, NetworkFormatError, Rule,
                            stats)
 from cascade_logic import net as net_module
 from cascade_logic._seeds import make_rngs, mix_seed
-from cascade_logic.net import (Graph, _bernoulli_positions, _cutoffs, _draw_size, _er_union,
-                               _float_cutoffs, _pair_from_linear, write_text)
+from cascade_logic.net import (Graph, _cutoffs, _draw_size, _er_union, _float_cutoffs,
+                               _pair_from_linear, write_text)
 from conftest import network_of
 
 
@@ -28,11 +29,60 @@ UNION_CASES = [(n, p, 5) for p in (0.0, 0.03, 0.5, 1.0) for n in (1, 2, 12, 100)
 UNION_IDS = [f"{p}-{n}" if k == 5 else f"{n}-3/11-{k}" for n, p, k in UNION_CASES]
 
 
+# sha256 of the edge arrays of generate_er(n, p, seed) for each seed, and of
+# _er_union batches, recorded from an implementation that drew one graph and
+# a batch by separate routines: a change to any stream of either shows here.
+# Seeds 120, 426 and 700 at n = 200 and 328 at n = 1000 draw first gaps that
+# fall short of the n(n-1)/2 pairs at p = 1/(n-1), so their draws go on.
+ER_STREAMS = [  # (n, p, seeds, sha256)
+    (1, 0.0, (0, 1, 2), "bca9717af5ebb0430ac1154bce6e80f06e8f11cb0330304605503fdfa0df0fde"),
+    (1, 0.005, (0, 1, 2), "bca9717af5ebb0430ac1154bce6e80f06e8f11cb0330304605503fdfa0df0fde"),
+    (1, 0.5, (0, 1, 2), "bca9717af5ebb0430ac1154bce6e80f06e8f11cb0330304605503fdfa0df0fde"),
+    (1, 1.0, (0, 1, 2), "bca9717af5ebb0430ac1154bce6e80f06e8f11cb0330304605503fdfa0df0fde"),
+    (2, 0.0, (0, 1, 2), "3b7ef3a135581b122dd71f587c79e82c764a30c8526fff7c7eac5826903558b4"),
+    (2, 0.005, (0, 1, 2), "3b7ef3a135581b122dd71f587c79e82c764a30c8526fff7c7eac5826903558b4"),
+    (2, 0.5, (0, 1, 2), "7e7c8885d3fcdcc0623d58c4cdc79027d9d69cd711b7d41b9668bf39a62349b2"),
+    (2, 1.0, (0, 1, 2), "a5c21fc1d2d89cb2cdff6f6d4a9c1e970e95f6b973dd6a566667047af29f616b"),
+    (12, 0.0, (0, 1, 2), "c53bcd519dee379dec62da8f87ac574a9c13be8611e7cc16c9d85f7cb886a336"),
+    (12, 0.005, (0, 1, 2), "37a77ef7aeb63e543b723599986de2872d37d0b86774bca4ca58e57d9a310c20"),
+    (12, 0.5, (0, 1, 2), "28aee47ae2f58672e1ad54913b7358c8cf0b0d28e4b61a63e4900d2405222ac3"),
+    (12, 1.0, (0, 1, 2), "070276d2f5ba63f2c309f740762cbc348c03008ea64826b2f550eee7edcc5251"),
+    (200, 0.0, (0, 1, 2), "966508543a4121e95c1201eeec55f10f2cab41087346e306703f1ff70bcd6571"),
+    (200, 0.005, (0, 1, 2), "1785a0beeb80a1ab6320a5c26ec2603d550d37625f8f0c73a14a85128e724c2f"),
+    (200, 0.5, (0, 1, 2), "def8681cf5da4164a7542d3ecf4736999834948a4b972f23e749745c80388435"),
+    (200, 1.0, (0, 1, 2), "41a2c1829d821e1784e5f54a90e3c9faab64bff0d89c036bc4fa0bac10dccccd"),
+    (1000, 0.0, (0, 1, 2), "0a3bec61f2b413e8c1fd020a5761f3cf783835e61243fa3c9b57435b9aed1871"),
+    (1000, 0.005, (0, 1, 2), "d58019de68a9547dc2b69e4d58872eb4a9dc482f4010532d8b1b42d32184453b"),
+    (1000, 0.5, (0, 1, 2), "8f9a7ce0d749133580f57823ab207b51e17b547a8fab326491b3ca9de4625e75"),
+    (1000, 1.0, (0, 1, 2), "39ae85c16516638cabf4ae0f0cdac8f4fb960636e32e33d25bc697d4aca32dc5"),
+    (200, 1 / 199, (120, 426, 700, 0),
+     "73016f9ad51b600ebbefc960c14ff4e76caeedc22a8e299b8d1986dbfc07034c"),
+    (1000, 1 / 999, (328, 0), "c351023a61f58ded4ebee9acd6d17697f08f10dfe1bcbad792a0f753cd8142dc"),
+]
+UNION_STREAMS = [  # (n, p, the generators' seeds, sha256)
+    (12, 3 / 11, mix_seed(12, np.arange(300, dtype=np.uint64)),
+     "8215c64ce93320554ab8c3e01f8c175f37b5c6cf02940b66694ef08eef8bc2bb"),
+    (200, 1 / 199, np.array([0, 120, 1, 426, 700], dtype=np.uint64),
+     "594ebeddf6e5ff2a67bd580ceb8b00f685eb596aebe94590fbc665dadf37d6ae"),
+]
+
+
+def edges_digest(graphs) -> str:
+    digest = hashlib.sha256()
+    for g in graphs:
+        for array in (np.array([g.n, g.src.size]), g.src, g.dst):
+            digest.update(array.astype("<i8").tobytes())
+    return digest.hexdigest()
+
+
 class ZeroUniforms:
     """A generator stand-in whose uniforms are all 0: every trial succeeds."""
 
-    def random(self, size):
-        return np.zeros(size)
+    def random(self, size=None, out=None):
+        if out is None:
+            return np.zeros(size)
+        out[...] = 0
+        return out
 
 
 def path_network(n, rule=Rule.MONOTONE, phi=0.5, seeds=(), directed=False):
@@ -91,6 +141,16 @@ class TestGenerateEr:
         with pytest.raises(ValueError):
             generate_er(0, 0.5, 0)
 
+    @pytest.mark.parametrize("n, p, seeds, digest", ER_STREAMS,
+                             ids=[f"{n}-{p:.3g}-{s[0]}" for n, p, s, _ in ER_STREAMS])
+    def test_streams_are_pinned(self, n, p, seeds, digest):
+        assert edges_digest(generate_er(n, p, s) for s in seeds) == digest
+
+    @pytest.mark.parametrize("n, p, seeds, digest", UNION_STREAMS,
+                             ids=[f"{n}-{p:.3g}-{s.size}" for n, p, s, _ in UNION_STREAMS])
+    def test_union_streams_are_pinned(self, n, p, seeds, digest):
+        assert edges_digest([_er_union(n, p, make_rngs(seeds))]) == digest
+
     @pytest.mark.parametrize("n, p, k", UNION_CASES, ids=UNION_IDS)
     def test_union_components_are_generate_er_graphs(self, n, p, k):
         seeds = mix_seed(n, np.arange(k, dtype=np.uint64))
@@ -119,20 +179,14 @@ class TestGenerateEr:
     @pytest.mark.parametrize("n, p", [(12, 3 / 11), (40, 0.05)])
     def test_union_mixing_all_success_draws_is_each_components_draw(self, n, p):
         seeds = mix_seed(n, np.arange(9, dtype=np.uint64)).tolist()
-
-        def rngs():  # components 1, 4 and 7 take the all-success path
-            return [ZeroUniforms() if i % 3 == 1 else make_rng(s) for i, s in enumerate(seeds)]
-
-        m = n * (n - 1) // 2
-        union = _er_union(n, p, rngs())
-        want = [_pair_from_linear(_bernoulli_positions(m, p, rng), n) for rng in rngs()]
+        rngs = [ZeroUniforms() if i % 3 == 1 else make_rng(s) for i, s in enumerate(seeds)]
+        union = _er_union(n, p, rngs)  # components 1, 4 and 7 take the all-success path
+        complete = np.triu_indices(n, 1)
+        want = [complete if i % 3 == 1 else (g.src, g.dst)
+                for i, g in enumerate(generate_er(n, p, s) for s in seeds)]
         for name, side in (("src", 0), ("dst", 1)):
             parts = [pair[side] + i * n for i, pair in enumerate(want)]
             assert np.array_equal(getattr(union, name), np.concatenate(parts)), name
-        for i, s in enumerate(seeds):
-            if i % 3 != 1:  # the real generators' components are generate_er's
-                g = generate_er(n, p, s)
-                assert np.array_equal(want[i][0], g.src) and np.array_equal(want[i][1], g.dst)
 
 
 class TestPairIndexing:
