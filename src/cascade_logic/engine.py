@@ -87,7 +87,7 @@ def settle(network: Network, fixed: Mapping[int, int], ones: int) -> list[int]:
     into bit-sliced count planes, O(d log d) int operations at in-degree d.
     """
     cut, anti = network.cutoff.tolist(), network.antagonistic.tolist()
-    ptr, nbrs = network.graph.indptr.tolist(), network.graph.indices.tolist()
+    ptr, nbrs = network.graph.lists[0]
     value = [0] * network.n
     for u in topological_order(network):
         if u in fixed:
@@ -153,8 +153,7 @@ class _Cascade:
         self.seed_set = seed_set
         self.cut = network.cutoff.tolist()
         self.anti = network.antagonistic.tolist()
-        self.ptr = network.graph.out_indptr.tolist()
-        self.out = network.graph.out_indices.tolist()
+        self.ptr, self.out = network.graph.lists[1]
         self.labels = bytearray(n)
         self.counts = [0] * n  # labeled in-neighbors
         for s in self.seed_set:
@@ -239,10 +238,13 @@ def monotone_closure(network: Network, seeds: Optional[Iterable[int]]) -> Config
         raise ValueError("the closure needs an all-monotone network; use run_cascade")
     seed_set = network.seeds if seeds is None else seed_ids(seeds, network.n)
     need = network.cutoff.tolist()  # labeled in-neighbors still missing
+    labeled = np.flatnonzero(network.cutoff <= 0).tolist()
+    # a seed listed already is not listed again: walked twice, it would count
+    # twice toward each of its out-neighbors
+    labeled += [s for s in seed_set if need[s] > 0]
     for s in seed_set:
         need[s] = 0
-    ptr, out = network.graph.out_indptr.tolist(), network.graph.out_indices.tolist()
-    labeled = [u for u, c in enumerate(need) if c <= 0]
+    ptr, out = network.graph.lists[1]
     for u in labeled:  # the list grows while it is walked: a FIFO worklist
         for v in out[ptr[u]:ptr[u + 1]]:
             need[v] -= 1

@@ -19,10 +19,10 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ._seeds import GENERATOR_NAME, check_task_count, make_rng, map_runs, mix_seed
-from .engine import RandomSweep, monotone_closure, run_cascade
-from .net import (Rule, assign_thresholds, check_er_size, generate_er, read_text,
-                  write_text)
+from ._seeds import (GENERATOR_NAME, SEED_CHUNK, check_task_count, make_rngs, map_runs,
+                     mix_seed)
+from .engine import _Cascade, monotone_closure
+from .net import Rule, _er_union, assign_thresholds, check_er_size, read_text, write_text
 
 
 @dataclass(frozen=True)
@@ -94,21 +94,28 @@ class SweepRow:
 def _run_sizes(spec: SweepSpec, rules: tuple[Rule, ...], run: range) -> np.ndarray:
     """Cascade sizes of a run of realizations, one row each and one column
     per rule, every rule on the same graph and seed nodes. Realization i is
-    realization r at z index zi, ``(zi, r) = divmod(i, spec.realizations)``."""
+    realization r at z index zi, ``(zi, r) = divmod(i, spec.realizations)``;
+    its graph, seed nodes and random sweep draw from ``make_rng(mix_seed(base,
+    k))`` for k = 0, 1, 2, where ``base = mix_seed(spec.master_seed, zi, r)``,
+    derived `SEED_CHUNK` realizations at a time."""
     sizes = np.empty((len(run), len(rules)))
-    for row, i in enumerate(run):
-        zi, r = divmod(i, spec.realizations)
+    p = np.array(spec.z_values) / (spec.n - 1)
+    for lo in range(0, len(run), SEED_CHUNK):
+        zi, r = np.divmod(run[lo:lo + SEED_CHUNK], spec.realizations)
         base = mix_seed(spec.master_seed, zi, r)
-        graph = generate_er(spec.n, spec.z_values[zi] / (spec.n - 1), mix_seed(base, 0))
-        seed_nodes = [int(s) for s in
-                      make_rng(mix_seed(base, 1)).permutation(spec.n)[: spec.seeds_per_run]]
-        for col, rule in enumerate(rules):
-            network = assign_thresholds(graph, spec.phi_star, rule)
-            if rule is Rule.MONOTONE:  # every schedule ends in the closure
-                final = monotone_closure(network, seed_nodes)
-            else:
-                final = run_cascade(network, seed_nodes, RandomSweep(mix_seed(base, 2))).final
-            sizes[row, col] = len(final) / spec.n
+        rngs = make_rngs(np.stack([mix_seed(base, k) for k in range(3)], axis=1).ravel())
+        # zip takes its arguments in turn: each realization's three generators
+        for row, p_z, graph_rng, seed_rng, sweep_rng in zip(range(lo, len(run)), p[zi].tolist(),
+                                                             rngs, rngs, rngs):
+            graph = _er_union(spec.n, p_z, (graph_rng,))
+            seed_set = frozenset(seed_rng.permutation(spec.n)[: spec.seeds_per_run].tolist())
+            for col, rule in enumerate(rules):
+                network = assign_thresholds(graph, spec.phi_star, rule)
+                if rule is Rule.MONOTONE:  # every schedule ends in the closure
+                    size = len(monotone_closure(network, seed_set))
+                else:
+                    size = _Cascade(network, seed_set).run(sweep_rng)[0].count(1)
+                sizes[row, col] = size / spec.n
     return sizes
 
 

@@ -231,6 +231,14 @@ class Graph:
     edges = property(lambda self: tuple(zip(self.src.tolist(), self.dst.tolist())))
 
     @cached_property
+    def lists(self) -> tuple[tuple[list[int], list[int]], tuple[list[int], list[int]]]:
+        """``((indptr, indices), (out_indptr, out_indices))`` as Python lists,
+        the one view the Python loops read, built on first use and shared:
+        never mutate it. Undirected, both pairs are one pair."""
+        ins = self.indptr.tolist(), self.indices.tolist()
+        return ins, (self.out_indptr.tolist(), self.out_indices.tolist()) if self.directed else ins
+
+    @cached_property
     def topological_order(self) -> tuple[int, ...]:
         """All node ids in dependency order (Kahn's algorithm, smallest id
         first), built on first use. Raises ValueError when undirected or cyclic."""
@@ -239,7 +247,7 @@ class Graph:
         indeg = self.degrees.tolist()
         ready = [u for u in range(self.n) if indeg[u] == 0]
         heapq.heapify(ready)
-        ptr, out = self.out_indptr.tolist(), self.out_indices.tolist()
+        ptr, out = self.lists[1]
         order = []
         while ready:
             u = heapq.heappop(ready)
@@ -453,7 +461,7 @@ def stats(graph: Graph) -> NetworkStats:
     """
     if graph.directed:
         raise ValueError("stats requires an undirected network")
-    ptr, flat = graph.indptr.tolist(), graph.indices.tolist()
+    ptr, flat = graph.lists[0]
     adj_sets = [set(flat[a:b]) for a, b in zip(ptr, ptr[1:])]
     total = 0.0
     for u, d in enumerate(graph.degrees.tolist()):

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cascade_logic import engine
@@ -237,6 +238,27 @@ class TestMonotoneClosure:
         assert monotone_closure(net, set()) == {0}
         assert monotone_closure(net, None) == {0, 1}
         assert monotone_closure(net, {2}) == {0, 2, 3}
+
+    def test_seeds_that_fire_on_their_own_are_walked_once(self):
+        # seed 0 fires with no labeled neighbor; walked twice, it would count
+        # twice toward node 1, which needs both its neighbors, and label 1 and 2
+        path = network_of(3, False, ((0, 1), (1, 2)), phi=[0.0, 1.0, 1.0])
+        assert monotone_closure(path, {0}) == naive_cascade(path, {0}, range(3))[0] == {0}
+        # an isolated seed, and phi = 0, where every node fires on its own
+        for phi in ([0.0, 1.0, 1.0, 0.0], 0.0):
+            net = network_of(4, False, ((0, 1), (1, 2)), phi=phi)
+            for seeds in ({3}, {0, 3}, {0, 1, 3}):
+                assert monotone_closure(net, seeds) == naive_cascade(net, seeds, range(4))[0]
+        rng = make_rng(91)
+        for case in range(200):
+            n = 4 + case % 13
+            net, _ = random_instance(9100 + case, n, 2.0, Rule.MONOTONE)
+            phi = rng.choice([0.0, 0.5, 1.0], n)
+            net = network_of(n, False, net.edges, phi=phi.tolist())
+            # one seed at least that fires on its own, where there is one
+            seeds = set(rng.choice(n, 1 + case % 3).tolist())
+            seeds |= set(np.flatnonzero(phi == 0)[:1].tolist())
+            assert monotone_closure(net, seeds) == naive_cascade(net, seeds, range(n))[0]
 
     def test_antagonistic_node_rejected(self):
         net = network_of(2, False, ((0, 1),), [Rule.MONOTONE, Rule.ANTAGONISTIC])

@@ -1,11 +1,15 @@
+import dataclasses
+import hashlib
 import io
 import os
 import tracemalloc
+from itertools import repeat
 
 import numpy as np
 import pytest
 
 import cascade_logic.analyze as analyze
+import cascade_logic.engine as engine
 import cascade_logic.experiments as experiments
 from cascade_logic import (DEFAULT_STATE_CAP, GlobalFraction, MedianExceedance, Rule, SweepSpec,
                            cascade_sizes, emit_csv, parse_csv, reference_sizes,
@@ -95,6 +99,15 @@ class TestDeterminism:
         # at most one worker per realization or instance
         assert serial_pool == [3, 3]
 
+    def test_seed_chunks_do_not_change_sizes(self, monkeypatch):
+        # 3 z values of 10 realizations, sub-seeded 7 at a time
+        spec = small_spec(metric=MedianExceedance(), seeds_per_run=2)
+        whole = experiments.sweep_sizes(spec)
+        monkeypatch.setattr(experiments, "SEED_CHUNK", 7)
+        chunked = experiments.sweep_sizes(spec)
+        for a, b in zip(whole, chunked):
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
     def test_csv_bytes_are_reproducible(self):
         spec = small_spec(metric=MedianExceedance())
         first, second = io.StringIO(), io.StringIO()
@@ -151,23 +164,23 @@ class TestRunSplits:
 
 
 def test_sweep_sizes_are_held_as_one_array_per_run(monkeypatch):
-    # the largest sweep, 2^20 realizations under both rules, with the work
-    # of each realization stubbed out: its sizes take 16 MB as float64, and
-    # the bookkeeping may hold them about twice over, not as one tuple each
+    # a sweep of 2^16 realizations under both rules, with the work of each
+    # realization stubbed out: its sizes take 1 MB as float64, and the
+    # bookkeeping may hold them about twice over, but not as one tuple each,
+    # nor the sub-seeds of the whole run at once
     class Stub:
-        final = frozenset({0})
-
         def permutation(n):
-            return [0]
+            return np.zeros(1, dtype=np.int64)
 
-    monkeypatch.setattr(experiments, "mix_seed", lambda *parts: 0)
-    monkeypatch.setattr(experiments, "generate_er", lambda n, p, seed: None)
-    monkeypatch.setattr(experiments, "make_rng", lambda seed: Stub)
+        def run(rng):
+            return bytearray(b"\1"), [], 1
+
+    monkeypatch.setattr(experiments, "make_rngs", lambda seeds: repeat(Stub, len(seeds)))
+    monkeypatch.setattr(experiments, "_er_union", lambda n, p, rngs: None)
     monkeypatch.setattr(experiments, "assign_thresholds", lambda graph, phi, rule: None)
     monkeypatch.setattr(experiments, "monotone_closure", lambda network, seeds: {0, 1})
-    monkeypatch.setattr(experiments, "run_cascade", lambda network, seeds, schedule: Stub)
-    monkeypatch.setattr(experiments, "RandomSweep", lambda seed: None)
-    spec = small_spec(n=40, z_values=range(1, 17), realizations=1 << 16,
+    monkeypatch.setattr(experiments, "_Cascade", lambda network, seeds: Stub)
+    spec = small_spec(n=40, z_values=range(1, 17), realizations=1 << 12,
                       metric=MedianExceedance())
     rules = (Rule.ANTAGONISTIC, Rule.MONOTONE)
     tracemalloc.start()
@@ -178,8 +191,8 @@ def test_sweep_sizes_are_held_as_one_array_per_run(monkeypatch):
         tracemalloc.stop()
     for per_z, size in zip(by_rule, (1 / 40, 2 / 40)):
         assert len(per_z) == 16
-        assert all(np.array_equal(sizes, np.full(1 << 16, size)) for sizes in per_z)
-    assert peak < 48 * 2**20
+        assert all(np.array_equal(sizes, np.full(1 << 12, size)) for sizes in per_z)
+    assert peak < 3 * 2**20, peak
 
 
 class TestSizesAndMetrics:
@@ -242,29 +255,41 @@ class TestSizesAndMetrics:
 
 
 class TestOneGraphPerRealization:
-    # runs_per_graph counts both engine entry points: every graph gets one
-    # monotone closure (the median's reference, or the gcm sweep itself),
-    # and an agcm sweep adds one scheduled run_cascade
+    # every graph gets one monotone closure (the median's reference, or the
+    # gcm sweep itself), and an agcm sweep adds one random-sweep run; both
+    # read the one list view of the graph's out-arrays, converted once
     @pytest.mark.parametrize("rule, runs_per_graph",
                              [(Rule.ANTAGONISTIC, 2), (Rule.MONOTONE, 1)])
     def test_median_sweep_builds_each_graph_once(self, monkeypatch, tmp_path,
                                                  rule, runs_per_graph):
-        calls = {"generate_er": 0, "run_cascade": 0, "monotone_closure": 0}
+        calls = dict.fromkeys(("_er_union", "monotone_closure", "run", "tolist"), 0)
 
-        def counted(name):
-            original = getattr(experiments, name)
-
+        def counted(name, original):
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return original(*args, **kwargs)
             return wrapper
 
-        for name in calls:
-            monkeypatch.setattr(experiments, name, counted(name))
+        class CountedArray(np.ndarray):
+            def tolist(self):
+                calls["tolist"] += 1
+                return super().tolist()
+
+        def er_union(*args):
+            # undirected, the out-arrays are the in-arrays: count both as one
+            graph = original_er_union(*args)
+            out = graph.out_indices.view(CountedArray)
+            return dataclasses.replace(graph, indices=out, out_indices=out)
+
+        original_er_union = experiments._er_union
+        monkeypatch.setattr(experiments, "_er_union", counted("_er_union", er_union))
+        monkeypatch.setattr(experiments, "monotone_closure",
+                            counted("monotone_closure", experiments.monotone_closure))
+        monkeypatch.setattr(engine._Cascade, "run", counted("run", engine._Cascade.run))
         spec = small_spec(rule=rule, metric=MedianExceedance())
         graphs = len(spec.z_values) * spec.realizations
-        expected = {"generate_er": graphs, "monotone_closure": graphs,
-                    "run_cascade": (runs_per_graph - 1) * graphs}
+        expected = {"_er_union": graphs, "monotone_closure": graphs,
+                    "run": (runs_per_graph - 1) * graphs, "tolist": graphs}
         run_sweep(spec, jobs=1)
         assert calls == expected
         calls.update(dict.fromkeys(calls, 0))
@@ -356,3 +381,32 @@ class TestRegressionPin:
                          metric=GlobalFraction(0.5))
         (row,) = run_sweep(spec)
         assert (row.frequency, row.mean_size) == (0.625, 0.5208333333333333)
+
+
+class TestSweepGoldens:
+    """Output digests recorded before the sweep read its generators from
+    `make_rngs` and ran the engine's internals directly; they pin the bytes
+    of every realization's graph, seed nodes and random sweep."""
+
+    PAPER = ["sweep", "--n", "1000", "--z", "1:10:1", "--phi", "0.18", "--realizations", "100",
+             "--metric", "median", "--seed", "7"]
+    PAPER_CSV = {"gcm": "f45b915cc4d59b0ac8bf478437347bf2a2f529a39991c8e2273a753f58630df2",
+                 "agcm": "cb15615acd1efc61f4189b7d76e89b15619bc968ae78c47866cdb1024291e191"}
+    SMALL_SIZES = {"gcm": "b767dca4ae3ff9ae93929ad8f99aa4ebe4c3a0890675d5d0f89fa609e346226c",
+                   "agcm": "874a4a42437c538652e54e2e1356d5fd88c26899085d85217ce6558b3d8e6249"}
+
+    @pytest.mark.parametrize("rule, jobs", [("gcm", 1), ("agcm", 1), ("agcm", 2)])
+    def test_paper_scale_csv(self, tmp_path, rule, jobs):
+        out = tmp_path / "sweep.csv"
+        assert main(self.PAPER + ["--rule", rule, "--jobs", str(jobs), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PAPER_CSV[rule]
+
+    @pytest.mark.parametrize("rule", ["gcm", "agcm"])
+    def test_small_median_sweep_sizes(self, tmp_path, rule):
+        # three seed nodes per run: the seed permutation's stream shows too
+        dump = tmp_path / "sizes.json"
+        assert main(["sweep", "--n", "200", "--z", "1:4:1", "--phi", "0.18", "--rule", rule,
+                     "--realizations", "10", "--metric", "median", "--seed", "5",
+                     "--seeds-per-run", "3", "--out", os.devnull,
+                     "--dump-sizes", str(dump)]) == 0
+        assert hashlib.sha256(dump.read_bytes()).hexdigest() == self.SMALL_SIZES[rule]
