@@ -17,7 +17,6 @@ import json
 import os
 import stat
 import sys
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -74,7 +73,7 @@ def _check_writable(*paths: Optional[str]) -> None:
             existed = True
         except OSError:  # a new path, a dangling link, or one the open below fails on
             existed = os.path.lexists(path)
-        Path(path).open("a").close()
+        open(path, "ab", buffering=0).close()
         if not existed:
             os.remove(path)
 
@@ -328,13 +327,20 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser, and each command's own parser by name."""
     parser = _Parser(prog="cascade-logic",
                      description="Threshold-cascade networks: generate, run, "
                                  "compile, analyze, sweep.")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands: dict[str, _Parser] = {}
 
-    p = sub.add_parser("gen", help="generate an ER network with thresholds")
+    def command(name: str, func, help: str) -> _Parser:
+        p = commands[name] = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("gen", _cmd_gen, "generate an ER network with thresholds")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--z", type=float, help="mean degree (p = z/(n-1))")
     p.add_argument("--p", type=float, help="edge probability")
@@ -342,48 +348,40 @@ def _build_parser() -> _Parser:
     p.add_argument("--phi", default="uniform", help="uniform or const:<x>")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("stats", help="network statistics as JSON")
+    p = command("stats", _cmd_stats, "network statistics as JSON")
     p.add_argument("--net", required=True)
-    p.set_defaults(func=_cmd_stats)
 
-    p = sub.add_parser("run", help="run one cascade")
+    p = command("run", _cmd_run, "run one cascade")
     p.add_argument("--net", required=True)
     p.add_argument("--seeds", help="comma-separated ids; default: file seeds")
     p.add_argument("--mode", required=True, help="sweep:<seed> | order:<id,...> | topo")
-    p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("compile", help="compile an expression to a circuit file")
+    p = command("compile", _cmd_compile, "compile an expression to a circuit file")
     p.add_argument("--expr", required=True)
     p.add_argument("--basis", default="mixed", help="mixed | nand | nor")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_compile)
 
-    p = sub.add_parser("eval", help="evaluate a circuit on one assignment")
+    p = command("eval", _cmd_eval, "evaluate a circuit on one assignment")
     p.add_argument("--net", required=True)
     p.add_argument("--assign", required=True, help="a=1,b=0,...")
-    p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("table", help="truth table of a circuit as CSV")
+    p = command("table", _cmd_table, "truth table of a circuit as CSV")
     p.add_argument("--net", required=True)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_table)
 
-    p = sub.add_parser("fixpoints", help="enumerate reachable fixpoints")
+    p = command("fixpoints", _cmd_fixpoints, "enumerate reachable fixpoints")
     p.add_argument("--net", required=True)
     p.add_argument("--seeds", help="comma-separated ids; default: file seeds")
     p.add_argument("--cap", type=int, default=DEFAULT_STATE_CAP)
-    p.set_defaults(func=_cmd_fixpoints)
 
-    p = sub.add_parser("sensitivity", help="schedule sensitivity of circuit outputs")
+    p = command("sensitivity", _cmd_sensitivity, "schedule sensitivity of circuit outputs")
     p.add_argument("--net", required=True)
     p.add_argument("--assign", required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(func=_cmd_sensitivity)
 
-    p = sub.add_parser("verify-gcm", help="final-state uniqueness over random instances")
+    p = command("verify-gcm", _cmd_verify_gcm, "final-state uniqueness over random instances")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--z", type=float, required=True)
     p.add_argument("--instances", type=int, required=True)
@@ -391,9 +389,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--rule", default="gcm")
     p.add_argument("--cap", type=int, default=DEFAULT_STATE_CAP)
     p.add_argument("--jobs", type=int)
-    p.set_defaults(func=_cmd_verify_gcm)
 
-    p = sub.add_parser("sweep", help="cascade-frequency sweep over mean degree")
+    p = command("sweep", _cmd_sweep, "cascade-frequency sweep over mean degree")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--z", required=True, help="value or start:stop:step (inclusive)")
     p.add_argument("--phi", type=float, required=True)
@@ -405,17 +402,20 @@ def _build_parser() -> _Parser:
     p.add_argument("--out")
     p.add_argument("--dump-sizes", help="also write raw sizes per z as JSON")
     p.add_argument("--jobs", type=int)
-    p.set_defaults(func=_cmd_sweep)
 
-    return parser
+    return parser, commands
 
 
-_PARSER = _build_parser()
+_PARSER, _COMMANDS = _build_parser()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    # a named command's own parser reads its flags, the one parse the top-level
+    # parser would delegate; help and a missing or unknown command go there
+    command = _COMMANDS.get(argv[0]) if argv else None
     try:
-        args = _PARSER.parse_args(argv)
+        args = command.parse_args(argv[1:]) if command else _PARSER.parse_args(argv)
         return args.func(args)
     except SystemExit as e:  # argparse exits 0 after --help; error() raises UsageError
         return e.code

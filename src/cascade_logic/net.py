@@ -241,9 +241,14 @@ class Graph:
     @cached_property
     def topological_order(self) -> tuple[int, ...]:
         """All node ids in dependency order (Kahn's algorithm, smallest id
-        first), built on first use. Raises ValueError when undirected or cyclic."""
+        first), built on first use. Raises ValueError when undirected or cyclic.
+        When every edge climbs (src < dst, as in every compiled circuit), each
+        node's in-neighbours have smaller ids, so the order is 0, 1, 2, ... and
+        no heap is run."""
         if not self.directed:
             raise ValueError("topological order requires a directed network")
+        if (self.src < self.dst).all():
+            return tuple(range(self.n))
         indeg = self.degrees.tolist()
         ready = [u for u in range(self.n) if indeg[u] == 0]
         heapq.heapify(ready)

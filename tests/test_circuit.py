@@ -659,6 +659,14 @@ class TestCompileGolden:
             assert compiled_digest(expr, basis) == pinned[expr], expr
 
 
+@pytest.mark.parametrize("basis", list(Basis), ids=lambda b: b.value)
+def test_compiled_edges_climb(basis):
+    # so Graph.topological_order of a compiled circuit runs no heap
+    for expr in GOLDEN_EXPRS:
+        graph = compile_expr(expr, basis).network.graph
+        assert (graph.src < graph.dst).all(), expr
+
+
 class TestCompileWork:
     @pytest.mark.parametrize("basis", list(Basis), ids=lambda b: b.value)
     def test_xor_chain_needs_linear_gate_calls(self, monkeypatch, basis):

@@ -22,6 +22,7 @@ from cascade_logic.circuit import MAX_FAN_IN, MAX_TABLE_CELLS, MAX_TABLE_STEPS
 from cascade_logic.cli import MAX_Z_VALUES, _parse_z_range, main
 from cascade_logic.parser import MAX_NESTING, LimitExceeded
 from conftest import GOLDEN, network_of, random_instance, record_runs, small_network
+from test_cli_golden import CASES, observe, prepare_workdir
 
 FIXTURES = ["or2", "and2", "nor2", "nand2", "not1", "half_adder"]
 
@@ -761,6 +762,53 @@ class TestParserOnce:
         assert cli(*argv, "--jobs", "2")[0] == 0
         assert cli(*argv)[0] == 0
         assert seen == [2, None]  # no --jobs: one worker
+
+
+class TestDispatch:
+    """A named command's own parser reads its flags; only help and a missing
+    or unknown command reach the top-level parser."""
+
+    ARGVS = [case["argv"] for case in CASES] + [
+        [], ["--help"], ["frobnicate"], ["eval"], ["eval", "-h"], ["table", "--he"],
+        ["table", "--net", "nand2.json", "--bogus", "1"]]
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: " ".join(argv) or "<none>")
+    def test_same_result_as_the_top_level_parse(self, monkeypatch, tmp_path, argv):
+        seen = []
+        for name, commands in (("direct", cli_module._COMMANDS), ("top-level", {})):
+            monkeypatch.setattr(cli_module, "_COMMANDS", commands)
+            workdir = tmp_path / name
+            workdir.mkdir()
+            monkeypatch.chdir(workdir)
+            prepare_workdir(workdir)
+            seen.append(observe(argv, workdir))
+        assert seen[0] == seen[1]
+
+    def test_a_command_never_reaches_the_top_level_parser(self, cli, monkeypatch):
+        def no_top_level(*args, **kwargs):
+            raise AssertionError("the top-level parser parsed a command")
+        monkeypatch.setattr(cli_module._PARSER, "parse_args", no_top_level)
+        for name in cli_module._COMMANDS:
+            code, _, err = cli(name)  # every command has a required flag
+            assert (code, json.loads(err)["error"]["kind"]) == (1, "usage"), name
+        code, out, _ = cli("stats", "--net", str(fixture_path("triangle.json")))
+        assert (code, json.loads(out)["n"]) == (0, 3)
+        with pytest.raises(AssertionError, match="top-level"):
+            main([])
+
+
+@pytest.mark.parametrize("longer, shorter, flag", WRITERS.values(), ids=WRITERS)
+def test_an_empty_output_path_exits_2_before_any_work(cli, monkeypatch, longer, shorter,
+                                                      flag):
+    # the error write_text itself raises for the path ''
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before the output check")
+    for name in ("generate_er", "compile_expr", "truth_table", "sweep_sizes"):
+        monkeypatch.setattr(cli_module, name, no_work)
+    code, out, err = cli(*longer, flag, "")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": {
+        "kind": "input", "message": "[Errno 2] No such file or directory: ''"}}
 
 
 def run_python(*argv):

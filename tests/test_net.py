@@ -440,6 +440,62 @@ class TestAdjacencyViews:
                 assert graph.out_indices is graph.indices
 
 
+def kahn_smallest_first(n, edges):
+    """Kahn's algorithm that takes the smallest ready id each step, or None
+    when `edges` hold a cycle."""
+    indeg, out = [0] * n, [[] for _ in range(n)]
+    for u, v in edges:
+        out[u].append(v)
+        indeg[v] += 1
+    ready, order = [u for u in range(n) if indeg[u] == 0], []
+    while ready:
+        u = min(ready)
+        ready.remove(u)
+        order.append(u)
+        for v in out[u]:
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                ready.append(v)
+    return tuple(order) if len(order) == n else None
+
+
+class NoHeap:
+    def __getattr__(self, name):
+        raise AssertionError("Kahn's heap ran")
+
+
+class TestTopologicalOrder:
+    def test_random_dags_match_kahn(self, monkeypatch):
+        rng = np.random.default_rng(29)
+        descended = 0
+        for case in range(60):
+            n = 1 + case % 25
+            pairs = {tuple(sorted(int(x) for x in rng.choice(n, 2, replace=False)))
+                     for _ in range(2 * n if n > 1 else 0)}
+            climbing = sorted(pairs)
+            rank = rng.permutation(n).tolist()
+            relabelled = [(rank[u], rank[v]) for u, v in climbing]
+            descended += any(u > v for u, v in relabelled)
+            with monkeypatch.context() as patch:  # every edge climbs: no heap
+                patch.setattr(net_module, "heapq", NoHeap())
+                order = network_of(n, True, climbing).graph.topological_order
+            assert order == kahn_smallest_first(n, climbing) == tuple(range(n)), case
+            order = network_of(n, True, relabelled).graph.topological_order
+            assert order == kahn_smallest_first(n, relabelled), case
+        assert descended > 40
+
+    def test_no_edges(self):
+        assert Graph.from_edges(5, True, (), ()).topological_order == (0, 1, 2, 3, 4)
+
+    @pytest.mark.parametrize("edges", [[(0, 1), (1, 2), (2, 0)], [(0, 1), (1, 0)],
+                                       [(0, 1), (1, 2), (2, 3), (3, 1)]])
+    def test_a_cycle_raises(self, edges):
+        assert kahn_smallest_first(4, edges) is None
+        graph = network_of(4, True, edges).graph
+        with pytest.raises(ValueError, match="cycle"):
+            graph.topological_order
+
+
 class TestSerialization:
     def test_round_trip_identity(self, tmp_path):
         net = assign_thresholds(generate_er(40, 0.15, 3), UNIFORM,
