@@ -7,6 +7,8 @@ behind an explicit --seed, and --jobs never changes output bytes.
 
 Exit codes: 0 success, 1 usage error, 2 input-file error, 3 resource cap.
 Failures print one JSON object on stderr: {"error": {"kind", "message"}}.
+Each output file is opened once, by `net.open_output`, before the command's
+work; a new one is removed when the command fails before writing it.
 """
 
 from __future__ import annotations
@@ -14,9 +16,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
-import stat
 import sys
+from contextlib import nullcontext
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,7 +31,7 @@ from .engine import ExplicitOrder, RandomSweep, Topological, is_global, run_casc
 from .experiments import (GlobalFraction, MedianExceedance, SweepSpec,
                           emit_csv, rows_from_sizes, sweep_sizes)
 from .net import (NetworkFormatError, Rule, UNIFORM, assign_thresholds, generate_er,
-                  load_network, save_network, stats, write_text)
+                  load_network, open_output, save_network, stats, write_text)
 from .parser import LimitExceeded
 
 EXIT_OK = 0
@@ -54,32 +55,13 @@ def _fail(kind: str, message: str) -> None:
     print(json.dumps({"error": {"kind": kind, "message": message}}), file=sys.stderr)
 
 
-def _destination(out: Optional[str]):
-    """Where a command writes: the --out path, or stdout when there is none."""
-    return sys.stdout if out is None else out
+def _output(out: Optional[str]):
+    """The file a command writes, as a context: the --out path, or stdout."""
+    return nullcontext(sys.stdout) if out is None else open_output(out)
 
 
-def _check_writable(*paths: Optional[str]) -> None:
-    """Raise the OSError that writing to each given path would raise, so a
-    command fails before its work; a file the check creates is removed. An
-    existing pipe or character device is not opened: a pipe's reader would
-    take the check's close for the end of the output."""
-    for path in paths:
-        if path is None:
-            continue
-        try:
-            if stat.S_IFMT(os.stat(path).st_mode) in (stat.S_IFIFO, stat.S_IFCHR):
-                continue
-            existed = True
-        except OSError:  # a new path, a dangling link, or one the open below fails on
-            existed = os.path.lexists(path)
-        open(path, "ab", buffering=0).close()
-        if not existed:
-            os.remove(path)
-
-
-def _print_json(doc, out: Optional[str] = None) -> None:
-    write_text(json.dumps(doc, indent=1) + "\n", _destination(out))
+def _print_json(doc, out=None) -> None:
+    write_text(json.dumps(doc, indent=1) + "\n", sys.stdout if out is None else out)
 
 
 def _print_object(fields: dict[str, str]) -> None:
@@ -208,12 +190,12 @@ def _cmd_gen(args) -> int:
         if args.n < 2:
             raise UsageError("--z needs n >= 2")
         p = args.z / (args.n - 1)
-    _check_writable(args.out)  # before the graph is drawn
-    graph = generate_er(args.n, p, mix_seed(args.seed, "graph"))
-    network = assign_thresholds(graph, _parse_phi_flag(args.phi),
-                                _parse_rule(args.rule),
-                                rng_seed=mix_seed(args.seed, "phi"))
-    save_network(network, _destination(args.out))
+    with _output(args.out) as out:  # opened before the graph is drawn
+        graph = generate_er(args.n, p, mix_seed(args.seed, "graph"))
+        network = assign_thresholds(graph, _parse_phi_flag(args.phi),
+                                    _parse_rule(args.rule),
+                                    rng_seed=mix_seed(args.seed, "phi"))
+        save_network(network, out)
     return EXIT_OK
 
 
@@ -244,9 +226,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compile(args) -> int:
-    _check_writable(args.out)  # before the expression is compiled
-    circuit = compile_expr(args.expr, _basis(args.basis))
-    save_circuit(circuit, _destination(args.out))
+    with _output(args.out) as out:  # opened before the expression is compiled
+        save_circuit(compile_expr(args.expr, _basis(args.basis)), out)
     return EXIT_OK
 
 
@@ -259,8 +240,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_table(args) -> int:
     circuit = load_circuit(args.net)
-    _check_writable(args.out)  # before the 2^m rows are evaluated
-    truth_table(circuit).to_csv(_destination(args.out))
+    with _output(args.out) as out:  # opened before the 2^m rows are evaluated
+        truth_table(circuit).to_csv(out)
     return EXIT_OK
 
 
@@ -316,14 +297,16 @@ def _cmd_sweep(args) -> int:
         seeds_per_run=args.seeds_per_run,
         metric=_parse_metric(args.metric),
     )
-    _check_writable(args.dump_sizes, args.out)  # before any realization
-    sizes, reference = sweep_sizes(spec, jobs=args.jobs)
-    rows = rows_from_sizes(spec, sizes, reference)
-    if args.dump_sizes is not None:
-        dump = [{"z": z, "sizes": sizes[zi].tolist()}
-                for zi, z in enumerate(spec.z_values)]
-        _print_json(dump, args.dump_sizes)
-    emit_csv(rows, _destination(args.out), spec=spec)
+    # both files are opened before any realization; the dump is written and
+    # closed first, so `--out P --dump-sizes P` leaves the CSV at P
+    with _output(args.out) as out:
+        with nullcontext() if args.dump_sizes is None else open_output(args.dump_sizes) as dump:
+            sizes, reference = sweep_sizes(spec, jobs=args.jobs)
+            rows = rows_from_sizes(spec, sizes, reference)
+            if dump is not None:
+                _print_json([{"z": z, "sizes": sizes[zi].tolist()}
+                             for zi, z in enumerate(spec.z_values)], dump)
+        emit_csv(rows, out, spec=spec)
     return EXIT_OK
 
 

@@ -14,10 +14,9 @@ Network files are read into the columns and written from them:
 :func:`load_bundle` tests each rule once per node, edge and seed as it reads
 it, and raises the message of the first rule that fails on the spot;
 :func:`save_network` streams the file from the columns, a chunk of nodes or
-edges at a time. :func:`write_text`, the one writer of every output file,
-rewrites an existing file in place and cuts it at the end of the new text,
-rather than truncating it to zero first; a process killed between the two
-leaves the old file's tail after the new text.
+edges at a time. :func:`open_output` opens every output path once, before the
+work: in place, not truncated, it is cut at the end of the new text, and a new
+file is removed again when the work fails before writing to it.
 """
 
 from __future__ import annotations
@@ -27,13 +26,14 @@ import json
 import math
 import os
 import stat
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -528,31 +528,47 @@ def read_text(source) -> str:
     return Path(source).read_text(encoding="utf-8")
 
 
+@contextmanager
+def open_output(path) -> Iterator[TextIO]:
+    """Open the output file at `path` once, before the work that fills it,
+    and yield it as a UTF-8 text file written from its start.
+
+    The open does not truncate, and a new file gets the mode bits of
+    ``open(path, "w")``. On leaving, a regular file is cut at the end of what
+    was written, also when the block raises after a write; a process killed
+    before the cut leaves the old file's tail. When the block raises before
+    any write, a file this call created is removed and an existing one is
+    left as it was. ``/dev/null``, a pipe or a tty is written, never cut."""
+    created = not os.path.exists(path)  # through a dangling link, its target is new
+    # on ext4 mounted with discard, O_TRUNC on an existing 2 KB file took
+    # about 70 us, and an in-place write cut at its end about 3 us
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8") as f:
+        cut = stat.S_ISREG(os.fstat(fd).st_mode)
+        try:
+            yield f
+        except BaseException:
+            if cut and f.tell() == 0:  # nothing written: leave the path as it was
+                cut = False
+                if created:
+                    os.remove(os.path.realpath(path))
+            raise
+        finally:
+            if cut:
+                f.truncate()
+
+
 def write_text(text: Union[str, Iterable[str]], destination) -> None:
     """Write `text`, one string or an iterable of strings written in turn,
-    to an open text file, or to the file at a path.
-
-    A path is rewritten in place: it is opened without truncation, written
-    from its start, and a regular file is then cut at the end of the new text,
-    also when writing raises, so it holds what was written and nothing of the
-    old file. The bytes are those of ``open(path, "w")``, a new file gets the
-    same mode bits, and ``/dev/null``, a pipe or a tty is written but not cut.
-    A process killed between the write and the cut leaves the old file's tail
-    after the new text."""
+    to an open text file, or to the file at a path through
+    :func:`open_output`."""
     if isinstance(text, str):
         text = (text,)
     if hasattr(destination, "write"):
         destination.writelines(text)
         return
-    # on ext4 mounted with discard, O_TRUNC on an existing 2 KB file took
-    # about 70 us, and an in-place write cut at its end about 3 us
-    fd = os.open(destination, os.O_WRONLY | os.O_CREAT, 0o666)
-    with open(fd, "w", encoding="utf-8") as f:
-        try:
-            f.writelines(text)
-        finally:
-            if stat.S_ISREG(os.fstat(fd).st_mode):
-                f.truncate()
+    with open_output(destination) as f:
+        f.writelines(text)
 
 
 def _list_text(key: str, count: int, items) -> Iterator[str]:

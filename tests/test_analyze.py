@@ -1,5 +1,7 @@
 import contextlib
+import hashlib
 import io
+import json
 import sys
 import tracemalloc
 
@@ -387,6 +389,21 @@ class TestVerifyGcmDeterminism:
             got = analyze_module._instance_outcomes(n, z, instances, n, rule, cap, 1)
             assert got == want, cap
         assert batches == ({False, True} if n <= 12 else {False})
+
+    # sha256 of the JSON of every (count, truncated) outcome of
+    # `verify-gcm --z 3 --instances 300 --seed 1`, recorded before
+    # `net.open_output` existed: n = 12 searches in batches, n = 16 one by one
+    OUTCOMES = {(12, "gcm"): "65d11081b534b682722c1d6f64ec3541987253a0641c95b3cb88ae329fc7909b",
+                (12, "agcm"): "4c7d16bcde8839f1d79ef1700bb150ec6c7dba00557eb778243b4c227b61bcf6",
+                (16, "gcm"): "65d11081b534b682722c1d6f64ec3541987253a0641c95b3cb88ae329fc7909b",
+                (16, "agcm"): "c2ae2351a703927726a817a39aeaa39c021cc4fa003f5ce7ee087e2d7541b74b"}
+
+    @pytest.mark.parametrize("n, rule", OUTCOMES)
+    def test_instance_outcomes_golden(self, n, rule):
+        outcomes = analyze_module._instance_outcomes(n, 3.0, 300, 1, Rule(rule),
+                                                     DEFAULT_STATE_CAP, 1)
+        digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+        assert digest == self.OUTCOMES[n, rule]
 
     def test_batch_memory_does_not_grow_with_the_cap(self):
         # a batch holds at most DEFAULT_STATE_CAP configurations however

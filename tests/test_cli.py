@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -736,6 +737,78 @@ class TestOutputFiles:
         assert cli(*shorter, flag, str(target))[0] == 0
         assert len(flags) == 2
         assert not any(f & os.O_TRUNC for f in flags)
+
+
+# each writer's command failing after its output is open: its argv, its exit
+# code, and the work function patched to raise, if any
+FAILURES = {
+    "gen": (["gen", "--n", str(net_module.MAX_NODES + 1), "--z", "3", "--seed", "7"], 3, None),
+    "compile": (["compile", "--expr", "a |", "--basis", "nand"], 1, None),
+    "table": (WRITERS["table"][0], 3, "truth_table"),
+    "sweep": (WRITERS["sweep"][0], 3, "sweep_sizes"),
+    "dump-sizes": (WRITERS["dump-sizes"][0], 3, "sweep_sizes"),
+}
+
+
+@pytest.mark.parametrize("name", FAILURES)
+def test_a_failure_after_the_open_leaves_the_path_as_it_was(cli, monkeypatch, tmp_path, name):
+    argv, code, work = FAILURES[name]
+    if work is not None:
+        def failing(*args, **kwargs):
+            raise LimitExceeded("the work failed")
+        monkeypatch.setattr(cli_module, work, failing)
+    expected = cli(*argv)  # the same failure with nothing to write
+    assert expected[:2] == (code, "")
+    new, existing = tmp_path / "new", tmp_path / "existing"
+    old = b"old bytes\n" * 100
+    existing.write_bytes(old)
+    for target in (new, existing):
+        assert cli(*argv, WRITERS[name][2], str(target)) == expected
+    assert os.listdir(tmp_path) == ["existing"]
+    assert existing.read_bytes() == old
+
+
+def test_one_path_for_out_and_dump_sizes_ends_with_the_csv(cli, tmp_path):
+    # the dump is written and closed before the CSV; the digest is the CSV's
+    # as the commit before `net.open_output` wrote it
+    both, csv = tmp_path / "both", tmp_path / "csv"
+    argv = WRITERS["sweep"][0]
+    assert cli(*argv, "--out", str(both), "--dump-sizes", str(both)) == (0, "", "")
+    assert cli(*argv, "--out", str(csv)) == (0, "", "")
+    assert both.read_bytes() == csv.read_bytes()
+    assert hashlib.sha256(both.read_bytes()).hexdigest() == (
+        "26029563b4dc1bfb15a077ea5694fc454ceeaf80c783b995f6f711806d30a55e")
+
+
+class TestOutputGoldens:
+    """Digests recorded before `net.open_output` existed: the `fixpoints`
+    text of two searches and a large network file that `gen` writes."""
+
+    def test_xor6_nand_fixpoints(self, cli, tmp_path):
+        circuit = str(tmp_path / "xor6.json")
+        expr = " ^ ".join(f"x{i}" for i in range(6))
+        assert cli("compile", "--expr", expr, "--basis", "nand", "--out", circuit) == (0, "", "")
+        # x0, x2 and x4 are the inputs set, at ids 0, 6 and 16
+        code, out, err = cli("fixpoints", "--net", circuit, "--seeds", "0,6,16")
+        assert (code, err, len(json.loads(out)["fixpoints"])) == (0, "", 687)
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "c62dd5cd404484858866304f0bccf0f1a02e63fc4fe86e48e20f9a69197114dd")
+
+    def test_antagonistic_16_node_fixpoints(self, cli, tmp_path):
+        net = str(tmp_path / "gen16.json")
+        argv = ("gen", "--n", "16", "--z", "3", "--rule", "agcm", "--seed", "2", "--out", net)
+        assert cli(*argv) == (0, "", "")
+        code, out, err = cli("fixpoints", "--net", net, "--seeds", "0")
+        assert (code, err, len(json.loads(out)["fixpoints"])) == (0, "", 1043)
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "e2a82a96bbfb9488b26f51ea40b25c826143ca220b78b8ef73cf7d412334b35f")
+
+    def test_gen_5000_file(self, cli, tmp_path):
+        net = tmp_path / "gen.json"
+        argv = ("gen", "--n", "5000", "--z", "3", "--rule", "agcm", "--seed", "1")
+        assert cli(*argv, "--out", str(net)) == (0, "", "")
+        assert hashlib.sha256(net.read_bytes()).hexdigest() == (
+            "f7cd0406241c89163d9823bfab3d3794d7d05c3dfc8e9017c2813ddccf77aea6")
 
 
 class TestParserOnce:

@@ -18,7 +18,7 @@ from cascade_logic import (Network, NetworkFormatError, Rule,
 from cascade_logic import net as net_module
 from cascade_logic._seeds import make_rngs, mix_seed
 from cascade_logic.net import (Graph, _cutoffs, _draw_size, _er_union, _float_cutoffs,
-                               _pair_from_linear, write_text)
+                               _pair_from_linear, open_output, write_text)
 from conftest import network_of
 
 
@@ -660,6 +660,31 @@ class TestWriteText:
             assert os.read(reader, 100) == b"one\ntwo\n"
         finally:
             os.close(reader)
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_a_raise_before_any_write_leaves_the_path_as_it_was(self, tmp_path, error):
+        new, existing, link = tmp_path / "new", tmp_path / "existing", tmp_path / "link"
+        old = b"old text\n" * 1000
+        existing.write_bytes(old)
+        link.symlink_to(tmp_path / "link-target")  # dangling: its target is new
+        for target in (new, existing, link):
+            with pytest.raises(error):
+                with open_output(target):
+                    assert target.read_bytes() == (old if target == existing else b"")
+                    raise error("before any write")
+        assert sorted(os.listdir(tmp_path)) == ["existing", "link"]
+        assert existing.read_bytes() == old
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_a_raise_after_a_write_keeps_what_was_written(self, tmp_path, error):
+        new, existing = tmp_path / "new", tmp_path / "existing"
+        existing.write_bytes(b"old text\n" * 1000)
+        for target in (new, existing):
+            with pytest.raises(error):
+                with open_output(target) as f:
+                    f.write("partial\n")
+                    raise error("after a write")
+            assert target.read_bytes() == b"partial\n"
 
     def test_no_open_truncates(self, tmp_path, monkeypatch):
         flags = []
