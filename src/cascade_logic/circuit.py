@@ -144,7 +144,7 @@ class CompiledCircuit:
             if (0 >= cut[nid]) != anti[nid]:
                 raise ValueError(f"input {name!r} fires on its own, with no seed")
         reach = set(self.inputs.values())
-        ptr, flat = graph.lists[0]
+        ptr, flat = graph.view[0]
         for u in order:
             if not reach.isdisjoint(flat[ptr[u]:ptr[u + 1]]):
                 reach.add(u)

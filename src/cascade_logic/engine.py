@@ -87,7 +87,7 @@ def settle(network: Network, fixed: Mapping[int, int], ones: int) -> list[int]:
     into bit-sliced count planes, O(d log d) int operations at in-degree d.
     """
     cut, anti = network.cutoff.tolist(), network.antagonistic.tolist()
-    ptr, nbrs = network.graph.lists[0]
+    ptr, nbrs = network.graph.view[0]
     value = [0] * network.n
     for u in topological_order(network):
         if u in fixed:
@@ -153,7 +153,7 @@ class _Cascade:
         self.seed_set = seed_set
         self.cut = network.cutoff.tolist()
         self.anti = network.antagonistic.tolist()
-        self.ptr, self.out = network.graph.lists[1]
+        self.ptr, self.out = network.graph.view[1]
         self.labels = bytearray(n)
         self.counts = [0] * n  # labeled in-neighbors
         for s in self.seed_set:
@@ -244,7 +244,7 @@ def monotone_closure(network: Network, seeds: Optional[Iterable[int]]) -> Config
     labeled += [s for s in seed_set if need[s] > 0]
     for s in seed_set:
         need[s] = 0
-    ptr, out = network.graph.lists[1]
+    ptr, out = network.graph.view[1]
     for u in labeled:  # the list grows while it is walked: a FIFO worklist
         for v in out[ptr[u]:ptr[u + 1]]:
             need[v] -= 1

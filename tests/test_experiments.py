@@ -257,7 +257,7 @@ class TestSizesAndMetrics:
 class TestOneGraphPerRealization:
     # every graph gets one monotone closure (the median's reference, or the
     # gcm sweep itself), and an agcm sweep adds one random-sweep run; both
-    # read the one list view of the graph's out-arrays, converted once
+    # walk the graph's own out-array in place, and neither converts it to a list
     @pytest.mark.parametrize("rule, runs_per_graph",
                              [(Rule.ANTAGONISTIC, 2), (Rule.MONOTONE, 1)])
     def test_median_sweep_builds_each_graph_once(self, monkeypatch, tmp_path,
@@ -279,7 +279,9 @@ class TestOneGraphPerRealization:
             # undirected, the out-arrays are the in-arrays: count both as one
             graph = original_er_union(*args)
             out = graph.out_indices.view(CountedArray)
-            return dataclasses.replace(graph, indices=out, out_indices=out)
+            graph = dataclasses.replace(graph, indices=out, out_indices=out)
+            assert np.shares_memory(graph.view[1][1], out)
+            return graph
 
         original_er_union = experiments._er_union
         monkeypatch.setattr(experiments, "_er_union", counted("_er_union", er_union))
@@ -289,7 +291,7 @@ class TestOneGraphPerRealization:
         spec = small_spec(rule=rule, metric=MedianExceedance())
         graphs = len(spec.z_values) * spec.realizations
         expected = {"_er_union": graphs, "monotone_closure": graphs,
-                    "run": (runs_per_graph - 1) * graphs, "tolist": graphs}
+                    "run": (runs_per_graph - 1) * graphs, "tolist": 0}
         run_sweep(spec, jobs=1)
         assert calls == expected
         calls.update(dict.fromkeys(calls, 0))

@@ -1,8 +1,10 @@
+import dataclasses
 import hashlib
 import io
 import json
 import math
 import os
+import pickle
 import stat
 import tracemalloc
 from fractions import Fraction
@@ -11,10 +13,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from cascade_logic import (Network, NetworkFormatError, Rule,
-                           UNIFORM, assign_thresholds, cutoff, generate_er,
-                           load_bundle, load_network, make_rng, save_network,
-                           stats)
+from cascade_logic import (Basis, Network, NetworkFormatError, RandomSweep, Rule,
+                           UNIFORM, assign_thresholds, compile_expr, cutoff, evaluate,
+                           fixture_path, generate_er, load_bundle, load_network, make_rng,
+                           monotone_closure, run_cascade, save_network, stats, truth_table)
 from cascade_logic import net as net_module
 from cascade_logic._seeds import make_rngs, mix_seed
 from cascade_logic.net import (Graph, _cutoffs, _draw_size, _er_union, _float_cutoffs,
@@ -305,7 +307,59 @@ class TestAssignThresholds:
         assert assigned.seeds == frozenset()
 
 
+def _stats_graphs(group: str) -> list[Graph]:
+    """The graphs whose `stats` `STATS_GOLDEN` pins, by group."""
+    if group == "er":  # sparse to dense, isolated nodes to one giant component
+        return [generate_er(n, min(1.0, z / max(n - 1, 1)), seed)
+                for n, seeds in ((1, 2), (2, 3), (5, 3), (30, 3), (300, 3), (2000, 3), (20000, 1))
+                for z in (0.5, 2.0, 6.0, 12.0) for seed in range(seeds)] + [
+            generate_er(60, 0.5, 1), generate_er(200, 0.9, 2)]
+    if group == "star":
+        return [Graph.from_edges(4001, False, [0] * 4000, range(1, 4001))]
+    if group == "clique":
+        return [Graph.from_edges(40, False, *zip(*combinations(range(40), 2)))]
+    # every fixture's edges as an undirected graph
+    graphs = []
+    for name in sorted(os.listdir(fixture_path("triangle.json").parent)):
+        graph = load_network(fixture_path(name)).graph
+        graphs.append(Graph.from_edges(graph.n, False, graph.src, graph.dst))
+    return graphs
+
+
+# sha256 of the json.dumps of each graph's `NetworkStats`, one line per graph,
+# recorded from the pairwise neighbor loop that `stats` ran before it counted
+# triangles in numpy: the CLI's bytes, last float digit included
+STATS_GOLDEN = {
+    "er": "605c49eb0b115186e1f76ff5fad54dbf86b001cddf9467d22ab8655d4545d5b8",
+    "star": "5793de13ab87670b50755552e46052f3eb77ecbdf0357768c8ce8c9dc03d5743",
+    "clique": "3b4ca99dc1b51d35e2e0eab757ad24d966b4ec7a8f0cb39d64f868490c9078c1",
+    "fixtures": "9cd174f8f6c9d8b6cac4ec08e451713a63f559818e264d16f8197331c37503aa",
+}
+
+
 class TestStats:
+    @pytest.mark.parametrize("group", sorted(STATS_GOLDEN))
+    def test_golden(self, group):
+        text = "\n".join(json.dumps(dataclasses.asdict(stats(g))) for g in _stats_graphs(group))
+        assert hashlib.sha256(text.encode()).hexdigest() == STATS_GOLDEN[group]
+
+    # at one wedge a chunk, each chunk is one edge, whatever its wedges; at
+    # seven, a chunk holds several edges, or one edge with more than seven
+    @pytest.mark.parametrize("wedges", [1, 7])
+    @pytest.mark.parametrize("group", ["clique", "fixtures"])
+    def test_wedge_chunks_keep_the_golden(self, monkeypatch, wedges, group):
+        monkeypatch.setattr(net_module, "_WEDGES", wedges)
+        self.test_golden(group)
+
+    def test_hubs_match_networkx(self):
+        # a hub holds most triangles: it ranks last, so each is found at a leaf
+        nx = pytest.importorskip("networkx")
+        for graph in (nx.wheel_graph(50), nx.windmill_graph(5, 12),
+                      nx.barabasi_albert_graph(400, 4, seed=3), nx.star_graph(30)):
+            src, dst = zip(*graph.edges())
+            result = stats(Graph.from_edges(graph.number_of_nodes(), False, src, dst))
+            assert abs(result.clustering_coefficient - nx.average_clustering(graph)) <= 1e-12
+
     def test_triangle(self):
         result = stats(Graph.from_edges(3, False, (0, 0, 1), (1, 2, 2)))
         assert result.clustering_coefficient == 1.0
@@ -438,6 +492,43 @@ class TestAdjacencyViews:
             if not directed:  # all neighbors either way: one pair of arrays
                 assert graph.out_indptr is graph.indptr
                 assert graph.out_indices is graph.indices
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_view_reads_the_arrays_in_place(self, directed):
+        graph = generate_er(30, 0.2, 1)
+        if directed:  # every edge descends: in- and out-rows differ
+            graph = Graph.from_edges(30, True, graph.dst, graph.src)
+        view = graph.view
+        assert view[0][0] is graph.view[0][0]  # the row pointers: one list, kept
+        for (ptr, flat), (indptr, indices) in zip(view, ((graph.indptr, graph.indices),
+                                                         (graph.out_indptr, graph.out_indices))):
+            assert type(ptr) is list and ptr == indptr.tolist()
+            assert flat.readonly and np.shares_memory(flat, indices)
+            assert [list(flat[a:b]) for a, b in zip(ptr, ptr[1:])] == [
+                indices[a:b].tolist() for a, b in zip(ptr, ptr[1:])]
+        assert (view[0] is view[1]) != directed
+
+    def test_walked_graphs_networks_and_circuits_pickle(self):
+        # the loops read each graph through a view of its arrays; a graph
+        # they walked still pickles, as every worker's arguments must
+        graph = generate_er(60, 0.1, 3)
+        monotone = assign_thresholds(graph, 0.18, Rule.MONOTONE)
+        monotone_closure(monotone, {0, 1})
+        antagonistic = assign_thresholds(graph, 0.18, Rule.ANTAGONISTIC)
+        run_cascade(antagonistic, {0}, RandomSweep(1))
+        circuit = compile_expr("(a ^ b) | c", Basis.NAND_ONLY)
+        evaluate(circuit, {"a": 1, "b": 0, "c": 0})
+        truth_table(circuit)
+        descending = Graph.from_edges(4, True, (3, 2, 1), (2, 1, 0))
+        assert descending.topological_order == (3, 2, 1, 0)
+        for original in (monotone, antagonistic, circuit):
+            assert pickle.loads(pickle.dumps(original)) == original
+        copy = pickle.loads(pickle.dumps(monotone))  # its view is built again
+        assert monotone_closure(copy, {0, 1}) == monotone_closure(monotone, {0, 1})
+        for original in (graph, circuit.network.graph, descending):
+            copy = pickle.loads(pickle.dumps(original))
+            for f in dataclasses.fields(Graph):
+                assert np.array_equal(getattr(copy, f.name), getattr(original, f.name)), f.name
 
 
 def kahn_smallest_first(n, edges):
