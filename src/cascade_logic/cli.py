@@ -147,13 +147,12 @@ def _parse_z_range(text: str) -> tuple[float, ...]:
             if step <= 0:
                 raise UsageError("--z step must be positive")
             span = (stop - start) / step + 1e-9
+            if span < 0:  # int() would truncate a span in (-1, 0) to 0, and fail on -inf
+                raise UsageError(f"empty z range {text!r}")
             if span >= MAX_Z_VALUES:  # counted before any value is built
                 raise LimitExceeded(f"--z range {text!r} has more than "
                                     f"{MAX_Z_VALUES} values")
-            count = int(span) + 1
-            if count < 1:
-                raise UsageError(f"empty z range {text!r}")
-            return tuple(start + i * step for i in range(count))
+            return tuple(start + i * step for i in range(int(span) + 1))
     except LimitExceeded:
         raise
     except ValueError:

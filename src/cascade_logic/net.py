@@ -5,7 +5,8 @@ A :class:`Graph` is bare: compressed sparse rows of in- and out-neighbors;
 columns, the ``antagonistic`` rule mask and the threshold ``phi``, and
 ``cutoff`` is derived from them: each threshold, float or exact
 ``Fraction``, becomes an integer :func:`cutoff` on the labeled in-neighbor
-count, an exact one over integer arrays of numerators and denominators. A
+count, a float column's in one vectorized step and an exact column's by
+:func:`cutoff` itself, once per distinct (threshold, degree) pair. A
 monotone node fires iff the count reaches it, an antagonistic node iff the
 count stays below it. :func:`assign_thresholds` makes a network from a graph
 and shares its arrays.
@@ -46,7 +47,6 @@ UNIFORM = "uniform"
 # the largest random graph that may be asked for, checked before any draw
 MAX_NODES = 1 << 20
 MAX_EXPECTED_EDGES = 1 << 22
-_INT64_MAX = np.iinfo(np.int64).max
 
 
 class Rule(Enum):
@@ -95,38 +95,35 @@ def _float_cutoffs(phi: np.ndarray, degrees: np.ndarray) -> np.ndarray:
     return c.astype(np.int64)
 
 
-def _cutoffs(phi: np.ndarray, degrees: np.ndarray) -> np.ndarray:
-    """`cutoff` of each threshold of a `_phi_column` at its node's degree,
-    once all are checked to lie in [0, 1]. Floats take `_float_cutoffs`; an
-    exact num/den takes ceil(num * max(degree, 1) / den) over integer arrays,
-    which at degree 0 is 0 if num is 0 else 1, in int64 where the products
-    fit and in Python ints otherwise."""
-    if phi.dtype != object:
+def _phi_cutoffs(phi: np.ndarray, degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The threshold column as stored, and the `cutoff` of each threshold at
+    its node's degree, once all are checked to lie in [0, 1]. The column is
+    float64 and takes `_float_cutoffs`, unless it holds a Fraction: then it
+    is an object array, every other entry made a float, walked once, with
+    `cutoff` run once per distinct (threshold, degree) pair. A Fraction is
+    keyed by its numerator and denominator: Fraction(0.1) == 0.1, but at
+    degree 10 their cutoffs are 2 and 1."""
+    if phi.dtype != object or not any(isinstance(p, Fraction) for p in phi.flat):
+        phi = phi.astype(np.float64)
         # the min and max show the range, nan included
         if not 0 <= phi.min() <= phi.max() <= 1:
-            _out_of_range(phi, (phi >= 0) & (phi <= 1))
-        return _float_cutoffs(phi, degrees)
-    exact = np.array([isinstance(p, Fraction) for p in phi.tolist()], dtype=bool)
-    fractions = phi[exact].tolist()
-    num, den = _ids([p.numerator for p in fractions]), _ids([p.denominator for p in fractions])
-    floats = phi[~exact].astype(np.float64)
-    inside = np.empty(phi.shape, dtype=bool)
-    inside[exact] = (num >= 0) & (num <= den)  # den > 0
-    inside[~exact] = (floats >= 0) & (floats <= 1)
-    if not inside.all():
-        _out_of_range(phi, inside)
-    cutoffs = np.empty(phi.shape, dtype=np.int64)
-    cutoffs[~exact] = _float_cutoffs(floats, degrees[~exact])
-    scale = np.maximum(degrees[exact], 1)
-    if den.dtype == object or den.size and den.max() > _INT64_MAX // scale.max():
-        num = num.astype(object)  # num * scale in Python ints
-    cutoffs[exact] = -(-num * scale // den)
-    return cutoffs
-
-
-def _out_of_range(phi: np.ndarray, inside: np.ndarray):
-    i = int(inside.argmin())
-    raise ValueError(f"phi must lie in [0, 1], got {phi[i]} at node {i}")
+            i = int(((phi >= 0) & (phi <= 1)).argmin())
+            raise ValueError(f"phi must lie in [0, 1], got {phi[i]} at node {i}")
+        return phi, _float_cutoffs(phi, degrees)
+    column, cutoffs, memo = [], [], {}
+    for i, (p, d) in enumerate(zip(phi.tolist(), degrees.tolist())):
+        exact = isinstance(p, Fraction)
+        if not exact:
+            p = float(p)
+        key = (p.numerator, p.denominator, d) if exact else (p, d)
+        c = memo.get(key)
+        if c is None:
+            if not (0 <= p.numerator <= p.denominator if exact else 0 <= p <= 1):
+                raise ValueError(f"phi must lie in [0, 1], got {p} at node {i}")
+            c = memo[key] = cutoff(p, d)
+        column.append(p)
+        cutoffs.append(c)
+    return np.array(column, dtype=object), np.array(cutoffs, dtype=np.int64)
 
 
 def seed_ids(seeds: Iterable[int], n: int) -> frozenset[int]:
@@ -141,16 +138,6 @@ def seed_ids(seeds: Iterable[int], n: int) -> frozenset[int]:
 def _frozen(*arrays: np.ndarray) -> None:
     for a in arrays:
         a.flags.writeable = False
-
-
-def _phi_column(values) -> np.ndarray:
-    """A new array of the thresholds: float64, or object when any is a
-    Fraction, with every other entry made a float."""
-    phi = np.asarray(values)
-    if phi.dtype == object and any(isinstance(p, Fraction) for p in phi.flat):
-        return np.array([p if isinstance(p, Fraction) else float(p) for p in phi.flat],
-                        dtype=object).reshape(phi.shape)
-    return phi.astype(np.float64)
 
 
 def _csr(n: int, heads: np.ndarray, tails: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -292,10 +279,10 @@ class Network:
         if n < 1:
             raise ValueError("network must have at least one node")
         antagonistic = np.array(self.antagonistic)
-        phi = _phi_column(self.phi)
+        phi = np.asarray(self.phi)
         if antagonistic.dtype != bool or antagonistic.shape != (n,) or phi.shape != (n,):
             raise ValueError(f"antagonistic needs {n} booleans and phi {n} thresholds")
-        cutoffs = _cutoffs(phi, self.graph.degrees)
+        phi, cutoffs = _phi_cutoffs(phi, self.graph.degrees)
         _frozen(antagonistic, phi, cutoffs)
         for name, value in (("antagonistic", antagonistic), ("phi", phi),
                             ("seeds", seed_ids(self.seeds, n)), ("cutoff", cutoffs)):

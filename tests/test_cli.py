@@ -586,6 +586,15 @@ class TestSweep:
             with pytest.raises(LimitExceeded):
                 _parse_z_range(text)
 
+    @pytest.mark.parametrize("z", ["3:2:1", "3:2.5:1", "inf:1:1", "1:-inf:1"])
+    def test_z_range_running_backwards_is_empty(self, cli, z):
+        # a stop below the start by less than one step, or by an infinite span
+        code, out, err = cli("sweep", "--n", "4", f"--z={z}", "--phi", "0.2", "--rule", "gcm",
+                             "--realizations", "1", "--seed", "1")
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and json.loads(err) == {"error": {"kind": "usage",
+            "message": f"empty z range {z!r}"}}
+
     def test_bad_metric(self, cli):
         code, _, err = cli("sweep", "--n", "40", "--z", "2", "--phi", "0.18",
                            "--rule", "agcm", "--realizations", "5", "--seed", "3",

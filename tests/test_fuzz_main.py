@@ -1,11 +1,14 @@
-"""The loader fuzzed through `main`: a mutated circuit file never escapes
-as a traceback, and every failure is one JSON error line.
+"""The loader and `sweep --z` fuzzed through `main`: a mutated circuit file
+or a --z text never escapes as a traceback, and every failure is one JSON
+error line.
 
 Each example mutates the half adder file (seeds 0 and 1 added) one to three
 times: a node field, an edge or one of its endpoints, a seed or a port
 replaced by a value of another type; a key deleted; an edge duplicated; the
 nodes shuffled. The document is written with NaN and Infinity allowed, and
-`table`, `eval` and `fixpoints` each run on it.
+`table`, `eval` and `fixpoints` each run on it. A --z text is a value or
+start:stop:step, each part a small number, inf, -inf or nan, run on a sweep
+of one realization at n = 4.
 """
 
 from __future__ import annotations
@@ -87,11 +90,28 @@ def mutate(doc: dict, draw) -> None:
         doc["nodes"] = draw(st.permutations(doc["nodes"]))
 
 
+Z_PARTS = st.one_of(st.integers(-3, 5), st.floats(-4, 4).map(lambda x: round(x, 1)),
+                   st.sampled_from([math.inf, -math.inf, math.nan])).map(str)
+
+
 def run(argv: list[str]) -> tuple[int, str]:
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, err.getvalue()
+
+
+def assert_exits_cleanly(argv: list[str], codes: tuple[int, ...]) -> None:
+    """`main` on `argv` exits with one of `codes`, silently on success and
+    otherwise with one JSON error line on stderr."""
+    code, err = run(argv)
+    assert code in codes, argv
+    if code == 0:
+        assert err == "", argv
+    else:
+        assert err.endswith("\n") and err.count("\n") == 1, (argv, err)
+        error = json.loads(err)
+        assert list(error) == ["error"] and set(error["error"]) == {"kind", "message"}
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -105,11 +125,12 @@ def test_mutated_circuit_file_exits_cleanly(data):
         path = Path(scratch) / "net.json"
         path.write_text(json.dumps(doc, allow_nan=True))
         for argv in COMMANDS:
-            code, err = run([argv[0], "--net", str(path), *argv[1:]])
-            assert code in (0, 1, 2, 3), argv
-            if code == 0:
-                assert err == "", argv
-            else:
-                assert err.endswith("\n") and err.count("\n") == 1, (argv, err)
-                error = json.loads(err)
-                assert list(error) == ["error"] and set(error["error"]) == {"kind", "message"}
+            assert_exits_cleanly([argv[0], "--net", str(path), *argv[1:]], (0, 1, 2, 3))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.one_of(Z_PARTS, st.tuples(Z_PARTS, Z_PARTS, Z_PARTS).map(":".join)))
+def test_z_text_exits_cleanly(z):
+    assert_exits_cleanly(["sweep", "--n", "4", f"--z={z}", "--phi", "0.2", "--rule", "gcm",
+                          "--realizations", "1", "--seed", "1"], (0, 1, 3))
+

@@ -19,7 +19,7 @@ from cascade_logic import (Basis, Network, NetworkFormatError, RandomSweep, Rule
                            monotone_closure, run_cascade, save_network, stats, truth_table)
 from cascade_logic import net as net_module
 from cascade_logic._seeds import make_rngs, mix_seed
-from cascade_logic.net import (Graph, _cutoffs, _draw_size, _er_union, _float_cutoffs,
+from cascade_logic.net import (Graph, _draw_size, _er_union, _float_cutoffs, _phi_cutoffs,
                                _pair_from_linear, open_output, write_text)
 from conftest import network_of
 
@@ -253,8 +253,15 @@ class TestFloatCutoffs:
         ([Fraction(3 * 2**70 - 1, 4 * 2**70), Fraction(2**64, 2**64 + 1),
           Fraction(2**80 + 1, 3 * 2**80), Fraction(1, 3), 0.75], [4, 1000, 3, 3, 4])])
     def test_exact_cutoffs_past_int64(self, phis, degrees):
-        got = _cutoffs(np.array(phis, dtype=object), np.array(degrees))
+        got = _phi_cutoffs(np.array(phis, dtype=object), np.array(degrees))[1]
         assert got.tolist() == [cutoff(p, d) for p, d in zip(phis, degrees)]
+
+    def test_exact_cutoffs_keyed_by_threshold_and_degree(self):
+        # Fraction(0.1) == 0.1 and they hash alike, but it lies just above 1/10
+        third = Fraction(1, 3)
+        got = _phi_cutoffs(np.array([0.1, Fraction(0.1), third, third], dtype=object),
+                           np.array([10, 10, 3, 4]))[1]
+        assert got.tolist() == [1, 2, 1, 2]
 
     def test_uniform_assignment_uses_them(self):
         net = assign_thresholds(generate_er(300, 0.02, 5), UNIFORM, Rule.MONOTONE,
@@ -436,10 +443,12 @@ class TestNetworkValidation:
         with pytest.raises(ValueError, match=r"phi must lie in \[0, 1\], got 1.25 at node 1"):
             network_of(3, False, (), phi=[0.5, 1.25, 0.5])
 
-    @pytest.mark.parametrize("phi", [-0.5, math.nan, Fraction(5, 4), Fraction(-1, 3)])
-    def test_phi_range_checked_in_mixed_columns(self, phi):
-        with pytest.raises(ValueError, match="phi must lie in"):
+    @pytest.mark.parametrize("phi, text", [(-0.5, "-0.5"), (math.nan, "nan"),
+                                           (Fraction(5, 4), "5/4"), (Fraction(-1, 3), "-1/3")])
+    def test_phi_range_checked_in_mixed_columns(self, phi, text):
+        with pytest.raises(ValueError) as error:
             network_of(3, False, (), phi=[0.5, phi, Fraction(1, 2)])
+        assert str(error.value) == f"phi must lie in [0, 1], got {text} at node 1"
 
     def test_columns_must_match_the_graph(self):
         graph = Graph.from_edges(3, False, (), ())
