@@ -9,6 +9,7 @@ metadata record the generator under ``GENERATOR_NAME``.
 
 from __future__ import annotations
 
+import functools
 import os
 from typing import Callable, Iterator, Optional
 
@@ -70,25 +71,35 @@ def make_rngs(seeds: np.ndarray) -> Iterator[np.random.Generator]:
     """``make_rng(s)`` for each uint64 seed s, in order, with identical
     streams: each generator is built when it is reached, from the words
     `_pcg64_words` hashed for its chunk of `SEED_CHUNK` seeds."""
-    # imported here: numpy.random's modules cost every start of the command line
-    from numpy.random.bit_generator import ISeedSequence
-    ISeedSequence.register(_Words)
+    words_type = _words_type()
     for lo in range(0, len(seeds), SEED_CHUNK):
         for words in _pcg64_words(seeds[lo:lo + SEED_CHUNK]):
-            yield np.random.Generator(np.random.PCG64(_Words(words)))
+            yield np.random.Generator(np.random.PCG64(words_type(words)))
 
 
-class _Words:
-    """A seed sequence (an `ISeedSequence` once `make_rngs` registers it)
-    that hands PCG64 the four uint64 words it asks for."""
+@functools.cache
+def _words_type() -> type:
+    """The seed sequence that hands PCG64 the four uint64 words it asks
+    for, defined on first use: numpy.random's modules would cost every
+    start of the command line."""
+    from numpy.random.bit_generator import ISeedSequence
 
-    __slots__ = ("words",)
+    class Words(ISeedSequence):
+        __slots__ = ("words",)
 
-    def __init__(self, words: np.ndarray):
-        self.words = words
+        def __init__(self, words: np.ndarray):
+            self.words = words
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+        def __reduce__(self):  # pickled by name, as a local class cannot be
+            return _words, (self.words,)
+    return Words
+
+
+def _words(words: np.ndarray):
+    return _words_type()(words)
 
 
 def _pcg64_words(seeds: np.ndarray) -> np.ndarray:

@@ -279,18 +279,20 @@ def outcome_sensitivity(network: Network, seeds: Iterable[int],
     ref = tuple(int(b) for b in reference)
     if len(ref) != len(watched):
         raise ValueError("reference must have one bit per watched node")
+    if not set(ref) <= {0, 1}:
+        raise ValueError(f"reference bits must be 0 or 1, got {list(ref)}")
     for u in watched:
         if not 0 <= u < network.n:
             raise ValueError(f"watched node {u} is not a node id")
     cascade = _Cascade(network, seed_ids(seeds, network.n))
     agree = 0
     seen = set()
+    want = bytes(ref)  # the labels are a bytearray of 0s and 1s
     trial_seeds = mix_seed(rng_seed, np.arange(trials, dtype=np.uint64))
     for rng in make_rngs(trial_seeds):
-        labels = cascade.run(rng)[0]
-        bits = tuple(labels[u] for u in watched)
+        bits = bytes(map(cascade.run(rng)[0].__getitem__, watched))
         seen.add(bits)
-        agree += bits == ref
+        agree += bits == want
     return SensitivityReport(trials=trials, agree_fraction=agree / trials,
                              reference_output=ref, distinct_outcomes=len(seen))
 

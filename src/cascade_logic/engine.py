@@ -31,7 +31,9 @@ MAX_EXAMINATIONS = 1 << 26
 @dataclass(frozen=True)
 class RandomSweep:
     """Each pass examines the currently-unlabeled nodes in a fresh random
-    permutation; stops after the first pass that labels nothing."""
+    order, a ``Generator.shuffle`` of their ids in increasing order (the
+    draws ``Generator.permutation`` makes); stops after the first pass that
+    labels nothing."""
 
     rng_seed: int
 
@@ -161,7 +163,7 @@ class _Cascade:
             for v in self.out[self.ptr[s]:self.ptr[s + 1]]:
                 self.counts[v] += 1
         unlabeled = np.frombuffer(self.labels, dtype=np.uint8) == 0
-        self.pending = np.flatnonzero(unlabeled)
+        self.pending = np.flatnonzero(unlabeled).tolist()  # in increasing order
         self.monotone = np.flatnonzero(unlabeled & ~network.antagonistic).tolist()
         self.budget = MAX_EXAMINATIONS
 
@@ -169,14 +171,13 @@ class _Cascade:
             ) -> tuple[bytearray, list[int], int]:
         """(labels, labeling order, passes) of one run under `mode`: a
         random sweep drawing its passes from the given generator, which
-        ``RandomSweep(s)`` is with ``make_rng(s)``, or an explicit order."""
+        ``RandomSweep(s)`` is with ``make_rng(s)``, or an explicit order.
+        A random pass is a ``Generator.shuffle`` of the unlabeled ids in
+        increasing order: the draws, and so the order, that
+        ``Generator.permutation`` of those ids would make."""
         n = self.network.n
-        labels = bytearray(self.labels)
         if isinstance(mode, np.random.Generator):
-            def next_pass():
-                pending = self.pending if passes == 1 else np.flatnonzero(
-                    np.frombuffer(labels, dtype=np.uint8) == 0)
-                return mode.permutation(pending).tolist()
+            shuffle, order = mode.shuffle, self.pending.copy()
         elif isinstance(mode, ExplicitOrder):
             missing = set(range(n)) - self.seed_set - set(mode.order)
             if missing:
@@ -186,13 +187,12 @@ class _Cascade:
             for u in mode.order:
                 if not 0 <= u < n:
                     raise ValueError(f"order entry {u} is not a node id")
-
-            def next_pass():
-                return mode.order
+            shuffle, order = None, mode.order
         else:
             raise TypeError(f"unknown schedule mode {mode!r}")
 
         cut, anti, ptr, out = self.cut, self.anti, self.ptr, self.out
+        labels = bytearray(self.labels)
         counts = self.counts.copy()
         monotone = self.monotone
         labeling_order: list[int] = []
@@ -200,7 +200,8 @@ class _Cascade:
         while True:
             passes += 1
             changed = False
-            order = next_pass()
+            if shuffle:
+                shuffle(order)
             self.budget -= len(order)
             if self.budget < 0:
                 raise LimitExceeded(f"cascade runs exceed the limit of "
@@ -221,9 +222,14 @@ class _Cascade:
             # the next pass labels something only if a monotone node can
             # fire now. If none can, that pass is empty: count it, skip it.
             monotone = [u for u in monotone if not labels[u]]
-            if not any(counts[u] >= cut[u] for u in monotone):
+            for u in monotone:
+                if counts[u] >= cut[u]:
+                    break
+            else:
                 passes += 1
                 break
+            if shuffle:
+                order = np.flatnonzero(np.frombuffer(labels, dtype=np.uint8) == 0).tolist()
         return labels, labeling_order, passes
 
 

@@ -89,7 +89,9 @@ def full_pass_cascade(network, seeds, mode):
     one, which labels nothing, included.
 
     `mode` is an ExplicitOrder, or a RandomSweep, whose passes examine the
-    unlabeled nodes in a permutation drawn as the engine draws it.
+    unlabeled nodes in the order ``Generator.permutation`` draws for their
+    ids in increasing order. The engine shuffles a list of those ids
+    instead, which makes the same draws (test_seeds checks the two agree).
     """
     if isinstance(mode, RandomSweep):
         rng = make_rng(mode.rng_seed)

@@ -21,7 +21,7 @@ from cascade_logic.circuit import input_seeds
 from cascade_logic.cli import main
 from conftest import (assert_split, assert_stable, network_of, random_instance, record_runs,
                       small_network)
-from oracles import rescan_fixpoints
+from oracles import full_pass_cascade, rescan_fixpoints
 
 
 class TestEnumerateFixpoints:
@@ -297,6 +297,30 @@ class TestScheduleSensitivity:
                           for u in watched) for t in range(300)]
         assert report.agree_fraction == outcomes.count((1, 0)) / 300
         assert report.distinct_outcomes == len(set(outcomes)) > 1
+
+    @pytest.mark.parametrize("expr, assignment", [
+        (None, {"a": 1, "b": 0}),  # the half adder
+        ("(a @& b) | (c ^ d)", {"a": 1, "b": 1, "c": 0, "d": 1}),  # mixed basis
+    ])
+    def test_trials_match_the_rescanning_oracle(self, expr, assignment):
+        # the oracle shares no engine code and draws each pass with
+        # Generator.permutation, not the engine's shuffle
+        circuit = compile_half_adder() if expr is None else compile_expr(expr, Basis.MIXED)
+        net, seeds = circuit.network, input_seeds(circuit, assignment)
+        watched = list(circuit.outputs.values())
+        reference = list(evaluate(circuit, assignment).values())
+        report = outcome_sensitivity(net, seeds, watched, reference, trials=300, rng_seed=5)
+        outcomes, passes = [], []
+        for t in range(300):
+            labeled, _, count = full_pass_cascade(net, seeds, RandomSweep(mix_seed(5, t)))
+            outcomes.append(tuple(int(u in labeled) for u in watched))
+            passes.append(count)
+        assert report.agree_fraction == outcomes.count(tuple(reference)) / 300
+        assert report.distinct_outcomes == len(set(outcomes)) > 1
+        if expr is not None:  # some trials run a second pass that labels
+            assert max(passes) >= 3
+        # only monotone nodes fire after the first pass, so a later pass's
+        # order never changes an outcome; test_properties compares histories
 
     def test_trial_generators_are_built_a_chunk_at_a_time(self, monkeypatch):
         # 2^20 trials stop at the examination budget after a few; hashing

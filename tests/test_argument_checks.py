@@ -30,6 +30,10 @@ CASES = {
         lambda: outcome_sensitivity(compile_half_adder().network, {0}, [5, 6], [1],
                                     trials=1, rng_seed=0),
         "reference must have one bit per watched node"),
+    "reference bit of 2": (
+        lambda: outcome_sensitivity(compile_half_adder().network, {0}, [5, 6], [1, 2],
+                                    trials=1, rng_seed=0),
+        "reference bits must be 0 or 1, got [1, 2]"),
     "verify-gcm on no nodes": (
         lambda: verify_gcm_determinism(n=0, z=1.0, instances=1, rng_seed=0),
         "n must be >= 1, got 0"),

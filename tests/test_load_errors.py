@@ -1,9 +1,9 @@
 """Network-file errors pinned message by message.
 
 Each case corrupts a valid circuit file (the half adder, with seeds 0 and 1)
-past its first node, edge, seed or port, or in its circuit shape, and
-golden/load_errors.json holds the exact NetworkFormatError message that
-loading it raises. Cases with two faults pin which one is reported.
+at its top level, past its first node, edge, seed or port, or in its circuit
+shape, and golden/load_errors.json holds the exact NetworkFormatError message
+that loading it raises. Cases with two faults pin which one is reported.
 """
 
 from __future__ import annotations
@@ -57,6 +57,13 @@ def _renumber(doc):  # ids 0..5 and 7: a gap at 6
 
 
 CORRUPTIONS = {
+    # the top level; a corruption may return a whole new document
+    "top level a list": lambda doc: [doc],
+    "directed 1": _set("directed", 1),
+    "nodes empty": _set("nodes", []),
+    "nodes an object": _set("nodes", {"0": {"id": 0, "rule": "gcm", "phi": 0.5}}),
+    "edges an object": _set("edges", {}),
+    "seeds a number": _set("seeds", 0),
     # ids
     "id bool": _set("nodes", 3, "id", True),
     "id float": _set("nodes", 3, "id", 3.0),
@@ -125,7 +132,7 @@ CORRUPTIONS = {
 
 def load_error(name: str) -> str:
     doc = base_doc()
-    CORRUPTIONS[name](doc)
+    doc = CORRUPTIONS[name](doc) or doc
     with pytest.raises(NetworkFormatError) as caught:
         load_circuit(io.StringIO(json.dumps(doc)))
     return str(caught.value)

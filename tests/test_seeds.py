@@ -1,7 +1,9 @@
+import pickle
+
 import numpy as np
 import pytest
 
-from cascade_logic import _seeds, make_rng
+from cascade_logic import _seeds, make_rng, mix_seed
 from cascade_logic._seeds import make_rngs
 
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1] + make_rng(20261020).integers(
@@ -48,6 +50,10 @@ class TestMakeRngs:
         assert len(list(rngs)) == 9
         assert hashed == [4, 4, 2]
 
+    def test_generators_pickle(self):
+        seeds = np.array(SEEDS[:3], dtype=np.uint64)
+        assert_same_streams(SEEDS[:3], (pickle.loads(pickle.dumps(g)) for g in make_rngs(seeds)))
+
     def test_no_seeds(self):
         assert list(make_rngs(np.array([], dtype=np.uint64))) == []
 
@@ -56,3 +62,16 @@ class TestMakeRngs:
         want = np.random.SeedSequence(seed).generate_state(4, np.uint64)
         got = _seeds._pcg64_words(np.array([seed], dtype=np.uint64))
         assert got.tolist() == [want.tolist()]
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 7, 64, 999])
+def test_shuffling_a_list_draws_what_permutation_draws(size):
+    # a random-sweep pass shuffles a list of increasing ids in place; the
+    # order and the generator's next draws equal those of permutation
+    seeds = mix_seed(size, np.arange(200, dtype=np.uint64))
+    for k, (rng_a, rng_b) in enumerate(zip(make_rngs(seeds), make_rngs(seeds))):
+        ids = np.sort(make_rng(k).choice(2 * size + 1, size, replace=False)).tolist()
+        want = rng_b.permutation(np.array(ids, dtype=np.intp)).tolist()
+        rng_a.shuffle(ids)
+        assert len(ids) == size and ids == want, k
+        assert rng_a.random() == rng_b.random(), k
